@@ -127,7 +127,9 @@ def _render_json(command, columns, rows, meta):
     return json.dumps(doc, indent=1) + "\n"
 
 
-def _emit(args, columns, rows, meta=None):
+def _emit(args, rows, meta=None):
+    """Write ``rows`` in the column order the subcommand declared."""
+    columns = args.columns
     meta = meta or {}
     name = args.command if not hasattr(args, "method") \
         else f"{args.command} {args.method}"
@@ -160,7 +162,7 @@ def _cmd_density(args):
             rows.append({"t": t, "x": x, "y": y,
                          "kind": "phat" if args.killed else "p",
                          "value": val, "abs_err": err})
-    _emit(args, ["t", "x", "y", "kind", "value", "abs_err"], rows)
+    _emit(args, rows)
 
 
 def _cmd_tails(args):
@@ -182,8 +184,7 @@ def _cmd_tails(args):
             row["hit_tail"] = ht
             row["hit_tail_err"] = e3
         rows.append(row)
-    _emit(args, ["t", "x", "nu_dot", "nu_dot_err", "nu_bar", "nu_bar_err",
-                 "hit_tail", "hit_tail_err"], rows)
+    _emit(args, rows)
 
 
 def _cmd_eigen(args):
@@ -194,7 +195,7 @@ def _cmd_eigen(args):
         c = spectral.eigenfunction(spec, x, g, kind="C", tol=args.tol)
         rows.append({"x": x, "gamma": g, "A": a, "C": c,
                      "err_bound": args.tol})
-    _emit(args, ["x", "gamma", "A", "C", "err_bound"], rows)
+    _emit(args, rows)
 
 
 def _cmd_subexp(args):
@@ -213,8 +214,7 @@ def _cmd_subexp(args):
         rows.append({"x": x, "tail_f": fbar, "tail_g": gbar,
                      "conv": conv, "conv_err": cerr,
                      "ratio": conv / denom, "ratio_err": cerr / denom})
-    _emit(args, ["x", "tail_f", "tail_g", "conv", "conv_err",
-                 "ratio", "ratio_err"], rows)
+    _emit(args, rows)
 
 
 def _cmd_mc(args):
@@ -232,8 +232,7 @@ def _cmd_mc(args):
                          "n": est.n_paths, "seed": args.seed,
                          "estimate": est.mean, "std_error": est.std_error,
                          "exact": exact, "z": z})
-        _emit(args, ["x", "t", "method", "n", "seed", "estimate",
-                     "std_error", "exact", "z"], rows)
+        _emit(args, rows)
     elif method == "localtime-tail":
         rows = []
         for t in _floats(args.t):
@@ -248,8 +247,7 @@ def _cmd_mc(args):
                          "seed": args.seed, "estimate": est.mean,
                          "std_error": est.std_error, "asymptote": asym,
                          "ratio": est.mean / asym})
-        _emit(args, ["x", "ell", "t", "method", "n", "seed", "estimate",
-                     "std_error", "asymptote", "ratio"], rows)
+        _emit(args, rows)
     elif method == "exponent":
         rows = []
         for lam in _floats(args.lam):
@@ -261,8 +259,7 @@ def _cmd_mc(args):
                          "seed": args.seed, "estimate": est.mean,
                          "std_error": est.std_error, "exact": exact,
                          "z": z})
-        _emit(args, ["lam", "ell", "n", "seed", "estimate", "std_error",
-                     "exact", "z"], rows)
+        _emit(args, rows)
     elif method == "tau":
         sample = mc.sample_tau(spec, args.ell, args.n, seed=args.seed)
         values = np.sort(sample.values)
@@ -278,8 +275,7 @@ def _cmd_mc(args):
             rows.append({"ell": args.ell, "q": q, "value": values[k],
                          "ci_lo": values[lo], "ci_hi": values[hi],
                          "n": n, "seed": args.seed})
-        _emit(args, ["ell", "q", "value", "ci_lo", "ci_hi", "n", "seed"],
-              rows)
+        _emit(args, rows)
     else:  # doob-meyer
         out = mc.doob_meyer_check(spec, _floats(args.t), n_paths=args.n,
                                   dt=args.dt, seed=args.seed,
@@ -292,8 +288,7 @@ def _cmd_mc(args):
                          "local_mean": r["local_mean"], "gap": r["gap"],
                          "std_error": r["std_error"],
                          "bias_correction": r["bias_correction"], "z": z})
-        _emit(args, ["t", "n", "seed", "scale_mean", "local_mean", "gap",
-                     "std_error", "bias_correction", "z"], rows)
+        _emit(args, rows)
 
 
 def _cmd_penalize(args):
@@ -309,8 +304,7 @@ def _cmd_penalize(args):
         rows = [{"weight": r["weight"], "u": r["u"], "n": r["n_paths"],
                  "seed": args.seed, "mean": r["mean"],
                  "std_error": r["std_error"], "z": r["z"]} for r in out]
-        _emit(args, ["weight", "u", "n", "seed", "mean", "std_error", "z"],
-              rows)
+        _emit(args, rows)
     elif method == "horizon":
         weight = _parse_weight((args.weight or ["indicator:1.0"])[0])
         res = pz.penalization_horizon(spec, weight, tol=args.tol,
@@ -319,8 +313,7 @@ def _cmd_penalize(args):
                  "leftover": res["leftover"],
                  "leftover_se": res["leftover_se"],
                  "n": res["n_paths"], "seed": args.seed}]
-        _emit(args, ["weight", "tol", "u", "leftover", "leftover_se",
-                     "n", "seed"], rows)
+        _emit(args, rows)
     else:  # lawcheck
         weight = _parse_weight((args.weight or ["indicator:1.0"])[0])
         u = float(args.u) if args.u else None
@@ -337,8 +330,7 @@ def _cmd_penalize(args):
         meta = {"weight": weight.name, "u": res["u"],
                 "max_gap": res["max_gap"], "n": res["n_paths"],
                 "seed": args.seed}
-        _emit(args, ["ell", "weighted_cdf", "cdf_se", "target_cdf", "gap"],
-              rows, meta)
+        _emit(args, rows, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +362,19 @@ def _add_common(p, seed=False, mc_opts=False):
                             "results do not depend on the thread count)")
 
 
+def _command(sub, name, summary, func, columns, note=None):
+    """Subparser for a command run by ``func`` that writes ``columns``; its
+    ``--help`` lists them in the order :func:`_emit` writes them."""
+    epilog = "columns: " + ",".join(columns)
+    if note:
+        epilog += "\n" + note
+    p = sub.add_parser(
+        name, help=summary, epilog=epilog,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.set_defaults(func=func, columns=columns)
+    return p
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="levykit",
@@ -380,11 +385,11 @@ def build_parser():
                         version=f"levykit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "density", help="transition density by spectral quadrature",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="columns: t,x,y,kind,value,abs_err\n"
-               "values are densities with respect to the speed measure")
+    p = _command(
+        sub, "density", "transition density by spectral quadrature",
+        _cmd_density,
+        ("t", "x", "y", "kind", "value", "abs_err"),
+        "values are densities with respect to the speed measure")
     p.add_argument("--t", required=True, help="time points, comma list")
     p.add_argument("--x", required=True, help="start points, comma list")
     p.add_argument("--y", default=None,
@@ -392,39 +397,36 @@ def build_parser():
     p.add_argument("--killed", action="store_true",
                    help="density killed at the boundary instead")
     _add_common(p)
-    p.set_defaults(func=_cmd_density)
 
-    p = sub.add_parser(
-        "tails", help="inverse-local-time Levy density and tail",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="columns: t,x,nu_dot,nu_dot_err,nu_bar,nu_bar_err,"
-               "hit_tail,hit_tail_err\n"
-               "hit_tail columns are empty unless --x is given")
+    p = _command(
+        sub, "tails", "inverse-local-time Levy density and tail",
+        _cmd_tails,
+        ("t", "x", "nu_dot", "nu_dot_err", "nu_bar", "nu_bar_err",
+         "hit_tail", "hit_tail_err"),
+        "hit_tail columns are empty unless --x is given")
     p.add_argument("--t", required=True, help="time points, comma list")
     p.add_argument("--x", default=None,
                    help="optional start for the boundary-hitting tail")
     _add_common(p)
-    p.set_defaults(func=_cmd_tails)
 
-    p = sub.add_parser(
-        "eigen", help="boundary-normalized eigenfunctions A and C",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="columns: x,gamma,A,C,err_bound\n"
-               "A(x;0) = 1 and C(x;0) = S(x), the scale function")
+    p = _command(
+        sub, "eigen", "boundary-normalized eigenfunctions A and C",
+        _cmd_eigen,
+        ("x", "gamma", "A", "C", "err_bound"),
+        "A(x;0) = 1 and C(x;0) = S(x), the scale function")
     p.add_argument("--x", required=True, help="positions, comma list")
     p.add_argument("--gamma", required=True,
                    help="spectral parameters, comma list")
     _add_common(p)
-    p.set_defaults(func=_cmd_eigen)
 
-    p = sub.add_parser(
-        "subexp-check", help="convolution-tail ratios",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="columns: x,tail_f,tail_g,conv,conv_err,ratio,ratio_err\n"
-               "single tail: ratio = conv/tail_f, approaches 2 for\n"
-               "subexponential laws; with --tail2 the denominator is\n"
-               "tail_f + tail_g and the limit is 1 when the mix is\n"
-               "tail-equivalent")
+    p = _command(
+        sub, "subexp-check", "convolution-tail ratios",
+        _cmd_subexp,
+        ("x", "tail_f", "tail_g", "conv", "conv_err", "ratio", "ratio_err"),
+        "single tail: ratio = conv/tail_f, approaches 2 for\n"
+        "subexponential laws; with --tail2 the denominator is\n"
+        "tail_f + tail_g and the limit is 1 when the mix is\n"
+        "tail-equivalent")
     p.add_argument("--tail", required=True,
                    help="pareto:<alpha>[:scale], exp:<rate> or "
                         "hitting:<x> (hitting uses --spec)")
@@ -433,107 +435,97 @@ def build_parser():
     p.add_argument("--x", required=True,
                    help="evaluation points, comma list")
     _add_common(p)
-    p.set_defaults(func=_cmd_subexp)
 
     p = sub.add_parser("mc", help="Monte Carlo estimators and checks")
     mcsub = p.add_subparsers(dest="method", required=True)
 
-    q = mcsub.add_parser(
-        "hitting-tail", help="P_x(H_0 > t) vs the closed form",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="columns: x,t,method,n,seed,estimate,std_error,exact,z")
+    q = _command(
+        mcsub, "hitting-tail", "P_x(H_0 > t) vs the closed form",
+        _cmd_mc,
+        ("x", "t", "method", "n", "seed", "estimate", "std_error", "exact",
+         "z"))
     q.add_argument("--x", type=float, required=True)
     q.add_argument("--t", required=True, help="time points, comma list")
     q.add_argument("--how", choices=("exact", "pathwise"),
                    default="exact", help="sampling route (default exact)")
     _add_common(q, seed=True, mc_opts=True)
-    q.set_defaults(func=_cmd_mc)
 
-    q = mcsub.add_parser(
-        "localtime-tail", help="P_x(L_t <= ell) vs its tail asymptote",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="columns: x,ell,t,method,n,seed,estimate,std_error,"
-               "asymptote,ratio\n"
-               "asymptote = (S(x)+ell) nu((t,inf)); ratio -> 1 as t "
-               "grows")
+    q = _command(
+        mcsub, "localtime-tail", "P_x(L_t <= ell) vs its tail asymptote",
+        _cmd_mc,
+        ("x", "ell", "t", "method", "n", "seed", "estimate", "std_error",
+         "asymptote", "ratio"),
+        "asymptote = (S(x)+ell) nu((t,inf)); ratio -> 1 as t grows")
     q.add_argument("--x", type=float, default=0.0)
     q.add_argument("--ell", type=float, default=1.0)
     q.add_argument("--t", required=True, help="time points, comma list")
     q.add_argument("--how", choices=("exact", "pathwise"),
                    default="exact", help="sampling route (default exact)")
     _add_common(q, seed=True, mc_opts=True)
-    q.set_defaults(func=_cmd_mc)
 
-    q = mcsub.add_parser(
-        "exponent", help="Laplace exponent of tau vs the closed form",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="columns: lam,ell,n,seed,estimate,std_error,exact,z")
+    q = _command(
+        mcsub, "exponent", "Laplace exponent of tau vs the closed form",
+        _cmd_mc,
+        ("lam", "ell", "n", "seed", "estimate", "std_error", "exact", "z"))
     q.add_argument("--lam", required=True,
                    help="Laplace arguments, comma list")
     q.add_argument("--ell", type=float, default=1.0)
     _add_common(q, seed=True, mc_opts=True)
-    q.set_defaults(func=_cmd_mc)
 
-    q = mcsub.add_parser(
-        "tau", help="inverse-local-time quantiles with order-stat CIs",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="columns: ell,q,value,ci_lo,ci_hi,n,seed\n"
-               "ci bounds are distribution-free 95% order-statistic "
-               "intervals")
+    q = _command(
+        mcsub, "tau", "inverse-local-time quantiles with order-stat CIs",
+        _cmd_mc,
+        ("ell", "q", "value", "ci_lo", "ci_hi", "n", "seed"),
+        "ci bounds are distribution-free 95% order-statistic intervals")
     q.add_argument("--ell", type=float, default=1.0)
     q.add_argument("--q", default="0.1,0.25,0.5,0.75,0.9",
                    help="quantile levels, comma list")
     _add_common(q, seed=True, mc_opts=True)
-    q.set_defaults(func=_cmd_mc)
 
-    q = mcsub.add_parser(
-        "doob-meyer", help="E[S(X_t)] against E[L_t] on grid paths",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="columns: t,n,seed,scale_mean,local_mean,gap,std_error,"
-               "bias_correction,z\n"
-               "local_mean includes the closed-form band correction")
+    q = _command(
+        mcsub, "doob-meyer", "E[S(X_t)] against E[L_t] on grid paths",
+        _cmd_mc,
+        ("t", "n", "seed", "scale_mean", "local_mean", "gap", "std_error",
+         "bias_correction", "z"),
+        "local_mean includes the closed-form band correction")
     q.add_argument("--t", required=True,
                    help="checkpoint times, comma list")
     _add_common(q, seed=True, mc_opts=True)
-    q.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("penalize", help="local-time penalization checks")
     pzsub = p.add_subparsers(dest="method", required=True)
 
-    q = pzsub.add_parser(
-        "martingale", help="unit mean of the penalization martingale",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="columns: weight,u,n,seed,mean,std_error,z")
+    q = _command(
+        pzsub, "martingale", "unit mean of the penalization martingale",
+        _cmd_penalize,
+        ("weight", "u", "n", "seed", "mean", "std_error", "z"))
     q.add_argument("--weight", action="append", default=None,
                    help="indicator:<ell0>, triangular:<K>, inline JSON or "
                         "a JSON path; repeat for several "
                         "(default indicator:1.0)")
     q.add_argument("--u", default="1.0", help="horizons, comma list")
     _add_common(q, seed=True, mc_opts=True)
-    q.set_defaults(func=_cmd_penalize)
 
-    q = pzsub.add_parser(
-        "horizon", help="horizon where the leftover weight mass is small",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="columns: weight,tol,u,leftover,leftover_se,n,seed\n"
-               "--tol here is the leftover-mass threshold "
-               "(default 0.01)")
+    q = _command(
+        pzsub, "horizon", "horizon where the leftover weight mass is small",
+        _cmd_penalize,
+        ("weight", "tol", "u", "leftover", "leftover_se", "n", "seed"),
+        "--tol here is the leftover-mass threshold (default 0.01)")
     q.add_argument("--weight", action="append", default=None)
     _add_common(q, seed=True, mc_opts=True)
-    q.set_defaults(func=_cmd_penalize, tol=0.01)
+    q.set_defaults(tol=0.01)
 
-    q = pzsub.add_parser(
-        "lawcheck", help="weighted terminal local-time law against H",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="columns: ell,weighted_cdf,cdf_se,target_cdf,gap\n"
-               "summary metadata (weight, u, max_gap, n, seed) rides in\n"
-               "CSV comments / JSON fields")
+    q = _command(
+        pzsub, "lawcheck", "weighted terminal local-time law against H",
+        _cmd_penalize,
+        ("ell", "weighted_cdf", "cdf_se", "target_cdf", "gap"),
+        "summary metadata (weight, u, max_gap, n, seed) rides in\n"
+        "CSV comments / JSON fields")
     q.add_argument("--weight", action="append", default=None)
     q.add_argument("--u", default=None,
                    help="horizon (default: adaptive via the horizon "
                         "search)")
     _add_common(q, seed=True, mc_opts=True)
-    q.set_defaults(func=_cmd_penalize)
 
     return parser
 

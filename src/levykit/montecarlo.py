@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -113,24 +113,24 @@ class SubordinatorSample:
 # seeding / chunked execution
 # ---------------------------------------------------------------------------
 
-def _chunk_sizes(n: int, chunk: int) -> list:
+def _chunk_sizes(n: int) -> list:
     if n <= 0:
         raise DomainError("need at least one path")
-    sizes = [chunk] * (n // chunk)
-    if n % chunk:
-        sizes.append(n % chunk)
+    sizes = [DEFAULT_CHUNK] * (n // DEFAULT_CHUNK)
+    if n % DEFAULT_CHUNK:
+        sizes.append(n % DEFAULT_CHUNK)
     return sizes
 
 
-def _run_chunked(n: int, seed, worker: Callable, threads: Optional[int],
-                 chunk: int = DEFAULT_CHUNK) -> list:
+def _run_chunked(n: int, seed, worker: Callable,
+                 threads: Optional[int]) -> list:
     """Run ``worker(rng, size)`` over fixed-size chunks; results in order.
 
-    The chunk layout depends only on ``n`` and ``chunk`` — never on the
-    thread count — and each chunk gets its own spawned generator, so the
-    reduction is deterministic for a given seed.
+    The chunk layout depends only on ``n`` — never on the thread count —
+    and each chunk gets its own spawned generator, so the reduction is
+    deterministic for a given seed.
     """
-    sizes = _chunk_sizes(n, chunk)
+    sizes = _chunk_sizes(n)
     streams = np.random.SeedSequence(seed).spawn(len(sizes))
     nthreads = resolve_threads(threads)
     if nthreads == 1 or len(sizes) == 1:
@@ -142,10 +142,56 @@ def _run_chunked(n: int, seed, worker: Callable, threads: Optional[int],
         return [f.result() for f in futures]
 
 
+def _chunk_totals(n: int, seed, worker: Callable,
+                  threads: Optional[int]) -> tuple:
+    """The one reducer: totals of the per-chunk sums ``worker`` returns.
+
+    ``worker(rng, size)`` returns a sequence of partial sums (numbers or
+    arrays); entry ``i`` of the result is the sum of entry ``i`` over all
+    chunks, added left to right in chunk order.  That fixed order is what
+    makes the totals bit-identical at any thread count — ``np.sum`` over a
+    chunk axis would not promise it.
+    """
+    parts = _run_chunked(n, seed, worker, threads)
+    return tuple(sum(col) for col in zip(*parts))
+
+
 def _mean_se(total: float, total_sq: float, n: int) -> tuple:
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0) * n / max(n - 1, 1)
     return mean, math.sqrt(var / n)
+
+
+def _sample_means(n: int, seed, sample: Callable,
+                  threads: Optional[int]) -> list:
+    """``(mean, std_error)`` of each per-path statistic over ``n`` paths.
+
+    ``sample(rng, size)`` returns a list of per-path value arrays, one per
+    statistic; every chunk contributes their sums and sums of squares.
+    """
+    def worker(rng, m):
+        return [s for v in sample(rng, m)
+                for s in (float(np.sum(v)), float(np.sum(v * v)))]
+
+    totals = _chunk_totals(n, seed, worker, threads)
+    return [_mean_se(totals[i], totals[i + 1], n)
+            for i in range(0, len(totals), 2)]
+
+
+def _bernoulli_se(p: float, n: int) -> float:
+    return math.sqrt(max(p * (1 - p), 0.0) / n)
+
+
+def _indicator_estimate(n: int, seed, event: Callable,
+                        threads: Optional[int]) -> McEstimate:
+    """Frequency of ``event(rng, size)`` (a boolean array per chunk) over
+    ``n`` paths, with its binomial standard error."""
+    hits, = _chunk_totals(n, seed,
+                          lambda rng, m: (int(np.sum(event(rng, m))),),
+                          threads)
+    p = hits / n
+    return McEstimate(mean=p, std_error=_bernoulli_se(p, n), n_paths=n,
+                      seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +459,17 @@ def occupation_bias(spec: DiffusionSpec, eps: float, dt: float,
 # estimators
 # ---------------------------------------------------------------------------
 
-def _indicator_estimate(hits: int, n: int, seed) -> McEstimate:
-    p = hits / n
-    return McEstimate(mean=p, std_error=math.sqrt(max(p * (1 - p), 0.0) / n),
-                      n_paths=n, seed=seed)
+def _occupation_at(spec: DiffusionSpec, x: float, t: float, dt: float):
+    """Sampler of the band-occupation step count at ``t`` of grid paths
+    from ``x`` (band ``[0, sqrt(dt))``), with that band's speed measure."""
+    n_steps, eps = _check_grid(t, dt, None)
+
+    def occupation(rng, m):
+        (_, _, occ), = _stream_ensemble(spec, x, dt, n_steps, [n_steps],
+                                        rng, m, eps)
+        return occ
+
+    return occupation, cumulative_speed(spec, eps)
 
 
 def estimate_hitting_tail(spec: DiffusionSpec, x: float, t: float, n: int,
@@ -432,26 +485,16 @@ def estimate_hitting_tail(spec: DiffusionSpec, x: float, t: float, n: int,
     if x <= 0:
         raise DomainError("x must be positive (from 0 the tail is 0)")
     if method == "exact":
-        def worker(rng, m):
-            h = sample_hitting_time(spec, x, m, rng=rng)
-            return int(np.sum(h > t)), m
+        def event(rng, m):
+            return sample_hitting_time(spec, x, m, rng=rng) > t
+    elif method == "pathwise":
+        occupation, _ = _occupation_at(spec, x, t, dt)
 
-        parts = _run_chunked(n, seed, worker, threads)
-        hits = sum(p[0] for p in parts)
-        return _indicator_estimate(hits, n, seed)
-    if method != "pathwise":
+        def event(rng, m):
+            return occupation(rng, m) == 0
+    else:
         raise DomainError(f"unknown method {method!r}")
-    n_steps, eps = _check_grid(t, dt, None)
-
-    def worker(rng, m):
-        snaps = _stream_ensemble(spec, x, dt, n_steps, [n_steps], rng, m,
-                                 eps)
-        _, _, occ = snaps[0]
-        return int(np.sum(occ == 0)), m
-
-    parts = _run_chunked(n, seed, worker, threads)
-    hits = sum(p[0] for p in parts)
-    return _indicator_estimate(hits, n, seed)
+    return _indicator_estimate(n, seed, event, threads)
 
 
 def estimate_localtime_tail(spec: DiffusionSpec, x: float, t: float,
@@ -468,28 +511,18 @@ def estimate_localtime_tail(spec: DiffusionSpec, x: float, t: float,
     if x < 0 or ell < 0:
         raise DomainError("x and ell must be nonnegative")
     if method == "exact":
-        def worker(rng, m):
+        def event(rng, m):
             h = sample_hitting_time(spec, x, m, rng=rng)
             tau = sample_tau(spec, ell, m, rng=rng).values
-            return int(np.sum(h + tau > t)), m
+            return h + tau > t
+    elif method == "pathwise":
+        occupation, m_eps = _occupation_at(spec, x, t, dt)
 
-        parts = _run_chunked(n, seed, worker, threads)
-        hits = sum(p[0] for p in parts)
-        return _indicator_estimate(hits, n, seed)
-    if method != "pathwise":
+        def event(rng, m):
+            return occupation(rng, m) * dt / m_eps <= ell
+    else:
         raise DomainError(f"unknown method {method!r}")
-    n_steps, eps = _check_grid(t, dt, None)
-
-    def worker(rng, m):
-        snaps = _stream_ensemble(spec, x, dt, n_steps, [n_steps], rng, m,
-                                 eps)
-        _, _, occ = snaps[0]
-        m_eps = cumulative_speed(spec, eps)
-        return int(np.sum(occ * dt / m_eps <= ell)), m
-
-    parts = _run_chunked(n, seed, worker, threads)
-    hits = sum(p[0] for p in parts)
-    return _indicator_estimate(hits, n, seed)
+    return _indicator_estimate(n, seed, event, threads)
 
 
 def levy_exponent_mc(spec: DiffusionSpec, lam: float, ell: float = 1.0,
@@ -504,15 +537,10 @@ def levy_exponent_mc(spec: DiffusionSpec, lam: float, ell: float = 1.0,
     if lam == 0.0:
         return McEstimate(mean=0.0, std_error=0.0, n_paths=n, seed=seed)
 
-    def worker(rng, m):
-        tau = sample_tau(spec, ell, m, rng=rng).values
-        v = np.exp(-lam * tau)
-        return float(np.sum(v)), float(np.sum(v * v)), m
+    def sample(rng, m):
+        return [np.exp(-lam * sample_tau(spec, ell, m, rng=rng).values)]
 
-    parts = _run_chunked(n, seed, worker, threads)
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
-    mean, se = _mean_se(total, total_sq, n)
+    (mean, se), = _sample_means(n, seed, sample, threads)
     if mean <= 0:
         raise RangeError("all mass beyond machine range; lam too large")
     return McEstimate(mean=-math.log(mean) / ell,
@@ -522,8 +550,7 @@ def levy_exponent_mc(spec: DiffusionSpec, lam: float, ell: float = 1.0,
 def doob_meyer_check(spec: DiffusionSpec, times: Sequence[float],
                      n_paths: int = 100_000, dt: float = 1e-4,
                      seed=None, eps: Optional[float] = None,
-                     x0: float = 0.0, threads=None,
-                     chunk: int = DEFAULT_CHUNK) -> list:
+                     x0: float = 0.0, threads=None) -> list:
     """Compensator identity on grid paths: E[S(X_t)] vs E[L_t] from 0.
 
     Streams one ensemble to ``max(times)``, snapshotting every requested
@@ -531,7 +558,7 @@ def doob_meyer_check(spec: DiffusionSpec, times: Sequence[float],
     :func:`occupation_bias`; the reported gap and its standard error come
     from the per-path difference, so the two means share their noise.
     """
-    alpha = _require_preset(spec, "compensator check")
+    _require_preset(spec, "compensator check")
     times = sorted(float(t) for t in times)
     if not times or times[0] <= 0:
         raise DomainError("need positive checkpoint times")
@@ -542,27 +569,25 @@ def doob_meyer_check(spec: DiffusionSpec, times: Sequence[float],
         raise ResolutionError("checkpoints must sit on the time grid")
     m_eps = cumulative_speed(spec, eps)
 
-    def worker(rng, m):
-        snaps = _stream_ensemble(spec, x0, dt, n_steps, idx, rng, m, eps)
+    def sample(rng, m):
         stats = []
-        for k, x, occ in snaps:
+        for _, x, occ in _stream_ensemble(spec, x0, dt, n_steps, idx, rng, m,
+                                          eps):
             s_of_x = np.asarray(spec.scale(x), dtype=float)
             loc = occ * (dt / m_eps)
-            diff = s_of_x - loc
-            stats.append((float(np.sum(diff)), float(np.sum(diff * diff)),
-                          float(np.sum(s_of_x)), float(np.sum(loc))))
+            stats += [s_of_x - loc, s_of_x, loc]
         return stats
 
-    parts = _run_chunked(n_paths, seed, worker, threads, chunk=chunk)
+    means = _sample_means(n_paths, seed, sample, threads)
     rows = []
     for j, t in enumerate(times):
-        tot = [sum(p[j][i] for p in parts) for i in range(4)]
-        gap_mean, gap_se = _mean_se(tot[0], tot[1], n_paths)
+        (gap_mean, gap_se), (scale_mean, _), (local_mean, _) \
+            = means[3 * j:3 * j + 3]
         bias = occupation_bias(spec, eps, dt, t)
         rows.append({
             "t": t,
-            "scale_mean": tot[2] / n_paths,
-            "local_mean": tot[3] / n_paths + bias,
+            "scale_mean": scale_mean,
+            "local_mean": local_mean + bias,
             "gap": gap_mean - bias,
             "std_error": gap_se,
             "bias_correction": bias,

@@ -23,6 +23,7 @@ laws back to the excursion tail.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -242,15 +243,12 @@ def martingale_mean_mc(spec: DiffusionSpec, weight: WeightFunction,
                 "the exact state sampler is Brownian-only; use "
                 "method='pathwise'")
 
-        def worker(rng, m):
+        def sample(rng, m):
             st = mc.sample_brownian_state(u, m, rng=rng)
-            vals = martingale_value(spec, weight, st["position"],
-                                    st["local_time"])
-            return float(np.sum(vals)), float(np.sum(vals * vals))
+            return [martingale_value(spec, weight, st["position"],
+                                     st["local_time"])]
 
-        parts = mc._run_chunked(n, seed, worker, threads)
-        mean, se = mc._mean_se(sum(p[0] for p in parts),
-                               sum(p[1] for p in parts), n)
+        (mean, se), = mc._sample_means(n, seed, sample, threads)
         return mc.McEstimate(mean=mean, std_error=se, n_paths=n, seed=seed)
     if method != "pathwise":
         raise DomainError(f"unknown method {method!r}")
@@ -286,31 +284,20 @@ def martingale_property_mc(spec: DiffusionSpec,
     m_eps = cumulative_speed(spec, eps)
     shifts = [mc.occupation_bias(spec, eps, dt, u) for u in u_values]
 
-    def worker(rng, m):
-        snaps = mc._stream_ensemble(spec, 0.0, dt, n_steps, idx, rng, m,
-                                    eps)
+    def sample(rng, m):
         stats = []
-        for (k, x, occ), shift in zip(snaps, shifts):
+        for (_, x, occ), shift in zip(
+                mc._stream_ensemble(spec, 0.0, dt, n_steps, idx, rng, m,
+                                    eps), shifts):
             ell = occ * (dt / m_eps) + shift
-            for w in weights:
-                vals = martingale_value(spec, w, x, ell)
-                stats.append((float(np.sum(vals)),
-                              float(np.sum(vals * vals))))
+            stats += [martingale_value(spec, w, x, ell) for w in weights]
         return stats
 
-    parts = mc._run_chunked(n_paths, seed, worker, threads)
-    rows = []
-    j = 0
-    for u in u_values:
-        for w in weights:
-            mean, se = mc._mean_se(sum(p[j][0] for p in parts),
-                                   sum(p[j][1] for p in parts), n_paths)
-            rows.append({"weight": w.name, "u": u, "mean": mean,
-                         "std_error": se,
-                         "z": (mean - 1.0) / se if se > 0 else 0.0,
-                         "n_paths": n_paths})
-            j += 1
-    return rows
+    pairs = itertools.product(u_values, weights)
+    means = mc._sample_means(n_paths, seed, sample, threads)
+    return [{"weight": w.name, "u": u, "mean": mean, "std_error": se,
+             "z": (mean - 1.0) / se if se > 0 else 0.0, "n_paths": n_paths}
+            for (u, w), (mean, se) in zip(pairs, means)]
 
 
 def penalized_expectation(spec: DiffusionSpec, weight: WeightFunction,
@@ -326,18 +313,15 @@ def penalized_expectation(spec: DiffusionSpec, weight: WeightFunction,
     if u <= 0:
         raise DomainError("u must be positive")
 
-    def worker(rng, m):
+    def sample(rng, m):
         st = mc.sample_brownian_state(u, m, rng=rng)
         w = martingale_value(spec, weight, st["position"],
                              st["local_time"])
         f = np.asarray(functional(st["position"], st["local_time"]),
                        dtype=float)
-        v = f * w
-        return float(np.sum(v)), float(np.sum(v * v))
+        return [f * w]
 
-    parts = mc._run_chunked(n, seed, worker, threads)
-    mean, se = mc._mean_se(sum(p[0] for p in parts),
-                           sum(p[1] for p in parts), n)
+    (mean, se), = mc._sample_means(n, seed, sample, threads)
     return mc.McEstimate(mean=mean, std_error=se, n_paths=n, seed=seed)
 
 
@@ -371,8 +355,8 @@ def penalization_horizon(spec: DiffusionSpec, weight: WeightFunction,
         if leftover < tol:
             if not full:
                 return u
-            se = math.sqrt(leftover * (1.0 - leftover) / n)
-            return {"u": u, "leftover": leftover, "leftover_se": se,
+            return {"u": u, "leftover": leftover,
+                    "leftover_se": mc._bernoulli_se(leftover, n),
                     "n_paths": n, "seed": seed}
         u *= 2.0
     raise ToleranceError(f"no horizon below {u_cap:g} reaches tol={tol:g}")
@@ -405,10 +389,7 @@ def linfty_law_check(spec: DiffusionSpec, weight: WeightFunction,
         below = st["local_time"][None, :] <= grid[:, None]
         return (below @ w), (below @ (w * w)), float(np.sum(w))
 
-    parts = mc._run_chunked(n, seed, worker, threads)
-    num = sum(p[0] for p in parts)
-    num2 = sum(p[1] for p in parts)
-    den = sum(p[2] for p in parts)
+    num, num2, den = mc._chunk_totals(n, seed, worker, threads)
     if den <= 0:
         raise RangeError("all weights vanished; horizon too large for n")
     weighted_cdf = num / den
@@ -550,8 +531,7 @@ def uparrow_mass(spec: DiffusionSpec, t: float, measure=None,
         return f * sy * my
 
     hi = math.sqrt(2.0 * t * 200.0)
-    val, _ = integrate(integrand, 1e-6, hi,
-                       settings=None, strict=False)
+    val, _ = integrate(integrand, 1e-6, hi)
     return val
 
 

@@ -34,13 +34,12 @@ class QuadratureSettings:
 DEFAULT_QUADRATURE = QuadratureSettings()
 
 
-def integrate(func, a, b, settings: QuadratureSettings | None = None,
-              strict: bool = True):
+def integrate(func, a, b, settings: QuadratureSettings | None = None):
     """Integrate ``func`` over ``[a, b]`` (``b`` may be ``numpy.inf``).
 
-    Returns ``(value, abserr_estimate)``.  With ``strict=True`` a quadrature
-    that reports non-convergence raises ``ToleranceError``; otherwise the
-    value is returned with the (large) error estimate and the caller decides.
+    Returns ``(value, abserr_estimate)``.  A quadrature that reports
+    non-convergence, or whose error estimate is far above the requested
+    tolerance, raises ``ToleranceError``.
     """
     s = settings or DEFAULT_QUADRATURE
     with warnings.catch_warnings():
@@ -49,16 +48,11 @@ def integrate(func, a, b, settings: QuadratureSettings | None = None,
             val, err = quad(func, a, b, epsabs=s.epsabs, epsrel=s.epsrel,
                             limit=s.limit)
         except IntegrationWarning as exc:
-            if strict:
-                raise ToleranceError(
-                    f"quadrature on [{a}, {b}] did not converge: {exc}"
-                ) from exc
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", IntegrationWarning)
-                val, err = quad(func, a, b, epsabs=s.epsabs, epsrel=s.epsrel,
-                                limit=s.limit)
+            raise ToleranceError(
+                f"quadrature on [{a}, {b}] did not converge: {exc}"
+            ) from exc
     scale = max(1.0, abs(val))
-    if strict and err > 1e5 * (s.epsabs + s.epsrel * scale):
+    if err > 1e5 * (s.epsabs + s.epsrel * scale):
         raise ToleranceError(
             f"quadrature error estimate {err:.3e} too large for value {val:.6e}"
         )

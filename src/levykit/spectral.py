@@ -26,7 +26,6 @@ must come with a user-supplied measure.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -48,7 +47,6 @@ __all__ = [
     "bessel_principal_measure",
     "bessel_killed_measure",
     "measure_from_table",
-    "measure_from_json",
     "eigen_coefficients",
     "eigen_value",
     "eigenfunction",
@@ -465,39 +463,6 @@ def measure_from_table(gammas, densities, kind: str = "killed") -> SpectralMeasu
     return SpectralMeasure(kind=kind, density=density,
                            gamma_cutoff_hint=0.0, support_end=float(hi),
                            name="table", alpha=None, knots=g.copy())
-
-
-def measure_from_json(payload) -> SpectralMeasure:
-    """Parse the measure JSON: ``bessel``/``bessel_hat`` presets or a table.
-
-    Shapes::
-
-        {"kind": "bessel_hat", "alpha": 0.25}
-        {"kind": "bessel", "alpha": 0.25}
-        {"kind": "table", "gammas": [...], "densities": [...]}
-
-    A table takes an optional ``"measure_kind"`` of ``"principal"`` or
-    ``"killed"`` (default ``"killed"``, which is what the hitting/Levy
-    functionals consume).
-    """
-    if isinstance(payload, str):
-        try:
-            payload = json.loads(payload)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"invalid measure JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "kind" not in payload:
-        raise DomainError("measure JSON must be an object with 'kind'")
-    kind = payload["kind"]
-    if kind == "bessel_hat":
-        return bessel_killed_measure(float(payload["alpha"]))
-    if kind == "bessel":
-        return bessel_principal_measure(float(payload["alpha"]))
-    if kind == "table":
-        if "gammas" not in payload or "densities" not in payload:
-            raise DomainError("table measure needs 'gammas' and 'densities'")
-        return measure_from_table(payload["gammas"], payload["densities"],
-                                  payload.get("measure_kind", "killed"))
-    raise DomainError(f"unknown measure kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import erf, gamma
 
 from levykit.diffusions import (band_occupancy_probability,
@@ -87,6 +89,29 @@ def test_levy_exponent_closed_forms():
     assert abs(kappa - 0.5684276788620944) < 1e-14
     assert abs(levy_exponent(b15, 1.0) - kappa) < 1e-9
     assert abs(levy_exponent(b15, 16.0) - 2.0 * kappa) < 1e-8
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0, 16.0])
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_levy_exponent_matches_quadrature_of_levy_density(alpha, lam):
+    # oracle: Phi(lam) = int_0^inf (1 - e^{-lam v}) nu-dot(v) dv
+    spec = bessel_spec(2.0 - 2.0 * alpha)
+    nu = spec.oracles.levy_density
+
+    def integrand(v):
+        return -math.expm1(-lam * v) * nu(v)
+
+    head, _ = quad(integrand, 0.0, 1.0 / lam, epsabs=1e-13, epsrel=1e-12,
+                   limit=400)
+    tail, _ = quad(integrand, 1.0 / lam, np.inf, epsabs=1e-13,
+                   epsrel=1e-12, limit=400)
+    assert math.isclose(levy_exponent(spec, lam), head + tail,
+                        rel_tol=1e-12)
+
+
+def test_levy_exponent_needs_a_preset():
+    with pytest.raises(UnsupportedSpecError):
+        levy_exponent(spec_from_expressions("x", "2"), 1.0)
 
 
 def test_bessel_exponent_constant_formula():
@@ -187,6 +212,15 @@ def test_custom_spec_validation_rejects_bad_shapes():
     # negative speed density
     with pytest.raises(DomainError):
         spec_from_expressions("x", "-2")
+
+
+def test_custom_spec_with_overflowing_scale_builds_without_warnings():
+    # S(1e6) = inf is unbounded growth: the recurrence probe must accept it
+    # without leaking numpy's overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = spec_from_expressions("exp(x)-1", "2")
+    assert math.isclose(spec.scale(1.0), math.e - 1.0)
 
 
 def test_oracle_tail_matches_density_by_quadrature():

@@ -7,8 +7,10 @@ from scipy.stats import norm
 from levykit import montecarlo as mc
 from levykit import penalization as pz
 from levykit import spectral as sp
-from levykit.diffusions import bessel_spec, brownian_spec
-from levykit.errors import DomainError, UnsupportedSpecError
+from levykit.diffusions import (bessel_spec, brownian_spec,
+                                spec_from_expressions)
+from levykit.errors import (DomainError, ToleranceError,
+                            UnsupportedSpecError)
 
 BM = brownian_spec()
 B15 = bessel_spec(1.5)
@@ -211,6 +213,16 @@ def test_uparrow_density_spectral_route_agrees():
 def test_uparrow_mass_is_one():
     for spec in (BM, B15):
         assert abs(pz.uparrow_mass(spec, 1.0) - 1.0) < 1e-10
+
+
+def test_uparrow_mass_custom_raises_when_quadrature_fails(monkeypatch):
+    # a non-integrable spike at y = 1: quad cannot converge, and the
+    # custom-spec branch must say so instead of returning a best effort
+    monkeypatch.setattr(sp, "hitting_density",
+                        lambda spec, y, t, measure=None, tol=None:
+                        1.0 / abs(y - 1.0))
+    with pytest.raises(ToleranceError):
+        pz.uparrow_mass(spec_from_expressions("x", "2"), 1.0)
 
 
 def test_numerator_asymptotics_near_limit():

@@ -13,15 +13,19 @@ everything generated by hitting the boundary) they give
 * ``P_x(H_0 > t)   = int gamma^{-1} e^{-gamma t} C(x) Delta_hat(dgamma)``
 * ``nu((t, inf))   = int gamma^{-1} e^{-gamma t}      Delta_hat(dgamma)``
 
-For the Bessel presets both measures and both eigenfunctions are known in
-closed form, so the integrals become damped Bessel-function quadratures.
-For a general scale/speed pair the eigenfunctions are built from the power
-series ``sum (-gamma)^n c_n(x)`` whose coefficients obey the nested
-recursion ``c_{n+1}(x) = int_0^x dS(y) int_0^y c_n dm``; the factorial bound
+Every functional is one quadrature in ``v`` with ``gamma = v^4 / 2``, cut
+where an envelope of the integrand falls below ``tol / 10``; the reported
+error is the quadrature estimate plus that envelope at the cutoff.  The
+eigenfunctions come from one of two evaluators: the closed Bessel-J forms
+for the presets, or, for a general scale/speed pair, the power series
+``sum (-gamma)^n c_n(x)`` whose coefficients obey the nested recursion
+``c_{n+1}(x) = int_0^x dS(y) int_0^y c_n dm``; the factorial bound
 ``c_n(x) <= front * B(x)^n / n!`` with ``B(x) = int_0^x m((0,y)) dS(y)``
-makes the truncation error certifiable.  No constructive route from a
-general scale/speed pair to its spectral measure is attempted: custom specs
-must come with a user-supplied measure.
+makes the truncation error certifiable.  A preset called without a measure
+uses its closed-form :func:`bessel_principal_measure` or
+:func:`bessel_killed_measure`.  No constructive route from a general
+scale/speed pair to its spectral measure is attempted: custom specs must
+come with a user-supplied measure.
 """
 
 from __future__ import annotations
@@ -275,29 +279,24 @@ def eigen_value(series: EigenSeries, gamma: float, tol: float = 1e-10) -> float:
 
 # Bessel closed forms --------------------------------------------------------
 
-def _bessel_A(alpha: float, x, gamma):
-    x = np.asarray(x, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    z = x * np.sqrt(2.0 * gamma)
-    with np.errstate(invalid="ignore"):
-        out = gamma_fn(1.0 - alpha) * 2.0 ** (-alpha) \
-            * z ** alpha * jv(-alpha, z)
-    if np.any(z == 0.0):
-        out = np.where(z == 0.0, 1.0, out)
-    return out[()] if out.ndim == 0 else out
+def _bessel_eigen(alpha: float, kind: str, x: float) -> Callable:
+    """Closed-form ``A(x; .)`` or ``C(x; .)`` of a Bessel preset, as a
+    function of ``gamma > 0`` (a float or an array).
 
-
-def _bessel_C(alpha: float, x, gamma):
-    x = np.asarray(x, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    z = x * np.sqrt(2.0 * gamma)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = gamma_fn(alpha) * 2.0 ** ((alpha - 2.0) / 2.0) \
-            * gamma ** (-alpha / 2.0) * x ** alpha * jv(alpha, z)
-    if np.any(z == 0.0):
-        scale0 = x ** (2.0 * alpha) / (2.0 * alpha)
-        out = np.where(z == 0.0, scale0, out)
-    return out[()] if out.ndim == 0 else out
+    With ``s = sqrt(2 gamma)``: ``A = Gamma(1-a) 2^{-a} (x s)^a J_{-a}(x s)``
+    and ``C = Gamma(a) 2^{a-1} x^a s^{-a} J_a(x s)``.  At ``x = 0`` they are
+    the boundary values ``A = 1`` and ``C = S(0) = 0``.
+    """
+    if x == 0.0:
+        edge = 1.0 if kind == "A" else 0.0
+        return lambda g: edge
+    if kind == "A":
+        c = gamma_fn(1.0 - alpha) * 2.0 ** (-alpha) * x ** alpha
+        return lambda g: c * (2.0 * g) ** (0.5 * alpha) \
+            * jv(-alpha, x * (2.0 * g) ** 0.5)
+    c = gamma_fn(alpha) * 2.0 ** (alpha - 1.0) * x ** alpha
+    return lambda g: c * (2.0 * g) ** (-0.5 * alpha) \
+        * jv(alpha, x * (2.0 * g) ** 0.5)
 
 
 def eigenfunction(spec: DiffusionSpec, x: float, gamma: float,
@@ -313,8 +312,9 @@ def eigenfunction(spec: DiffusionSpec, x: float, gamma: float,
     if x < 0 or gamma < 0:
         raise DomainError("x and gamma must be nonnegative")
     if spec.is_preset:
-        f = _bessel_A if kind == "A" else _bessel_C
-        return float(f(spec.alpha, x, gamma))
+        if gamma == 0.0:
+            return 1.0 if kind == "A" else float(spec.scale(x))
+        return float(_bessel_eigen(spec.alpha, kind, x)(gamma))
     base = series_bound_base(spec, x)
     front = 1.0 if kind == "A" else float(spec.scale(x))
     needed = _terms_needed(max(front, 1e-300), gamma * base, tol)
@@ -402,7 +402,6 @@ def bessel_principal_measure(alpha: float) -> SpectralMeasure:
     c = 1.0 / (2.0 ** (1.0 - alpha) * gamma_fn(1.0 - alpha) ** 2)
 
     def density(g):
-        g = np.asarray(g, dtype=float)
         return c * g ** (-alpha)
 
     return SpectralMeasure(kind="principal", density=density,
@@ -417,7 +416,6 @@ def bessel_killed_measure(alpha: float) -> SpectralMeasure:
     c = 2.0 ** (1.0 - alpha) / gamma_fn(alpha) ** 2
 
     def density(g):
-        g = np.asarray(g, dtype=float)
         return c * g ** alpha
 
     return SpectralMeasure(kind="killed", density=density,
@@ -470,6 +468,20 @@ def measure_from_table(gammas, densities, kind: str = "killed") -> SpectralMeasu
 # ---------------------------------------------------------------------------
 
 _SPECTRAL_QUAD = QuadratureSettings(epsabs=1e-12, epsrel=1e-10, limit=400)
+_CELL_BLOCK = 256
+# positive halves (nodes, weights) of numpy's leggauss(8) and leggauss(4),
+# written out: computing them takes an eigenvalue solve, and the first
+# LAPACK call of a process costs it about 0.8 MB of resident memory
+_GAUSS_HALVES = {
+    8: ([0.18343464249564978, 0.525532409916329, 0.7966664774136267,
+         0.9602898564975362],
+        [0.36268378337836166, 0.3137066458778869, 0.22238103445337443,
+         0.10122853629037706]),
+    4: ([0.33998104358485626, 0.8611363115940526],
+        [0.6521451548625464, 0.34785484513745357]),
+}
+_GAUSS_LEGENDRE = {n: (np.r_[-np.array(x)[::-1], x], np.r_[w[::-1], w])
+                   for n, (x, w) in _GAUSS_HALVES.items()}
 
 
 def _check_t(t: float) -> None:
@@ -479,66 +491,18 @@ def _check_t(t: float) -> None:
         raise RangeError(f"t below the supported minimum {T_MIN:g}")
 
 
-def _preset_route(spec: DiffusionSpec, t: float, tol: float, *,
-                  eig_kind: str, xs, inverse_gamma: bool):
-    """Closed-form-eigenfunction route for the Bessel presets.
+def _gamma_max(measure: SpectralMeasure, t_eff: float, tol: float,
+               envelope: Callable) -> tuple[float, float]:
+    """Quadrature cutoff ``g_max`` and the tail estimate beyond it.
 
-    Substituting ``gamma = u^2 / 2`` turns every spectral integral into a
-    Gaussian-damped Bessel-J quadrature; a second substitution ``u = v^2``
-    flattens the integrable power singularity the measure density leaves at
-    the origin, so plain adaptive quadrature converges cleanly.
+    Doubles ``g`` until ``e^{-g t_eff} density(g) envelope(g)`` times
+    ``4 max(g, 1/t_eff)`` falls below ``tol / 10``; that value is the tail
+    estimate, a heuristic rather than a proven bound.  ``envelope`` stands
+    in for a bound on the eigenfunction product.  A measure of bounded
+    support is cut at its end, with no tail.
     """
-    a = spec.alpha
-    if eig_kind == "A":
-        rho_c = 1.0 / (2.0 ** (1.0 - a) * gamma_fn(1.0 - a) ** 2)
-        rho_pow = -a
-        eig_c = gamma_fn(1.0 - a) * 2.0 ** (-a)
-    else:
-        rho_c = 2.0 ** (1.0 - a) / gamma_fn(a) ** 2
-        rho_pow = a
-        eig_c = gamma_fn(a) * 2.0 ** ((a - 2.0) / 2.0)
-    scales = [float(spec.scale(x)) for x in xs]
-
-    def weight(u):
-        # integrand against du, exponential damping excluded
-        g = 0.5 * u * u
-        val = rho_c * g ** rho_pow * u
-        if inverse_gamma:
-            val /= g
-        for x, sx in zip(xs, scales):
-            z = x * u
-            if eig_kind == "A":
-                val *= 1.0 if z == 0.0 else eig_c * z ** a * jv(-a, z)
-            else:
-                val *= sx if z == 0.0 else \
-                    eig_c * g ** (-0.5 * a) * x ** a * jv(a, z)
-        return val
-
-    u_max = math.sqrt(2.0 * max(4.0 / t, 1.0))
-    for _ in range(200):
-        probe = abs(weight(u_max)) + abs(weight(0.73 * u_max)) + 1.0
-        if math.exp(-u_max * u_max * t / 2.0) * probe \
-                * max(u_max, 1.0 / t) < tol / 10.0:
-            break
-        u_max *= 1.4
-    else:
-        raise ToleranceError("no finite quadrature cutoff found")
-    u_max *= 1.2
-
-    def integrand(v):
-        if v == 0.0:
-            return 0.0
-        u = v * v
-        return math.exp(-u * u * t / 2.0) * weight(u) * 2.0 * v
-
-    return integrate(integrand, 0.0, math.sqrt(u_max),
-                     settings=_SPECTRAL_QUAD)
-
-
-def _generic_gamma_max(measure: SpectralMeasure, t_eff: float, tol: float,
-                       envelope: Callable) -> float:
     if math.isfinite(measure.support_end):
-        return measure.support_end
+        return measure.support_end, 0.0
     if t_eff <= 0:
         raise ToleranceError(
             "spectral integral not certifiable: the series growth bound "
@@ -548,67 +512,70 @@ def _generic_gamma_max(measure: SpectralMeasure, t_eff: float, tol: float,
         tail = math.exp(-g * t_eff) * float(measure.density(g)) \
             * envelope(g) * max(g, 1.0 / t_eff) * 4.0
         if tail < tol / 10.0:
-            return g
+            return g, tail
         g *= 2.0
     raise ToleranceError("no finite quadrature cutoff found for the measure")
 
 
 def _eigen_value_array(series: EigenSeries, g: np.ndarray,
                        tol: float) -> np.ndarray:
-    """Vectorized :func:`eigen_value`, certified at the largest ``|gamma|``."""
+    """Vectorized :func:`eigen_value` over an array of any shape, certified
+    at the largest ``|gamma|``."""
     g = np.asarray(g, dtype=float)
     if g.size:
         eigen_value(series, float(np.max(np.abs(g))), tol)  # certify once
-    return _signed_series_eval(series.coefficients, g)
+    return _signed_series_eval(series.coefficients, g.ravel()).reshape(g.shape)
 
 
-def _generic_route(spec: DiffusionSpec, t: float, tol: float, *,
-                   measure: SpectralMeasure, eig_kind: str, xs,
-                   inverse_gamma: bool):
-    """Series/closed-eigenfunction quadrature against an explicit measure."""
+def _integrate_gamma(f: Callable, g_max: float):
+    """``int_0^{g_max} f(gamma) dgamma`` as ``(value, abserr)``.
+
+    The substitution ``gamma = v^4 / 2`` (``dgamma = 2 v^3 dv``) flattens
+    the integrable power singularity a measure density leaves at the
+    origin: a ``gamma^{-3/4}`` principal density becomes constant in ``v``,
+    so plain adaptive quadrature converges cleanly at small ``t`` too.
+    """
+    def integrand(v):
+        u = v * v
+        g = 0.5 * u * u
+        return 0.0 if g == 0.0 else f(g) * 2.0 * u * v
+
+    return integrate(integrand, 0.0, (2.0 * g_max) ** 0.25,
+                     settings=_SPECTRAL_QUAD)
+
+
+def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
+                       measure: SpectralMeasure, eig_kind: str, xs,
+                       inverse_gamma: bool):
+    """``int e^{-gamma t} prod_i eig(x_i; gamma) [gamma^{-1}] measure(dgamma)``
+    with an error covering the quadrature and the cutoff."""
     if spec.is_preset:
-        growth = 0.0
-
-        def envelope(g):
-            return 2.0 * (1.0 + g) ** 0.5
-
-        def make_eval(x):
-            f = _bessel_A if eig_kind == "A" else _bessel_C
-            return lambda g: f(spec.alpha, x, g)
-
-        def build_evals(_g_max):
-            return [make_eval(x) for x in xs]
+        # 2 (1+g)^{1/2} stands in for a bound on the Bessel product
+        g_max, tail = _gamma_max(measure, t, tol,
+                                 lambda g: 2.0 * (1.0 + g) ** 0.5)
+        evals = [_bessel_eigen(spec.alpha, eig_kind, x) for x in xs]
     else:
-        growth = sum(series_bound_base(spec, x) for x in xs)
         fronts = [1.0 if eig_kind == "A" else float(spec.scale(x))
                   for x in xs]
-        # the e^{g * growth} part of the eigenfunction bound is already
-        # folded into the damping passed to the cutoff search, so the
-        # envelope here is just the constant front factor
+        bases = [series_bound_base(spec, x) for x in xs]
+        # the e^{g B(x)} part of each eigenfunction bound is folded into
+        # the damping passed to the cutoff search, so the envelope is just
+        # the constant front factor
         front_prod = math.prod(fronts)
+        g_max, tail = _gamma_max(measure, t - sum(bases), tol,
+                                 lambda g: front_prod)
+        evals = []
+        for x, front, base in zip(xs, fronts, bases):
+            needed = _terms_needed(max(front, 1e-300), g_max * base, tol)
+            if needed is None:
+                raise ToleranceError(
+                    "eigenfunction series not certifiable over the "
+                    f"quadrature range [0, {g_max:.3g}]; reduce the "
+                    "measure support or increase t")
+            series = eigen_coefficients(spec, x, eig_kind, n_terms=needed)
+            evals.append(lambda g, s=series: _eigen_value_array(s, g, tol))
 
-        def envelope(g, _c=front_prod):
-            return _c
-
-        def build_evals(g_max):
-            evals = []
-            for x, front in zip(xs, fronts):
-                needed = _terms_needed(max(front, 1e-300),
-                                       g_max * series_bound_base(spec, x),
-                                       tol)
-                if needed is None:
-                    raise ToleranceError(
-                        "eigenfunction series not certifiable over the "
-                        f"quadrature range [0, {g_max:.3g}]; reduce the "
-                        "measure support or increase t")
-                series = eigen_coefficients(spec, x, eig_kind,
-                                            n_terms=needed)
-                evals.append(
-                    lambda g, s=series: _eigen_value_array(s, g, tol))
-            return evals
-
-    g_max = _generic_gamma_max(measure, t - growth, tol, envelope)
-    evals = build_evals(g_max)
+    density = measure.density
 
     if measure.knots is not None:
         # piecewise-cubic density: a fixed Gauss rule per cell is exact up
@@ -626,55 +593,55 @@ def _generic_route(spec: DiffusionSpec, t: float, tol: float, *,
         cuts = np.unique(np.concatenate([knots, overlay]))
 
         def cell_sum(order):
-            nodes, wts = np.polynomial.legendre.leggauss(order)
-            a, b = cuts[:-1], cuts[1:]
-            half = 0.5 * (b - a)
-            g = (0.5 * (a + b)[:, None] + half[:, None] * nodes[None, :])
-            w = half[:, None] * wts[None, :]
-            vals = np.exp(-g * t) * np.asarray(measure.density(g))
-            for e in evals:
-                vals = vals * np.asarray(e(g))
-            if inverse_gamma:
-                vals = vals / g
-            return float(np.sum(vals * w))
+            nodes, wts = _GAUSS_LEGENDRE[order]
+            total = 0.0
+            # blocks of cells bound the temporaries: a series evaluator
+            # holds a (nodes x terms) matrix
+            lefts, rights = cuts[:-1], cuts[1:]
+            for i in range(0, lefts.size, _CELL_BLOCK):
+                a, b = lefts[i:i + _CELL_BLOCK], rights[i:i + _CELL_BLOCK]
+                half = 0.5 * (b - a)
+                g = 0.5 * (a + b)[:, None] + half[:, None] * nodes[None, :]
+                vals = np.exp(-g * t) * np.asarray(density(g))
+                for e in evals:
+                    vals = vals * np.asarray(e(g))
+                if inverse_gamma:
+                    vals = vals / g
+                total += float(np.sum(vals * (half[:, None] * wts[None, :])))
+            return total
 
         v8, v4 = cell_sum(8), cell_sum(4)
-        return v8, abs(v8 - v4)
+        return v8, abs(v8 - v4) + tail
 
-    def integrand_w(w):
-        g = w * w
-        if g == 0.0:
-            return 0.0
-        val = math.exp(-g * t) * float(measure.density(g))
+    def f(g):
+        val = math.exp(-g * t) * float(density(g))
         for e in evals:
-            val *= float(e(g))
-        if inverse_gamma:
-            val /= g
-        return val * 2.0 * w
+            val *= e(g)
+        return val / g if inverse_gamma else val
 
-    return integrate(integrand_w, 0.0, math.sqrt(g_max),
-                     settings=_SPECTRAL_QUAD)
+    val, err = _integrate_gamma(f, g_max)
+    return val, err + tail
 
 
 def _dispatch(spec: DiffusionSpec, t: float, tol: float, *, eig_kind: str,
-              xs, inverse_gamma: bool, measure: Optional[SpectralMeasure],
-              needed_kind: str):
+              xs, inverse_gamma: bool, measure: Optional[SpectralMeasure]):
     _check_t(t)
-    if measure is not None:
-        if measure.kind != needed_kind:
-            raise DomainError(
-                f"this functional needs a {needed_kind!r} measure, got "
-                f"{measure.kind!r}")
-        return _generic_route(spec, t, tol, measure=measure,
+    needed_kind = "principal" if eig_kind == "A" else "killed"
+    if measure is None:
+        if not spec.is_preset:
+            raise UnsupportedSpecError(
+                "no spectral measure available: custom scale/speed pairs "
+                "must be accompanied by an explicit SpectralMeasure (the "
+                "inverse spectral problem is out of scope)")
+        measure = (bessel_principal_measure if eig_kind == "A"
+                   else bessel_killed_measure)(spec.alpha)
+    elif measure.kind != needed_kind:
+        raise DomainError(
+            f"this functional needs a {needed_kind!r} measure, got "
+            f"{measure.kind!r}")
+    return _spectral_integral(spec, t, tol, measure=measure,
                               eig_kind=eig_kind, xs=xs,
                               inverse_gamma=inverse_gamma)
-    if spec.is_preset:
-        return _preset_route(spec, t, tol, eig_kind=eig_kind, xs=xs,
-                             inverse_gamma=inverse_gamma)
-    raise UnsupportedSpecError(
-        "no spectral measure available: custom scale/speed pairs must be "
-        "accompanied by an explicit SpectralMeasure (the inverse spectral "
-        "problem is out of scope)")
 
 
 def transition_density(spec: DiffusionSpec, x: float, y: float, t: float,
@@ -685,14 +652,8 @@ def transition_density(spec: DiffusionSpec, x: float, y: float, t: float,
     ``(t; x, y)``, a density in ``y`` with respect to the speed measure."""
     if x < 0 or y < 0:
         raise DomainError("x and y must be nonnegative")
-    if killed:
-        val, err = _dispatch(spec, t, tol, eig_kind="C", xs=(x, y),
-                             inverse_gamma=False, measure=measure,
-                             needed_kind="killed")
-    else:
-        val, err = _dispatch(spec, t, tol, eig_kind="A", xs=(x, y),
-                             inverse_gamma=False, measure=measure,
-                             needed_kind="principal")
+    val, err = _dispatch(spec, t, tol, eig_kind="C" if killed else "A",
+                         xs=(x, y), inverse_gamma=False, measure=measure)
     return (val, err) if with_error else val
 
 
@@ -703,8 +664,7 @@ def hitting_density(spec: DiffusionSpec, x: float, t: float,
     if x <= 0:
         raise DomainError("x must be positive")
     val, err = _dispatch(spec, t, tol, eig_kind="C", xs=(x,),
-                         inverse_gamma=False, measure=measure,
-                         needed_kind="killed")
+                         inverse_gamma=False, measure=measure)
     return (val, err) if with_error else val
 
 
@@ -713,8 +673,7 @@ def levy_density(spec: DiffusionSpec, t: float,
                  tol: float = 1e-9, with_error: bool = False):
     """Levy density of the inverse local time at the boundary."""
     val, err = _dispatch(spec, t, tol, eig_kind="C", xs=(),
-                         inverse_gamma=False, measure=measure,
-                         needed_kind="killed")
+                         inverse_gamma=False, measure=measure)
     return (val, err) if with_error else val
 
 
@@ -723,8 +682,7 @@ def levy_tail(spec: DiffusionSpec, t: float,
               tol: float = 1e-9, with_error: bool = False):
     """Levy tail mass ``nu((t, inf))`` of the inverse local time."""
     val, err = _dispatch(spec, t, tol, eig_kind="C", xs=(),
-                         inverse_gamma=True, measure=measure,
-                         needed_kind="killed")
+                         inverse_gamma=True, measure=measure)
     return (val, err) if with_error else val
 
 
@@ -735,8 +693,7 @@ def hitting_tail(spec: DiffusionSpec, x: float, t: float,
     if x <= 0:
         raise DomainError("x must be positive")
     val, err = _dispatch(spec, t, tol, eig_kind="C", xs=(x,),
-                         inverse_gamma=True, measure=measure,
-                         needed_kind="killed")
+                         inverse_gamma=True, measure=measure)
     slack = max(tol, 10.0 * err, 1e-7)
     if val < -slack or val > 1.0 + slack:
         raise ConsistencyError(
@@ -761,19 +718,11 @@ def levy_exponent_from_measure(measure: SpectralMeasure, lam: float,
         return 0.0
     end = measure.support_end
 
-    def integrand_w(w):
-        g = w * w
-        if g == 0.0:
-            return 0.0
-        return lam / (g * (g + lam)) * float(measure.density(g)) * 2.0 * w
+    def f(g):
+        return lam / (g * (g + lam)) * float(measure.density(g))
 
     if math.isfinite(end):
-        val, _ = integrate(integrand_w, 0.0, math.sqrt(end),
-                           settings=_SPECTRAL_QUAD)
-        return val
-    head, _ = integrate(integrand_w, 0.0, math.sqrt(max(lam, 1.0)),
-                        settings=_SPECTRAL_QUAD)
-    tail, _ = integrate(
-        lambda g: lam / (g * (g + lam)) * float(measure.density(g)),
-        max(lam, 1.0), np.inf)
+        return _integrate_gamma(f, end)[0]
+    head, _ = _integrate_gamma(f, max(lam, 1.0))
+    tail, _ = integrate(f, max(lam, 1.0), np.inf)
     return head + tail

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import erf
+from scipy.special import erf, gammainc
 
 from levykit import spectral as sp
 from levykit.diffusions import bessel_spec, brownian_spec, \
@@ -115,6 +117,71 @@ def test_generic_route_custom_bessel_density():
     custom = spec_from_expressions("x^0.5/0.5", "2*x^0.5")
     got = sp.hitting_density(custom, 1.0, 2.0, measure=M_KILL_B15)
     assert abs(got - 0.07594519664875624) < 1e-8
+
+
+def test_table_measure_with_series_eigenfunctions():
+    # the Gauss-cell branch of a table measure evaluates the series
+    # eigenfunctions on a 2-d node array
+    custom = spec_from_expressions("x", "2")
+    g = np.geomspace(1e-14, 20.0, 400)
+    tab = sp.measure_from_table(g, M_KILL_BM.density(g), kind="killed")
+    got = sp.hitting_tail(custom, 1.0, 2.0, measure=tab)
+    assert abs(got - erf(0.5)) < 1e-6
+
+
+def test_small_t_points_certified():
+    # a gamma^{-3/4} principal density (bessel:0.5) and a t = 0.01 killed
+    # density, both integrated against an explicit measure
+    b05 = bessel_spec(0.5)
+    got = sp.transition_density(b05, 0.6, 1.35, 0.0566,
+                                measure=sp.bessel_principal_measure(0.75))
+    assert abs(got - b05.oracles.transition_density(0.0566, 0.6, 1.35)) \
+        < 1e-12
+    x, y = 0.7046417640953688, 1.4913218816773697
+    got = sp.transition_density(B15, x, y, 0.01, killed=True,
+                                measure=M_KILL_B15)
+    assert abs(got - B15.oracles.killed_density(0.01, x, y)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(delta=st.sampled_from([1.0, 1.5, 0.5]),
+       t=st.floats(math.log(0.01), math.log(1e3)).map(math.exp),
+       x=st.floats(0.3, 3.0), y=st.floats(0.3, 3.0),
+       explicit=st.booleans())
+def test_reported_error_brackets_oracle(delta, t, x, y, explicit):
+    spec = bessel_spec(delta)
+    a, o = spec.alpha, spec.oracles
+    principal = sp.bessel_principal_measure(a) if explicit else None
+    killed = sp.bessel_killed_measure(a) if explicit else None
+    cases = (
+        (sp.transition_density(spec, x, y, t, measure=principal,
+                               with_error=True),
+         o.transition_density(t, x, y)),
+        (sp.transition_density(spec, x, y, t, killed=True, measure=killed,
+                               with_error=True),
+         o.killed_density(t, x, y)),
+        (sp.hitting_density(spec, x, t, measure=killed, with_error=True),
+         o.hitting_density(x, t)),
+        # H_0 = x^2 / (2 G) with G ~ Gamma(alpha, 1)
+        (sp.hitting_tail(spec, x, t, measure=killed, with_error=True),
+         gammainc(a, x * x / (2.0 * t))),
+        (sp.levy_density(spec, t, measure=killed, with_error=True),
+         o.levy_density(t)),
+        (sp.levy_tail(spec, t, measure=killed, with_error=True),
+         o.levy_tail(t)),
+    )
+    eps = np.finfo(float).eps
+    for (val, err), oracle in cases:
+        oracle = float(oracle)
+        assert abs(val - oracle) <= err + 8 * eps * abs(oracle), \
+            (val, err, oracle)
+
+
+def test_table_gauss_rules_match_numpy():
+    for n, (nodes, weights) in sp._GAUSS_LEGENDRE.items():
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(nodes, ref_nodes)
+        assert np.array_equal(weights, ref_weights)
 
 
 def test_custom_without_measure_is_rejected():

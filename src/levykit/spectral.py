@@ -30,7 +30,10 @@ come with a user-supplied measure.
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -111,8 +114,10 @@ def _signed_series_eval(coefficients: np.ndarray, gamma) -> np.ndarray:
     The separated powers ``gamma^n`` overflow long before the actual terms
     ``c_n gamma^n`` do (the coefficients decay factorially), so the terms
     are assembled from ``log c_n + n log gamma`` under a shared shift.
+    ``gamma`` may be a float or an array of any shape.
     """
-    g = np.atleast_1d(np.asarray(gamma, dtype=float))
+    shape = np.shape(gamma)
+    g = np.asarray(gamma, dtype=float).ravel()
     c = np.asarray(coefficients, dtype=float)
     ns = np.arange(c.size, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -126,7 +131,7 @@ def _signed_series_eval(coefficients: np.ndarray, gamma) -> np.ndarray:
     vals = np.einsum("ij,ij->i", np.exp(logs - m[:, None]), signs) \
         * np.exp(m)
     vals = np.where(g == 0.0, c[0], vals)
-    return vals[0] if np.ndim(gamma) == 0 else vals
+    return vals[0] if not shape else vals.reshape(shape)
 
 
 def _poisson_tail(n_terms: int, z: float) -> float:
@@ -188,6 +193,79 @@ def _cumulative_integral(z: np.ndarray, h: np.ndarray,
     return out
 
 
+# Recursion ladders: per (spec, x, kind), the coefficients computed so far
+# on each refinement grid (512 * 2^level nodes) and the last recursion
+# vector ``f`` there, so a longer series extends the stored levels instead
+# of rerunning the recursion.  ``c_n`` on a grid does not depend on how many
+# terms are asked for, so every series is bit-identical to a cold one.  A
+# full ladder holds about 0.5 MB of ``f``; at most _MAX_LADDERS (about 8 MB)
+# stay alive, the least recently used one is dropped first, and a spec's
+# ladders die with it.
+_LEVELS = 7
+_MAX_LADDERS = 16
+_LADDERS = weakref.WeakKeyDictionary()   # spec -> {(x, kind): _Ladder}
+_LADDERS_LOCK = threading.Lock()
+_LADDER_USE = itertools.count()
+
+
+class _Ladder:
+    """Recursion state of one ``(spec, x, kind)`` at every grid level; it
+    holds no reference to the spec, which keys it weakly."""
+
+    def __init__(self, x: float, kind: str):
+        self.x, self.kind = x, kind
+        self.lock = threading.Lock()   # held while extending or reading
+        self.coef = [[] for _ in range(_LEVELS)]
+        self.f = [None] * _LEVELS
+        self.used = 0
+
+    def coefficients(self, spec: DiffusionSpec, level: int,
+                     n_terms: int) -> np.ndarray:
+        """``c_0 .. c_{n_terms}`` on the grid of ``512 * 2^level`` nodes,
+        extending the stored recursion as far as needed."""
+        coef = self.coef[level]
+        if len(coef) <= n_terms:
+            x = self.x
+            grid = np.concatenate([[0.0], np.geomspace(x * 1e-4, x,
+                                                       512 << level)])
+            s_vals = np.asarray(spec.scale(grid[1:]), dtype=float)
+            s_vals = np.concatenate([[0.0], s_vals])
+            m_vals = np.concatenate([[0.0],
+                                     np.asarray(spec.speed_density(grid[1:]),
+                                                dtype=float)])
+            f = self.f[level]
+            if f is None:
+                f = np.ones_like(grid) if self.kind == "A" else s_vals
+                self.f[level] = f
+                coef.append(f[-1])
+            for n in range(len(coef) - 1, n_terms):
+                h = f * m_vals
+                inner = _cumulative_integral(grid, h,       # int_0^y f dm
+                                             check_integrability=(n == 0))
+                cross = _cumulative_integral(grid,          # int_0^y S f dm
+                                             s_vals * h)
+                f = inner * s_vals - cross                  # int_0^y (.) dS
+                self.f[level] = f
+                coef.append(f[-1])
+        return np.array(coef[:n_terms + 1])
+
+
+def _ladder(spec: DiffusionSpec, x: float, kind: str) -> _Ladder:
+    """The stored ladder of ``(spec, x, kind)``, made on first use."""
+    with _LADDERS_LOCK:
+        ladders = _LADDERS.setdefault(spec, {})
+        ladder = ladders.get((x, kind))
+        if ladder is None:
+            ladder = ladders[(x, kind)] = _Ladder(x, kind)
+        ladder.used = next(_LADDER_USE)
+        live = [(lad.used, owner, key) for owner in _LADDERS.values()
+                for key, lad in owner.items()]
+        if len(live) > _MAX_LADDERS:
+            _, owner, key = min(live, key=lambda e: e[0])
+            del owner[key]
+        return ladder
+
+
 def eigen_coefficients(spec: DiffusionSpec, x: float, kind: str = "C",
                        n_terms: int = 24) -> EigenSeries:
     """Coefficients ``c_0 .. c_{n_terms}`` of the eigenfunction series at x.
@@ -196,7 +274,8 @@ def eigen_coefficients(spec: DiffusionSpec, x: float, kind: str = "C",
     ``c_{n+1}(y) = int_0^y dS int_0^. c_n dm`` derivative-free through
     integration by parts (only ``S`` and the speed density are needed), on a
     geometric grid that is refined until the last coefficient is stable to
-    1e-9 relative.
+    1e-9 relative.  The recursion is kept per ``(spec, x, kind)``, so a
+    repeated or longer request extends it rather than starting over.
     """
     if kind not in ("A", "C"):
         raise DomainError("kind must be 'A' or 'C'")
@@ -211,45 +290,26 @@ def eigen_coefficients(spec: DiffusionSpec, x: float, kind: str = "C",
         coef[0] = front
         return EigenSeries(x=x, kind=kind, coefficients=coef,
                            bound_base=0.0, front=front)
-    s_at_x = float(spec.scale(x))
-    front = 1.0 if kind == "A" else s_at_x
-
-    def level(npts):
-        grid = np.concatenate([[0.0], np.geomspace(x * 1e-4, x, npts)])
-        s_vals = np.asarray(spec.scale(grid[1:]), dtype=float)
-        s_vals = np.concatenate([[0.0], s_vals])
-        m_vals = np.concatenate([[0.0],
-                                 np.asarray(spec.speed_density(grid[1:]),
-                                            dtype=float)])
-        coef = np.empty(n_terms + 1)
-        f = np.ones_like(grid) if kind == "A" else s_vals.copy()
-        coef[0] = f[-1]
-        for n in range(n_terms):
-            h = f * m_vals
-            inner = _cumulative_integral(grid, h,           # int_0^y f dm
-                                         check_integrability=(n == 0))
-            cross = _cumulative_integral(grid, s_vals * h)  # int_0^y S f dm
-            f = inner * s_vals - cross                      # int_0^y (.) dS
-            coef[n + 1] = f[-1]
-        return coef
+    front = 1.0 if kind == "A" else float(spec.scale(x))
 
     # refine with Richardson extrapolation across doublings (the spline
     # rule is 4th order); working terms must stabilize to 1e-9 relative,
     # deep terms (needed only to certify truncation tails) to 1e-6
-    npts = 512
-    prev = level(npts)
-    prev_ext = None
-    for _ in range(6):
-        npts *= 2
-        cur = level(npts)
-        ext = cur + (cur - prev) / 15.0
-        if prev_ext is not None:
-            delta = np.abs(ext - prev_ext) / (np.abs(ext) + 1e-280)
-            tol_per_n = np.where(np.arange(n_terms + 1) <= 24, 1e-9, 1e-6)
-            if np.all(delta <= tol_per_n):
-                return EigenSeries(x=x, kind=kind, coefficients=ext,
-                                   bound_base=base, front=front)
-        prev, prev_ext = cur, ext
+    ladder = _ladder(spec, x, kind)
+    with ladder.lock:
+        prev = ladder.coefficients(spec, 0, n_terms)
+        prev_ext = None
+        for level in range(1, _LEVELS):
+            cur = ladder.coefficients(spec, level, n_terms)
+            ext = cur + (cur - prev) / 15.0
+            if prev_ext is not None:
+                delta = np.abs(ext - prev_ext) / (np.abs(ext) + 1e-280)
+                tol_per_n = np.where(np.arange(n_terms + 1) <= 24,
+                                     1e-9, 1e-6)
+                if np.all(delta <= tol_per_n):
+                    return EigenSeries(x=x, kind=kind, coefficients=ext,
+                                       bound_base=base, front=front)
+            prev, prev_ext = cur, ext
     raise ToleranceError(
         f"eigen recursion failed to stabilize coefficient n={n_terms} "
         f"at x={x} after grid refinement")
@@ -517,16 +577,6 @@ def _gamma_max(measure: SpectralMeasure, t_eff: float, tol: float,
     raise ToleranceError("no finite quadrature cutoff found for the measure")
 
 
-def _eigen_value_array(series: EigenSeries, g: np.ndarray,
-                       tol: float) -> np.ndarray:
-    """Vectorized :func:`eigen_value` over an array of any shape, certified
-    at the largest ``|gamma|``."""
-    g = np.asarray(g, dtype=float)
-    if g.size:
-        eigen_value(series, float(np.max(np.abs(g))), tol)  # certify once
-    return _signed_series_eval(series.coefficients, g.ravel()).reshape(g.shape)
-
-
 def _integrate_gamma(f: Callable, g_max: float):
     """``int_0^{g_max} f(gamma) dgamma`` as ``(value, abserr)``.
 
@@ -573,7 +623,11 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
                     f"quadrature range [0, {g_max:.3g}]; reduce the "
                     "measure support or increase t")
             series = eigen_coefficients(spec, x, eig_kind, n_terms=needed)
-            evals.append(lambda g, s=series: _eigen_value_array(s, g, tol))
+            # the tail bound grows with gamma, so certifying the series at
+            # g_max certifies it at every quadrature node
+            eigen_value(series, g_max, tol)
+            evals.append(lambda g, c=series.coefficients:
+                         _signed_series_eval(c, g))
 
     density = measure.density
 
@@ -703,26 +757,30 @@ def hitting_tail(spec: DiffusionSpec, x: float, t: float,
 
 
 def levy_exponent_from_measure(measure: SpectralMeasure, lam: float,
-                               tol: float = 1e-9) -> float:
+                               with_error: bool = False):
     """Subordinator exponent from a killed spectral measure.
 
     Uses ``Phi(lam) = int lam / (gamma (gamma + lam)) Delta_hat(dgamma)``,
     the Fubini reduction of the jump-measure integral; this is the custom-
     spec route complementing the closed-form Levy densities of the presets.
+    With ``with_error`` the result is ``(value, error)``, the error being
+    the sum of the quadrature estimates.
     """
     if measure.kind != "killed":
         raise DomainError("the exponent integral needs a 'killed' measure")
     if lam < 0:
         raise DomainError("lambda must be nonnegative")
-    if lam == 0.0:
-        return 0.0
     end = measure.support_end
 
     def f(g):
         return lam / (g * (g + lam)) * float(measure.density(g))
 
-    if math.isfinite(end):
-        return _integrate_gamma(f, end)[0]
-    head, _ = _integrate_gamma(f, max(lam, 1.0))
-    tail, _ = integrate(f, max(lam, 1.0), np.inf)
-    return head + tail
+    if lam == 0.0:
+        val, err = 0.0, 0.0
+    elif math.isfinite(end):
+        val, err = _integrate_gamma(f, end)
+    else:
+        head, head_err = _integrate_gamma(f, max(lam, 1.0))
+        tail, tail_err = integrate(f, max(lam, 1.0), np.inf)
+        val, err = head + tail, head_err + tail_err
+    return (val, err) if with_error else val

@@ -1,4 +1,8 @@
+import gc
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -8,8 +12,8 @@ from scipy.integrate import quad
 from scipy.special import erf, gammainc
 
 from levykit import spectral as sp
-from levykit.diffusions import bessel_spec, brownian_spec, \
-    spec_from_expressions
+from levykit.diffusions import bessel_exponent_constant, bessel_spec, \
+    brownian_spec, spec_from_expressions
 from levykit.errors import DomainError, ToleranceError, TruncationError, UnsupportedSpecError
 
 BM = brownian_spec()
@@ -308,6 +312,140 @@ def test_measure_from_table_reproduces_closed_forms():
 def test_levy_exponent_from_measure():
     got = sp.levy_exponent_from_measure(M_KILL_BM, 2.0)
     assert abs(got - 2.0) < 1e-9
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("lam", [0.5, 2.0, 16.0])
+def test_levy_exponent_from_measure_error_brackets_closed_form(alpha, lam):
+    val, err = sp.levy_exponent_from_measure(sp.bessel_killed_measure(alpha),
+                                             lam, with_error=True)
+    oracle = bessel_exponent_constant(alpha) * lam ** alpha
+    assert abs(val - oracle) <= err + 8 * np.finfo(float).eps * oracle, \
+        (val, err, oracle)
+
+
+# ---------------------------------------------------------------------------
+# eigen recursion store
+# ---------------------------------------------------------------------------
+
+def _series_bits(series):
+    return (series.coefficients.tobytes(), series.bound_base, series.front)
+
+
+def _cold_series(spec, x, kind, n_terms):
+    sp._LADDERS.clear()
+    return sp.eigen_coefficients(spec, x, kind, n_terms=n_terms)
+
+
+def _live_ladders():
+    return sum(len(ladders) for ladders in sp._LADDERS.values())
+
+
+def test_series_bits_independent_of_earlier_requests():
+    custom = spec_from_expressions("x", "2")
+    short = _series_bits(_cold_series(custom, 1.0, "C", 8))
+    long = _series_bits(_cold_series(custom, 1.0, "C", 40))
+    # longer first: the short series reads a prefix of stored levels
+    assert _series_bits(sp.eigen_coefficients(custom, 1.0, "C", 8)) == short
+    # shorter first: the long series extends the stored levels
+    _cold_series(custom, 1.0, "C", 8)
+    assert _series_bits(sp.eigen_coefficients(custom, 1.0, "C", 40)) == long
+
+
+_COLD_A = {}
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=4))
+def test_series_bits_over_request_sequences(requests):
+    custom = spec_from_expressions("x^0.5/0.5", "2*x^0.5")
+    for n in requests:
+        if n not in _COLD_A:
+            _COLD_A[n] = _series_bits(_cold_series(custom, 0.7, "A", n))
+    sp._LADDERS.clear()
+    for n in requests:
+        got = sp.eigen_coefficients(custom, 0.7, "A", n_terms=n)
+        assert _series_bits(got) == _COLD_A[n], requests
+
+
+# (value, error) hex recorded before the recursion was stored, evaluated
+# here with the shorter series first so the longer ones extend it
+_PINNED = {
+    ("x", "2"): (
+        ("hitting_tail", 4.0, "0x1.881d788cab1dcp-2", "0x1.676f8df0211bcp-36"),
+        ("hitting_density", 4.0,
+         "0x1.6883d022086a8p-5", "0x1.bf9e811e28874p-41"),
+        ("hitting_tail", 2.0, "0x1.0a7ef5c18edd1p-1", "0x1.233b09f77892bp-38"),
+        ("hitting_density", 2.0,
+         "0x1.c1efca49a5004p-4", "0x1.262edad56852bp-38"),
+    ),
+    ("x^0.5/0.5", "2*x^0.5"): (
+        ("hitting_tail", 4.0, "0x1.47c2af70d9e56p-1", "0x1.743364de08154p-38"),
+        ("hitting_density", 4.0,
+         "0x1.286863002a6ccp-5", "0x1.ee25a4dda0176p-43"),
+        ("hitting_tail", 2.0, "0x1.7cc35b06c198dp-1", "0x1.8891b7f0bb13cp-41"),
+        ("hitting_density", 2.0,
+         "0x1.37124f7e50ac5p-4", "0x1.8473fc09b38bcp-41"),
+    ),
+}
+
+
+@pytest.mark.parametrize("expressions", list(_PINNED))
+def test_custom_spectral_values_pinned(expressions):
+    custom = spec_from_expressions(*expressions)
+    measure = M_KILL_BM if expressions == ("x", "2") else M_KILL_B15
+    for fn, t, value, error in _PINNED[expressions]:
+        got = getattr(sp, fn)(custom, 1.0, t, measure=measure,
+                              with_error=True)
+        assert (got[0].hex(), float(got[1]).hex()) == (value, error), (fn, t)
+
+
+def test_ladder_dies_with_its_spec():
+    custom = spec_from_expressions("x", "2")
+    sp.eigen_coefficients(custom, 0.5, "C", n_terms=2)
+    assert custom in sp._LADDERS
+    before, ref = _live_ladders(), weakref.ref(custom)
+    del custom
+    gc.collect()
+    assert ref() is None
+    assert _live_ladders() == before - 1
+
+
+def test_live_ladders_stay_within_bound():
+    sp._LADDERS.clear()
+    custom = spec_from_expressions("x", "2")
+    xs = np.linspace(0.2, 2.0, sp._MAX_LADDERS + 3)
+    for x in xs:
+        sp.eigen_coefficients(custom, float(x), "C", n_terms=0)
+        assert _live_ladders() <= sp._MAX_LADDERS
+    # the least recently used ladders went first
+    kept = set(sp._LADDERS[custom])
+    assert kept == {(float(x), "C") for x in xs[-sp._MAX_LADDERS:]}
+
+
+def test_threads_on_one_key_get_identical_bits():
+    custom = spec_from_expressions("x", "2")
+    cold = {n: _series_bits(_cold_series(custom, 1.0, "C", n))
+            for n in (6, 12)}
+    sp._LADDERS.clear()
+    got = {}
+
+    def work(i, n):
+        got[i] = _series_bits(sp.eigen_coefficients(custom, 1.0, "C", n))
+
+    threads = [threading.Thread(target=work, args=(i, (6, 12)[i % 2]))
+               for i in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert got == {i: cold[(6, 12)[i % 2]] for i in range(4)}
 
 
 def test_domain_errors():

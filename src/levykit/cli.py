@@ -10,6 +10,9 @@ v<version>`` comment, then a header row; column orders are fixed and
 listed in each subcommand's ``--help``.  JSON mirrors the columns as
 fields of the row objects.  Exit codes: 0 success, 2 invalid input,
 3 numerical-tolerance failure.
+
+Each subcommand is one :func:`_command` declaration bound to a row
+function that yields tuples in the declared column order.
 """
 
 import argparse
@@ -72,13 +75,19 @@ def _parse_tail(text, spec):
         rate = float(parts[1]) if len(parts) > 1 else 1.0
         return subexp.exponential_tail(rate)
     if kind == "hitting":
-        if spec is None:
-            raise DomainError("hitting:<x> tails need --spec")
         if len(parts) < 2:
             raise DomainError("hitting tails are written hitting:<x>")
         return subexp.hitting_tail_distribution(spec, float(parts[1]))
     raise DomainError(f"unknown tail {text!r}; use pareto:<alpha>[:scale], "
                       "exp:<rate> or hitting:<x>")
+
+
+def _first_weight(args):
+    return _parse_weight((args.weight or ["indicator:1.0"])[0])
+
+
+def _z(gap, std_error):
+    return gap / std_error if std_error else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -97,46 +106,38 @@ def _fmt_cell(v):
     return repr(float(v))
 
 
+def _json_value(v):
+    if isinstance(v, np.integer):
+        return int(v)
+    if isinstance(v, np.floating):
+        return float(v)
+    return v
+
+
 def _render_csv(columns, rows, meta):
     lines = [f"# levykit v{__version__}"]
     for key, val in meta.items():
         lines.append(f"# {key}={_fmt_cell(val)}")
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_fmt_cell(row.get(c)) for c in columns))
+        lines.append(",".join(_fmt_cell(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
 def _render_json(command, columns, rows, meta):
-    clean_rows = []
-    for row in rows:
-        item = {}
-        for c in columns:
-            v = row.get(c)
-            if isinstance(v, (np.integer,)):
-                v = int(v)
-            elif isinstance(v, (np.floating,)):
-                v = float(v)
-            item[c] = v
-        clean_rows.append(item)
     doc = {"levykit": __version__, "command": command, "columns": columns}
     for key, val in meta.items():
-        doc[key] = float(val) if isinstance(val, (np.floating, float)) \
-            else val
-    doc["rows"] = clean_rows
+        doc[key] = _json_value(val)
+    doc["rows"] = [dict(zip(columns, map(_json_value, row))) for row in rows]
     return json.dumps(doc, indent=1) + "\n"
 
 
-def _emit(args, rows, meta=None):
+def _emit(args, rows, meta):
     """Write ``rows`` in the column order the subcommand declared."""
-    columns = args.columns
-    meta = meta or {}
-    name = args.command if not hasattr(args, "method") \
-        else f"{args.command} {args.method}"
     if args.format == "json":
-        text = _render_json(name, columns, rows, meta)
+        text = _render_json(args.name, args.columns, rows, meta)
     else:
-        text = _render_csv(columns, rows, meta)
+        text = _render_csv(args.columns, rows, meta)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
@@ -145,199 +146,34 @@ def _emit(args, rows, meta=None):
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# the command table
 # ---------------------------------------------------------------------------
 
-def _cmd_density(args):
-    spec = parse_spec_argument(args.spec)
-    ts = _floats(args.t)
-    xs = _floats(args.x)
-    ys = _floats(args.y) if args.y else None
-    rows = []
-    for t, x in itertools.product(ts, xs):
-        for y in (ys if ys is not None else [x]):
-            val, err = spectral.transition_density(
-                spec, x, y, t, killed=args.killed, tol=args.tol,
-                with_error=True)
-            rows.append({"t": t, "x": x, "y": y,
-                         "kind": "phat" if args.killed else "p",
-                         "value": val, "abs_err": err})
-    _emit(args, rows)
+_COMMANDS = []
+_GROUPS = {"mc": "Monte Carlo estimators and checks",
+           "penalize": "local-time penalization checks"}
 
 
-def _cmd_tails(args):
-    spec = parse_spec_argument(args.spec)
-    ts = _floats(args.t)
-    x = float(args.x) if args.x is not None else None
-    rows = []
-    for t in ts:
-        nu_dot, e1 = spectral.levy_density(spec, t, tol=args.tol,
-                                           with_error=True)
-        nu_bar, e2 = spectral.levy_tail(spec, t, tol=args.tol,
-                                        with_error=True)
-        row = {"t": t, "x": x, "nu_dot": nu_dot, "nu_dot_err": e1,
-               "nu_bar": nu_bar, "nu_bar_err": e2,
-               "hit_tail": None, "hit_tail_err": None}
-        if x is not None:
-            ht, e3 = spectral.hitting_tail(spec, x, t, tol=args.tol,
-                                           with_error=True)
-            row["hit_tail"] = ht
-            row["hit_tail_err"] = e3
-        rows.append(row)
-    _emit(args, rows)
+def _arg(*flags, **options):
+    return flags, options
 
 
-def _cmd_eigen(args):
-    spec = parse_spec_argument(args.spec)
-    rows = []
-    for x, g in itertools.product(_floats(args.x), _floats(args.gamma)):
-        a = spectral.eigenfunction(spec, x, g, kind="A", tol=args.tol)
-        c = spectral.eigenfunction(spec, x, g, kind="C", tol=args.tol)
-        rows.append({"x": x, "gamma": g, "A": a, "C": c,
-                     "err_bound": args.tol})
-    _emit(args, rows)
+def _command(name, summary, columns, *arguments, note=None,
+             monte_carlo=False, **defaults):
+    """Declare subcommand ``name`` (``"mc tau"`` inside a group).
+
+    The decorated row function ``rows(args, spec, meta)`` yields one tuple
+    per output row in the order of ``columns`` (a comma list, also listed
+    in ``--help``) and may fill ``meta`` with summary fields.
+    """
+    def bind(rows):
+        _COMMANDS.append((name, summary, columns.split(","), note, arguments,
+                          monte_carlo, defaults, rows))
+        return rows
+    return bind
 
 
-def _cmd_subexp(args):
-    spec = parse_spec_argument(args.spec) if args.spec else None
-    F = _parse_tail(args.tail, spec)
-    G = _parse_tail(args.tail2, spec) if args.tail2 else None
-    rows = []
-    for x in _floats(args.x):
-        fbar = float(F.value(x))
-        gbar = float(G.value(x)) if G is not None else fbar
-        conv, cerr = subexp.conv_tail(F, G if G is not None else F, x,
-                                      with_error=True)
-        denom = fbar + gbar if G is not None else fbar
-        if denom <= 1e-300:
-            raise ToleranceError(f"tail vanishes numerically at x={x:g}")
-        rows.append({"x": x, "tail_f": fbar, "tail_g": gbar,
-                     "conv": conv, "conv_err": cerr,
-                     "ratio": conv / denom, "ratio_err": cerr / denom})
-    _emit(args, rows)
-
-
-def _cmd_mc(args):
-    spec = parse_spec_argument(args.spec)
-    method = args.method
-    if method == "hitting-tail":
-        rows = []
-        for t in _floats(args.t):
-            est = mc.estimate_hitting_tail(spec, args.x, t, args.n,
-                                           seed=args.seed, method=args.how,
-                                           dt=args.dt, threads=args.threads)
-            exact = float(spectral.hitting_tail(spec, args.x, t))
-            z = (est.mean - exact) / est.std_error if est.std_error else 0.0
-            rows.append({"x": args.x, "t": t, "method": args.how,
-                         "n": est.n_paths, "seed": args.seed,
-                         "estimate": est.mean, "std_error": est.std_error,
-                         "exact": exact, "z": z})
-        _emit(args, rows)
-    elif method == "localtime-tail":
-        rows = []
-        for t in _floats(args.t):
-            est = mc.estimate_localtime_tail(spec, args.x, t, args.ell,
-                                             args.n, seed=args.seed,
-                                             method=args.how, dt=args.dt,
-                                             threads=args.threads)
-            asym = (float(spec.scale(args.x)) + args.ell) \
-                * float(spectral.levy_tail(spec, t))
-            rows.append({"x": args.x, "ell": args.ell, "t": t,
-                         "method": args.how, "n": est.n_paths,
-                         "seed": args.seed, "estimate": est.mean,
-                         "std_error": est.std_error, "asymptote": asym,
-                         "ratio": est.mean / asym})
-        _emit(args, rows)
-    elif method == "exponent":
-        rows = []
-        for lam in _floats(args.lam):
-            est = mc.levy_exponent_mc(spec, lam, ell=args.ell, n=args.n,
-                                      seed=args.seed, threads=args.threads)
-            exact = float(levy_exponent(spec, lam))
-            z = (est.mean - exact) / est.std_error if est.std_error else 0.0
-            rows.append({"lam": lam, "ell": args.ell, "n": est.n_paths,
-                         "seed": args.seed, "estimate": est.mean,
-                         "std_error": est.std_error, "exact": exact,
-                         "z": z})
-        _emit(args, rows)
-    elif method == "tau":
-        sample = mc.sample_tau(spec, args.ell, args.n, seed=args.seed)
-        values = np.sort(sample.values)
-        n = values.size
-        rows = []
-        for q in _floats(args.q):
-            if not 0.0 < q < 1.0:
-                raise DomainError("quantiles must lie strictly in (0, 1)")
-            k = min(max(int(q * n), 0), n - 1)
-            spread = 1.959963984540054 * math.sqrt(q * (1.0 - q) * n)
-            lo = min(max(int(q * n - spread), 0), n - 1)
-            hi = min(max(int(q * n + spread), 0), n - 1)
-            rows.append({"ell": args.ell, "q": q, "value": values[k],
-                         "ci_lo": values[lo], "ci_hi": values[hi],
-                         "n": n, "seed": args.seed})
-        _emit(args, rows)
-    else:  # doob-meyer
-        out = mc.doob_meyer_check(spec, _floats(args.t), n_paths=args.n,
-                                  dt=args.dt, seed=args.seed,
-                                  threads=args.threads)
-        rows = []
-        for r in out:
-            z = r["gap"] / r["std_error"] if r["std_error"] else 0.0
-            rows.append({"t": r["t"], "n": r["n_paths"], "seed": args.seed,
-                         "scale_mean": r["scale_mean"],
-                         "local_mean": r["local_mean"], "gap": r["gap"],
-                         "std_error": r["std_error"],
-                         "bias_correction": r["bias_correction"], "z": z})
-        _emit(args, rows)
-
-
-def _cmd_penalize(args):
-    spec = parse_spec_argument(args.spec)
-    method = args.method
-    if method == "martingale":
-        weights = [_parse_weight(w) for w in (args.weight or
-                                              ["indicator:1.0"])]
-        out = pz.martingale_property_mc(spec, weights, _floats(args.u),
-                                        n_paths=args.n, dt=args.dt,
-                                        seed=args.seed,
-                                        threads=args.threads)
-        rows = [{"weight": r["weight"], "u": r["u"], "n": r["n_paths"],
-                 "seed": args.seed, "mean": r["mean"],
-                 "std_error": r["std_error"], "z": r["z"]} for r in out]
-        _emit(args, rows)
-    elif method == "horizon":
-        weight = _parse_weight((args.weight or ["indicator:1.0"])[0])
-        res = pz.penalization_horizon(spec, weight, tol=args.tol,
-                                      n=args.n, seed=args.seed, full=True)
-        rows = [{"weight": weight.name, "tol": args.tol, "u": res["u"],
-                 "leftover": res["leftover"],
-                 "leftover_se": res["leftover_se"],
-                 "n": res["n_paths"], "seed": args.seed}]
-        _emit(args, rows)
-    else:  # lawcheck
-        weight = _parse_weight((args.weight or ["indicator:1.0"])[0])
-        u = float(args.u) if args.u else None
-        res = pz.linfty_law_check(spec, weight, n=args.n, u=u,
-                                  seed=args.seed, threads=args.threads)
-        rows = []
-        for i, ell in enumerate(res["grid"]):
-            rows.append({"ell": float(ell),
-                         "weighted_cdf": float(res["weighted_cdf"][i]),
-                         "cdf_se": float(res["cdf_se"][i]),
-                         "target_cdf": float(res["target_cdf"][i]),
-                         "gap": float(res["weighted_cdf"][i]
-                                      - res["target_cdf"][i])})
-        meta = {"weight": weight.name, "u": res["u"],
-                "max_gap": res["max_gap"], "n": res["n_paths"],
-                "seed": args.seed}
-        _emit(args, rows, meta)
-
-
-# ---------------------------------------------------------------------------
-# parser
-# ---------------------------------------------------------------------------
-
-def _add_common(p, seed=False, mc_opts=False):
+def _add_common(p, monte_carlo):
     p.add_argument("--spec", default="brownian",
                    help="diffusion: brownian, bessel:<delta>, inline JSON "
                         "or a JSON file path (default brownian)")
@@ -347,11 +183,10 @@ def _add_common(p, seed=False, mc_opts=False):
                    help="output file (default stdout)")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="numerical tolerance (default 1e-9)")
-    if seed:
+    if monte_carlo:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help=f"RNG seed (fixed default {DEFAULT_SEED}, "
                             "never time-based)")
-    if mc_opts:
         p.add_argument("--n", type=int, default=100_000,
                        help="number of Monte Carlo paths (default 100000)")
         p.add_argument("--dt", type=float, default=1e-3,
@@ -362,18 +197,231 @@ def _add_common(p, seed=False, mc_opts=False):
                             "results do not depend on the thread count)")
 
 
-def _command(sub, name, summary, func, columns, note=None):
-    """Subparser for a command run by ``func`` that writes ``columns``; its
-    ``--help`` lists them in the order :func:`_emit` writes them."""
-    epilog = "columns: " + ",".join(columns)
-    if note:
-        epilog += "\n" + note
-    p = sub.add_parser(
-        name, help=summary, epilog=epilog,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.set_defaults(func=func, columns=columns)
-    return p
+_T = _arg("--t", required=True, help="time points, comma list")
+_ELL = _arg("--ell", type=float, default=1.0)
+_HOW = _arg("--how", choices=("exact", "pathwise"), default="exact",
+            help="sampling route (default exact)")
+_WEIGHT = _arg("--weight", action="append", default=None)
 
+
+# ---------------------------------------------------------------------------
+# commands
+# ---------------------------------------------------------------------------
+
+@_command("density", "transition density by spectral quadrature",
+          "t,x,y,kind,value,abs_err",
+          _T,
+          _arg("--x", required=True, help="start points, comma list"),
+          _arg("--y", default=None,
+               help="end points, comma list (default: y = x)"),
+          _arg("--killed", action="store_true",
+               help="density killed at the boundary instead"),
+          note="values are densities with respect to the speed measure")
+def _density(args, spec, meta):
+    ts = _floats(args.t)
+    xs = _floats(args.x)
+    ys = _floats(args.y) if args.y else None
+    for t, x in itertools.product(ts, xs):
+        for y in (ys if ys is not None else [x]):
+            val, err = spectral.transition_density(
+                spec, x, y, t, killed=args.killed, tol=args.tol,
+                with_error=True)
+            yield t, x, y, "phat" if args.killed else "p", val, err
+
+
+@_command("tails", "inverse-local-time Levy density and tail",
+          "t,x,nu_dot,nu_dot_err,nu_bar,nu_bar_err,hit_tail,hit_tail_err",
+          _T,
+          _arg("--x", default=None,
+               help="optional start for the boundary-hitting tail"),
+          note="hit_tail columns are empty unless --x is given")
+def _tails(args, spec, meta):
+    ts = _floats(args.t)
+    x = float(args.x) if args.x is not None else None
+    for t in ts:
+        nu_dot, e1 = spectral.levy_density(spec, t, tol=args.tol,
+                                           with_error=True)
+        nu_bar, e2 = spectral.levy_tail(spec, t, tol=args.tol,
+                                        with_error=True)
+        ht = e3 = None
+        if x is not None:
+            ht, e3 = spectral.hitting_tail(spec, x, t, tol=args.tol,
+                                           with_error=True)
+        yield t, x, nu_dot, e1, nu_bar, e2, ht, e3
+
+
+@_command("eigen", "boundary-normalized eigenfunctions A and C",
+          "x,gamma,A,C,err_bound",
+          _arg("--x", required=True, help="positions, comma list"),
+          _arg("--gamma", required=True,
+               help="spectral parameters, comma list"),
+          note="A(x;0) = 1 and C(x;0) = S(x), the scale function")
+def _eigen(args, spec, meta):
+    for x, g in itertools.product(_floats(args.x), _floats(args.gamma)):
+        a = spectral.eigenfunction(spec, x, g, kind="A", tol=args.tol)
+        c = spectral.eigenfunction(spec, x, g, kind="C", tol=args.tol)
+        yield x, g, a, c, args.tol
+
+
+@_command("subexp-check", "convolution-tail ratios",
+          "x,tail_f,tail_g,conv,conv_err,ratio,ratio_err",
+          _arg("--tail", required=True,
+               help="pareto:<alpha>[:scale], exp:<rate> or "
+                    "hitting:<x> (hitting uses --spec)"),
+          _arg("--tail2", default=None,
+               help="optional second tail for the mixed ratio"),
+          _arg("--x", required=True, help="evaluation points, comma list"),
+          note="single tail: ratio = conv/tail_f, approaches 2 for\n"
+               "subexponential laws; with --tail2 the denominator is\n"
+               "tail_f + tail_g and the limit is 1 when the mix is\n"
+               "tail-equivalent")
+def _subexp(args, spec, meta):
+    F = _parse_tail(args.tail, spec)
+    G = _parse_tail(args.tail2, spec) if args.tail2 else None
+    for x in _floats(args.x):
+        fbar = float(F.value(x))
+        gbar = float(G.value(x)) if G is not None else fbar
+        conv, cerr = subexp.conv_tail(F, G if G is not None else F, x,
+                                      with_error=True)
+        denom = fbar + gbar if G is not None else fbar
+        if denom <= 1e-300:
+            raise ToleranceError(f"tail vanishes numerically at x={x:g}")
+        yield x, fbar, gbar, conv, cerr, conv / denom, cerr / denom
+
+
+@_command("mc hitting-tail", "P_x(H_0 > t) vs the closed form",
+          "x,t,method,n,seed,estimate,std_error,exact,z",
+          _arg("--x", type=float, required=True), _T, _HOW,
+          monte_carlo=True)
+def _mc_hitting_tail(args, spec, meta):
+    for t in _floats(args.t):
+        est = mc.estimate_hitting_tail(spec, args.x, t, args.n,
+                                       seed=args.seed, method=args.how,
+                                       dt=args.dt, threads=args.threads)
+        exact = float(spectral.hitting_tail(spec, args.x, t))
+        yield (args.x, t, args.how, est.n_paths, args.seed, est.mean,
+               est.std_error, exact, _z(est.mean - exact, est.std_error))
+
+
+@_command("mc localtime-tail", "P_x(L_t <= ell) vs its tail asymptote",
+          "x,ell,t,method,n,seed,estimate,std_error,asymptote,ratio",
+          _arg("--x", type=float, default=0.0), _ELL, _T, _HOW,
+          note="asymptote = (S(x)+ell) nu((t,inf)); ratio -> 1 as t grows",
+          monte_carlo=True)
+def _mc_localtime_tail(args, spec, meta):
+    for t in _floats(args.t):
+        est = mc.estimate_localtime_tail(spec, args.x, t, args.ell, args.n,
+                                         seed=args.seed, method=args.how,
+                                         dt=args.dt, threads=args.threads)
+        asym = (float(spec.scale(args.x)) + args.ell) \
+            * float(spectral.levy_tail(spec, t))
+        yield (args.x, args.ell, t, args.how, est.n_paths, args.seed,
+               est.mean, est.std_error, asym, est.mean / asym)
+
+
+@_command("mc exponent", "Laplace exponent of tau vs the closed form",
+          "lam,ell,n,seed,estimate,std_error,exact,z",
+          _arg("--lam", required=True, help="Laplace arguments, comma list"),
+          _ELL, monte_carlo=True)
+def _mc_exponent(args, spec, meta):
+    for lam in _floats(args.lam):
+        est = mc.levy_exponent_mc(spec, lam, ell=args.ell, n=args.n,
+                                  seed=args.seed, threads=args.threads)
+        exact = float(levy_exponent(spec, lam))
+        yield (lam, args.ell, est.n_paths, args.seed, est.mean,
+               est.std_error, exact, _z(est.mean - exact, est.std_error))
+
+
+@_command("mc tau", "inverse-local-time quantiles with order-stat CIs",
+          "ell,q,value,ci_lo,ci_hi,n,seed",
+          _ELL,
+          _arg("--q", default="0.1,0.25,0.5,0.75,0.9",
+               help="quantile levels, comma list"),
+          note="ci bounds are distribution-free 95% order-statistic "
+               "intervals",
+          monte_carlo=True)
+def _mc_tau(args, spec, meta):
+    values = np.sort(mc.sample_tau(spec, args.ell, args.n,
+                                   seed=args.seed).values)
+    n = values.size
+    for q in _floats(args.q):
+        if not 0.0 < q < 1.0:
+            raise DomainError("quantiles must lie strictly in (0, 1)")
+        k = min(max(int(q * n), 0), n - 1)
+        spread = 1.959963984540054 * math.sqrt(q * (1.0 - q) * n)
+        lo = min(max(int(q * n - spread), 0), n - 1)
+        hi = min(max(int(q * n + spread), 0), n - 1)
+        yield args.ell, q, values[k], values[lo], values[hi], n, args.seed
+
+
+@_command("mc doob-meyer", "E[S(X_t)] against E[L_t] on grid paths",
+          "t,n,seed,scale_mean,local_mean,gap,std_error,bias_correction,z",
+          _arg("--t", required=True, help="checkpoint times, comma list"),
+          note="local_mean includes the closed-form band correction",
+          monte_carlo=True)
+def _mc_doob_meyer(args, spec, meta):
+    for r in mc.doob_meyer_check(spec, _floats(args.t), n_paths=args.n,
+                                 dt=args.dt, seed=args.seed,
+                                 threads=args.threads):
+        yield (r["t"], r["n_paths"], args.seed, r["scale_mean"],
+               r["local_mean"], r["gap"], r["std_error"],
+               r["bias_correction"], _z(r["gap"], r["std_error"]))
+
+
+@_command("penalize martingale", "unit mean of the penalization martingale",
+          "weight,u,n,seed,mean,std_error,z",
+          _arg("--weight", action="append", default=None,
+               help="indicator:<ell0>, triangular:<K>, inline JSON or a "
+                    "JSON path; repeat for several (default indicator:1.0)"),
+          _arg("--u", default="1.0", help="horizons, comma list"),
+          monte_carlo=True)
+def _penalize_martingale(args, spec, meta):
+    weights = [_parse_weight(w) for w in args.weight or ["indicator:1.0"]]
+    for r in pz.martingale_property_mc(spec, weights, _floats(args.u),
+                                       n_paths=args.n, dt=args.dt,
+                                       seed=args.seed, threads=args.threads):
+        yield (r["weight"], r["u"], r["n_paths"], args.seed, r["mean"],
+               r["std_error"], r["z"])
+
+
+@_command("penalize horizon",
+          "horizon where the leftover weight mass is small",
+          "weight,tol,u,leftover,leftover_se,n,seed",
+          _WEIGHT,
+          note="--tol here is the leftover-mass threshold (default 0.01)",
+          monte_carlo=True, tol=0.01)
+def _penalize_horizon(args, spec, meta):
+    weight = _first_weight(args)
+    res = pz.penalization_horizon(spec, weight, tol=args.tol, n=args.n,
+                                  seed=args.seed, full=True)
+    yield (weight.name, args.tol, res["u"], res["leftover"],
+           res["leftover_se"], res["n_paths"], args.seed)
+
+
+@_command("penalize lawcheck", "weighted terminal local-time law against H",
+          "ell,weighted_cdf,cdf_se,target_cdf,gap",
+          _WEIGHT,
+          _arg("--u", default=None,
+               help="horizon (default: adaptive via the horizon search)"),
+          note="summary metadata (weight, u, max_gap, n, seed) rides in\n"
+               "CSV comments / JSON fields",
+          monte_carlo=True)
+def _penalize_lawcheck(args, spec, meta):
+    weight = _first_weight(args)
+    u = float(args.u) if args.u else None
+    res = pz.linfty_law_check(spec, weight, n=args.n, u=u, seed=args.seed,
+                              threads=args.threads)
+    meta.update(weight=weight.name, u=res["u"], max_gap=res["max_gap"],
+                n=res["n_paths"], seed=args.seed)
+    for ell, cdf, se, target in zip(res["grid"], res["weighted_cdf"],
+                                    res["cdf_se"], res["target_cdf"]):
+        yield (float(ell), float(cdf), float(se), float(target),
+               float(cdf - target))
+
+
+# ---------------------------------------------------------------------------
+# parser and entry point
+# ---------------------------------------------------------------------------
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -384,149 +432,27 @@ def build_parser():
     parser.add_argument("--version", action="version",
                         version=f"levykit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _command(
-        sub, "density", "transition density by spectral quadrature",
-        _cmd_density,
-        ("t", "x", "y", "kind", "value", "abs_err"),
-        "values are densities with respect to the speed measure")
-    p.add_argument("--t", required=True, help="time points, comma list")
-    p.add_argument("--x", required=True, help="start points, comma list")
-    p.add_argument("--y", default=None,
-                   help="end points, comma list (default: y = x)")
-    p.add_argument("--killed", action="store_true",
-                   help="density killed at the boundary instead")
-    _add_common(p)
-
-    p = _command(
-        sub, "tails", "inverse-local-time Levy density and tail",
-        _cmd_tails,
-        ("t", "x", "nu_dot", "nu_dot_err", "nu_bar", "nu_bar_err",
-         "hit_tail", "hit_tail_err"),
-        "hit_tail columns are empty unless --x is given")
-    p.add_argument("--t", required=True, help="time points, comma list")
-    p.add_argument("--x", default=None,
-                   help="optional start for the boundary-hitting tail")
-    _add_common(p)
-
-    p = _command(
-        sub, "eigen", "boundary-normalized eigenfunctions A and C",
-        _cmd_eigen,
-        ("x", "gamma", "A", "C", "err_bound"),
-        "A(x;0) = 1 and C(x;0) = S(x), the scale function")
-    p.add_argument("--x", required=True, help="positions, comma list")
-    p.add_argument("--gamma", required=True,
-                   help="spectral parameters, comma list")
-    _add_common(p)
-
-    p = _command(
-        sub, "subexp-check", "convolution-tail ratios",
-        _cmd_subexp,
-        ("x", "tail_f", "tail_g", "conv", "conv_err", "ratio", "ratio_err"),
-        "single tail: ratio = conv/tail_f, approaches 2 for\n"
-        "subexponential laws; with --tail2 the denominator is\n"
-        "tail_f + tail_g and the limit is 1 when the mix is\n"
-        "tail-equivalent")
-    p.add_argument("--tail", required=True,
-                   help="pareto:<alpha>[:scale], exp:<rate> or "
-                        "hitting:<x> (hitting uses --spec)")
-    p.add_argument("--tail2", default=None,
-                   help="optional second tail for the mixed ratio")
-    p.add_argument("--x", required=True,
-                   help="evaluation points, comma list")
-    _add_common(p)
-
-    p = sub.add_parser("mc", help="Monte Carlo estimators and checks")
-    mcsub = p.add_subparsers(dest="method", required=True)
-
-    q = _command(
-        mcsub, "hitting-tail", "P_x(H_0 > t) vs the closed form",
-        _cmd_mc,
-        ("x", "t", "method", "n", "seed", "estimate", "std_error", "exact",
-         "z"))
-    q.add_argument("--x", type=float, required=True)
-    q.add_argument("--t", required=True, help="time points, comma list")
-    q.add_argument("--how", choices=("exact", "pathwise"),
-                   default="exact", help="sampling route (default exact)")
-    _add_common(q, seed=True, mc_opts=True)
-
-    q = _command(
-        mcsub, "localtime-tail", "P_x(L_t <= ell) vs its tail asymptote",
-        _cmd_mc,
-        ("x", "ell", "t", "method", "n", "seed", "estimate", "std_error",
-         "asymptote", "ratio"),
-        "asymptote = (S(x)+ell) nu((t,inf)); ratio -> 1 as t grows")
-    q.add_argument("--x", type=float, default=0.0)
-    q.add_argument("--ell", type=float, default=1.0)
-    q.add_argument("--t", required=True, help="time points, comma list")
-    q.add_argument("--how", choices=("exact", "pathwise"),
-                   default="exact", help="sampling route (default exact)")
-    _add_common(q, seed=True, mc_opts=True)
-
-    q = _command(
-        mcsub, "exponent", "Laplace exponent of tau vs the closed form",
-        _cmd_mc,
-        ("lam", "ell", "n", "seed", "estimate", "std_error", "exact", "z"))
-    q.add_argument("--lam", required=True,
-                   help="Laplace arguments, comma list")
-    q.add_argument("--ell", type=float, default=1.0)
-    _add_common(q, seed=True, mc_opts=True)
-
-    q = _command(
-        mcsub, "tau", "inverse-local-time quantiles with order-stat CIs",
-        _cmd_mc,
-        ("ell", "q", "value", "ci_lo", "ci_hi", "n", "seed"),
-        "ci bounds are distribution-free 95% order-statistic intervals")
-    q.add_argument("--ell", type=float, default=1.0)
-    q.add_argument("--q", default="0.1,0.25,0.5,0.75,0.9",
-                   help="quantile levels, comma list")
-    _add_common(q, seed=True, mc_opts=True)
-
-    q = _command(
-        mcsub, "doob-meyer", "E[S(X_t)] against E[L_t] on grid paths",
-        _cmd_mc,
-        ("t", "n", "seed", "scale_mean", "local_mean", "gap", "std_error",
-         "bias_correction", "z"),
-        "local_mean includes the closed-form band correction")
-    q.add_argument("--t", required=True,
-                   help="checkpoint times, comma list")
-    _add_common(q, seed=True, mc_opts=True)
-
-    p = sub.add_parser("penalize", help="local-time penalization checks")
-    pzsub = p.add_subparsers(dest="method", required=True)
-
-    q = _command(
-        pzsub, "martingale", "unit mean of the penalization martingale",
-        _cmd_penalize,
-        ("weight", "u", "n", "seed", "mean", "std_error", "z"))
-    q.add_argument("--weight", action="append", default=None,
-                   help="indicator:<ell0>, triangular:<K>, inline JSON or "
-                        "a JSON path; repeat for several "
-                        "(default indicator:1.0)")
-    q.add_argument("--u", default="1.0", help="horizons, comma list")
-    _add_common(q, seed=True, mc_opts=True)
-
-    q = _command(
-        pzsub, "horizon", "horizon where the leftover weight mass is small",
-        _cmd_penalize,
-        ("weight", "tol", "u", "leftover", "leftover_se", "n", "seed"),
-        "--tol here is the leftover-mass threshold (default 0.01)")
-    q.add_argument("--weight", action="append", default=None)
-    _add_common(q, seed=True, mc_opts=True)
-    q.set_defaults(tol=0.01)
-
-    q = _command(
-        pzsub, "lawcheck", "weighted terminal local-time law against H",
-        _cmd_penalize,
-        ("ell", "weighted_cdf", "cdf_se", "target_cdf", "gap"),
-        "summary metadata (weight, u, max_gap, n, seed) rides in\n"
-        "CSV comments / JSON fields")
-    q.add_argument("--weight", action="append", default=None)
-    q.add_argument("--u", default=None,
-                   help="horizon (default: adaptive via the horizon "
-                        "search)")
-    _add_common(q, seed=True, mc_opts=True)
-
+    groups = {}
+    for (name, summary, columns, note, arguments, monte_carlo, defaults,
+         rows) in _COMMANDS:
+        group, _, leaf = name.rpartition(" ")
+        where = sub
+        if group:
+            if group not in groups:
+                groups[group] = sub.add_parser(
+                    group, help=_GROUPS[group]).add_subparsers(
+                        dest="method", required=True)
+            where = groups[group]
+        epilog = "columns: " + ",".join(columns)
+        if note:
+            epilog += "\n" + note
+        p = where.add_parser(
+            leaf, help=summary, epilog=epilog,
+            formatter_class=argparse.RawDescriptionHelpFormatter)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        _add_common(p, monte_carlo)
+        p.set_defaults(rows=rows, columns=columns, name=name, **defaults)
     return parser
 
 
@@ -534,7 +460,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        meta = {}
+        rows = list(args.rows(args, parse_spec_argument(args.spec), meta))
+        _emit(args, rows, meta)
     except json.JSONDecodeError as exc:
         print(f"levykit: malformed JSON at line {exc.lineno} column "
               f"{exc.colno}: {exc.msg}", file=sys.stderr)

@@ -366,6 +366,24 @@ def _check_grid(t: float, dt: float, eps: Optional[float]) -> tuple:
     return n_steps, float(eps)
 
 
+def _grid_checkpoints(times: Sequence[float], dt: float,
+                      eps: Optional[float]) -> tuple:
+    """Checkpoint times, sorted and placed on the grid of step ``dt``.
+
+    Returns ``(times, step_indices, n_steps, eps)`` with ``n_steps`` the
+    step count to the last checkpoint; a checkpoint off the grid raises
+    :class:`ResolutionError`.
+    """
+    times = sorted(float(t) for t in times)
+    if not times or times[0] <= 0:
+        raise DomainError("need positive checkpoint times")
+    n_steps, eps = _check_grid(times[-1], dt, eps)
+    idx = [int(round(t / dt)) for t in times]
+    if any(abs(i * dt - t) > 1e-9 for i, t in zip(idx, times)):
+        raise ResolutionError("checkpoints must sit on the time grid")
+    return times, idx, n_steps, eps
+
+
 def _make_stepper(spec: DiffusionSpec, dt: float):
     """State-update closure mapping positions forward one grid step."""
     if not spec.is_preset:
@@ -417,19 +435,19 @@ def simulate_path(spec: DiffusionSpec, x0: float, t: float, dt: float,
 def _stream_ensemble(spec: DiffusionSpec, x0: float, dt: float,
                      n_steps: int, record_idx: Sequence[int],
                      rng, n_paths: int, eps: float):
-    """March ``n_paths`` states forward, yielding snapshots at the
-    requested step indices: (index, positions, band_occupation_steps)."""
+    """March ``n_paths`` states forward, returning snapshots at the
+    requested step indices, in step order: (positions,
+    band_occupation_steps)."""
     step = _make_stepper(spec, dt)
-    record = sorted(set(int(i) for i in record_idx))
+    record = set(int(i) for i in record_idx)
     x = np.full(n_paths, float(x0))
     occ = np.zeros(n_paths)
     out = []
     for k in range(1, n_steps + 1):
         occ += x < eps          # state at time (k-1) dt, left endpoint
         x = step(x, rng)
-        if record and k == record[0]:
-            out.append((k, x.copy(), occ.copy()))
-            record.pop(0)
+        if k in record:
+            out.append((x.copy(), occ.copy()))
     return out
 
 
@@ -465,8 +483,8 @@ def _occupation_at(spec: DiffusionSpec, x: float, t: float, dt: float):
     n_steps, eps = _check_grid(t, dt, None)
 
     def occupation(rng, m):
-        (_, _, occ), = _stream_ensemble(spec, x, dt, n_steps, [n_steps],
-                                        rng, m, eps)
+        (_, occ), = _stream_ensemble(spec, x, dt, n_steps, [n_steps],
+                                     rng, m, eps)
         return occ
 
     return occupation, cumulative_speed(spec, eps)
@@ -550,29 +568,24 @@ def levy_exponent_mc(spec: DiffusionSpec, lam: float, ell: float = 1.0,
 def doob_meyer_check(spec: DiffusionSpec, times: Sequence[float],
                      n_paths: int = 100_000, dt: float = 1e-4,
                      seed=None, eps: Optional[float] = None,
-                     x0: float = 0.0, threads=None) -> list:
+                     threads=None) -> list:
     """Compensator identity on grid paths: E[S(X_t)] vs E[L_t] from 0.
 
-    Streams one ensemble to ``max(times)``, snapshotting every requested
-    checkpoint.  The raw band local time is shifted by the closed-form
+    Paths start at the boundary, the only start from which the identity
+    and :func:`occupation_bias` hold.  Streams one ensemble to
+    ``max(times)``, snapshotting every requested checkpoint.  The raw
+    band local time is shifted by the closed-form
     :func:`occupation_bias`; the reported gap and its standard error come
     from the per-path difference, so the two means share their noise.
     """
     _require_preset(spec, "compensator check")
-    times = sorted(float(t) for t in times)
-    if not times or times[0] <= 0:
-        raise DomainError("need positive checkpoint times")
-    t_end = times[-1]
-    n_steps, eps = _check_grid(t_end, dt, eps)
-    idx = [int(round(t / dt)) for t in times]
-    if any(abs(i * dt - t) > 1e-9 for i, t in zip(idx, times)):
-        raise ResolutionError("checkpoints must sit on the time grid")
+    times, idx, n_steps, eps = _grid_checkpoints(times, dt, eps)
     m_eps = cumulative_speed(spec, eps)
 
     def sample(rng, m):
         stats = []
-        for _, x, occ in _stream_ensemble(spec, x0, dt, n_steps, idx, rng, m,
-                                          eps):
+        for x, occ in _stream_ensemble(spec, 0.0, dt, n_steps, idx, rng, m,
+                                       eps):
             s_of_x = np.asarray(spec.scale(x), dtype=float)
             loc = occ * (dt / m_eps)
             stats += [s_of_x - loc, s_of_x, loc]

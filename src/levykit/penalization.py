@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -62,9 +62,8 @@ class WeightFunction:
 
     ``h`` and ``cdf`` must be vectorized callables; ``quantile`` (inverse
     CDF) powers the exact horizon estimates.  Construction verifies that
-    ``h`` integrates to one and — unless ``check_shape=False`` — that it
-    is non-increasing with the stated compact support, the shape the
-    penalized-law identities require.
+    ``h`` integrates to one and that it is non-increasing with the stated
+    compact support, the shape the penalized-law identities require.
     """
 
     h: Callable
@@ -72,7 +71,6 @@ class WeightFunction:
     support_end: float
     name: str = "weight"
     quantile: Optional[Callable] = None
-    check_shape: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         if not math.isfinite(self.support_end) or self.support_end <= 0:
@@ -82,13 +80,12 @@ class WeightFunction:
         if abs(total - 1.0) > 1e-8:
             raise DomainError(
                 f"weight density integrates to {total:.10f}, not 1")
-        if self.check_shape:
-            probe = np.linspace(0.0, self.support_end, 257)
-            vals = np.asarray(self.h(probe), dtype=float)
-            if np.any(vals < -1e-12):
-                raise DomainError("weight density must be nonnegative")
-            if np.any(np.diff(vals) > 1e-9 * max(1.0, float(vals[0]))):
-                raise DomainError("weight density must be non-increasing")
+        probe = np.linspace(0.0, self.support_end, 257)
+        vals = np.asarray(self.h(probe), dtype=float)
+        if np.any(vals < -1e-12):
+            raise DomainError("weight density must be nonnegative")
+        if np.any(np.diff(vals) > 1e-9 * max(1.0, float(vals[0]))):
+            raise DomainError("weight density must be non-increasing")
 
     def sample(self, n: int, rng) -> np.ndarray:
         if self.quantile is None:
@@ -136,10 +133,9 @@ def triangular_weight(K: float = 1.0) -> WeightFunction:
                           name=f"triangular({K:g})", quantile=quantile)
 
 
-def weight_from_table(xs, hs, name: str = "table-weight",
-                      normalize: bool = True) -> WeightFunction:
+def weight_from_table(xs, hs, name: str = "table-weight") -> WeightFunction:
     """Piecewise-linear weight through ``(xs, hs)``, zero beyond the last
-    node; renormalized to unit mass unless ``normalize=False``."""
+    node, renormalized to unit mass."""
     xs = np.asarray(xs, dtype=float)
     hs = np.asarray(hs, dtype=float)
     if xs.ndim != 1 or xs.shape != hs.shape or xs.size < 2:
@@ -152,8 +148,7 @@ def weight_from_table(xs, hs, name: str = "table-weight",
     mass = float(np.trapezoid(hs, xs))
     if mass <= 0:
         raise DomainError("weight table has no mass")
-    if normalize:
-        hs = hs / mass
+    hs = hs / mass
     cum = np.concatenate([[0.0], np.cumsum(
         0.5 * (hs[1:] + hs[:-1]) * np.diff(xs))])
 
@@ -268,25 +263,21 @@ def martingale_property_mc(spec: DiffusionSpec,
     """Unit-mean battery on one streamed ensemble.
 
     Simulates grid paths from the boundary once, snapshots every
-    requested horizon, and evaluates every weight's martingale there.
-    The raw band local time is shifted by the mean occupation bias
-    before the weight is applied (removes the first-order bias of the
-    smooth functional).  Returns one row per (weight, u) with the mean,
-    its standard error, and the distance from 1 in standard errors.
+    requested horizon (each on the time grid, else
+    :class:`~levykit.errors.ResolutionError`), and evaluates every
+    weight's martingale there.  The raw band local time is shifted by
+    the mean occupation bias before the weight is applied (removes the
+    first-order bias of the smooth functional).  Returns one row per
+    (weight, u) with the mean, its standard error, and the distance from
+    1 in standard errors.
     """
-    u_values = sorted(float(u) for u in u_values)
-    if not u_values or u_values[0] <= 0:
-        raise DomainError("need positive horizons")
-    n_steps, eps = mc._check_grid(u_values[-1], dt, eps)
-    idx = [int(round(u / dt)) for u in u_values]
-    if any(abs(i * dt - u) > 1e-9 for i, u in zip(idx, u_values)):
-        raise DomainError("horizons must sit on the time grid")
+    u_values, idx, n_steps, eps = mc._grid_checkpoints(u_values, dt, eps)
     m_eps = cumulative_speed(spec, eps)
     shifts = [mc.occupation_bias(spec, eps, dt, u) for u in u_values]
 
     def sample(rng, m):
         stats = []
-        for (_, x, occ), shift in zip(
+        for (x, occ), shift in zip(
                 mc._stream_ensemble(spec, 0.0, dt, n_steps, idx, rng, m,
                                     eps), shifts):
             ell = occ * (dt / m_eps) + shift
@@ -331,9 +322,9 @@ def penalized_expectation(spec: DiffusionSpec, weight: WeightFunction,
 
 def penalization_horizon(spec: DiffusionSpec, weight: WeightFunction,
                          tol: float = 0.01, n: int = 200_000,
-                         seed=None, u_start: float = 1.0,
-                         u_cap: float = 1e12, full: bool = False):
-    """Horizon ``u`` with ``E_0[1 - H(L_u)] < tol``.
+                         seed=None, full: bool = False):
+    """Horizon ``u`` with ``E_0[1 - H(L_u)] < tol``: the first of
+    ``1, 2, 4, ...`` below ``1e12`` that reaches it.
 
     That expectation equals ``P(tau_Y > u)`` for ``Y ~ h`` independent of
     the subordinator, so one batch of ``tau_1`` draws serves every
@@ -349,8 +340,8 @@ def penalization_horizon(spec: DiffusionSpec, weight: WeightFunction,
     y = weight.sample(n, rng)
     tau1 = mc.sample_tau(spec, 1.0, n, rng=rng).values
     tau_y = y ** (1.0 / alpha) * tau1
-    u = u_start
-    while u < u_cap:
+    u = 1.0
+    while u < 1e12:
         leftover = float(np.mean(tau_y > u))
         if leftover < tol:
             if not full:
@@ -359,7 +350,7 @@ def penalization_horizon(spec: DiffusionSpec, weight: WeightFunction,
                     "leftover_se": mc._bernoulli_se(leftover, n),
                     "n_paths": n, "seed": seed}
         u *= 2.0
-    raise ToleranceError(f"no horizon below {u_cap:g} reaches tol={tol:g}")
+    raise ToleranceError(f"no horizon below 1e+12 reaches tol={tol:g}")
 
 
 def linfty_law_check(spec: DiffusionSpec, weight: WeightFunction,
@@ -408,19 +399,18 @@ def linfty_law_check(spec: DiffusionSpec, weight: WeightFunction,
 
 def post_lastzero_marginal_check(weight: WeightFunction, v: float = 1.0,
                                  u: Optional[float] = None,
-                                 n: int = 100_000, seed=None,
-                                 bins: int = 10, batches: int = 20) -> dict:
+                                 n: int = 100_000, seed=None) -> dict:
     """Maxwell marginal and independence after the Brownian last zero.
 
     Samples exact tuples (last zero ``g``, local time, positions at
     ``g + v`` and at ``u``) under the Brownian law, weights them with the
     martingale at the horizon, and checks two consequences of the tilted
-    law: the weighted law of ``X_{g+v}`` fills equiprobable bins of the
-    Maxwell(sqrt(v)) distribution (total-variation distance reported),
-    and the weighted correlation between the local time and ``X_{g+v}``
-    is zero within error (batch-means standard error).  Tuples whose
-    post-zero window is shorter than ``v`` are dropped; their weighted
-    mass vanishes as ``u`` grows.
+    law: the weighted law of ``X_{g+v}`` fills ten equiprobable bins of
+    the Maxwell(sqrt(v)) distribution (total-variation distance
+    reported), and the weighted correlation between the local time and
+    ``X_{g+v}`` is zero within error (standard error of the means of 20
+    batches).  Tuples whose post-zero window is shorter than ``v`` are
+    dropped; their weighted mass vanishes as ``u`` grows.
     """
     from scipy.stats import maxwell
 
@@ -432,6 +422,7 @@ def post_lastzero_marginal_check(weight: WeightFunction, v: float = 1.0,
         u = penalization_horizon(spec, weight, 0.01, seed=seed)
     if u <= v:
         raise DomainError("u must exceed v")
+    bins, batches = 10, 20
     rng = np.random.default_rng(seed)
     edges = maxwell.ppf(np.linspace(0.0, 1.0, bins + 1), scale=math.sqrt(v))
     edges[0], edges[-1] = 0.0, np.inf

@@ -319,7 +319,7 @@ def exp_moment_check(F: TailDistribution, eps: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 def tauberian_ratio(mu_density: Callable, g1: Callable, g2: Callable,
-                    lam: float, gamma_max: float = math.inf) -> float:
+                    lam: float) -> float:
     """Ratio of two Laplace-type integrals against the same base measure.
 
     ``f_i(lam) = int_0^inf e^{-lam gamma} g_i(gamma) mu(dgamma)``; when the
@@ -335,15 +335,11 @@ def tauberian_ratio(mu_density: Callable, g1: Callable, g2: Callable,
             return math.exp(-lam * g) * float(gfun(g)) \
                 * float(mu_density(g))
 
-        hi = min(gamma_max, 740.0 / lam)
         # head in sqrt-space to soften integrable origin singularities
-        split = min(1.0 / lam, hi)
+        split = 1.0 / lam
         head, _ = integrate(lambda w: integrand(w * w) * 2.0 * w,
                             0.0, math.sqrt(split))
-        if hi > split:
-            body, _ = integrate(integrand, split, hi)
-        else:
-            body = 0.0
+        body, _ = integrate(integrand, split, 740.0 / lam)
         if not math.isfinite(head + body):
             raise IntegrabilityError("Laplace integral diverges")
         return head + body

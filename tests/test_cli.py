@@ -1,10 +1,15 @@
+import hashlib
+import itertools
 import json
 import subprocess
 import sys
 
 import pytest
 
+from levykit import spectral as sp
+from levykit import subexp as sx
 from levykit.cli import main
+from levykit.diffusions import bessel_spec
 
 
 def run_cli(capsys, *argv):
@@ -179,3 +184,100 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# ---------------------------------------------------------------------------
+# pinned output: seeded bytes, and cells that render the library's values
+# ---------------------------------------------------------------------------
+
+# sha256 of stdout, recorded before the command table replaced the
+# per-command row building; seeded Monte Carlo bytes must not move
+SEEDED_STDOUT_SHA256 = {
+    "mc tau --n 2000 --dt 0.01":
+        "bad8ea7d4e111c13745c0f744bd44b62957f919d875511071b7ea2310f2d3163",
+    "mc exponent --spec bessel:1.5 --lam 0.5,2 --n 2000 --dt 0.01":
+        "c2625ee7684d63d2185c7127a900a4946595f6c961ffe7b4fce23207c71a4ae3",
+    "mc doob-meyer --t 0.1,0.2 --n 500 --dt 0.01":
+        "fa5c3c4d4b6aeea3c3cc69966b7f27d385e0c14cb86d7b1962fe6ba46b848ea8",
+    "penalize martingale --weight indicator:1 --weight triangular:2 "
+    "--u 0.1,0.2 --n 500 --dt 0.01":
+        "35832ce4a3dbb2990d07ccd70e555cc7ce06db75705c3dae4c273fdd01c38062",
+    "penalize horizon --n 2000 --dt 0.01":
+        "995a4d6fee2255300a7238c65492bc3ddff3c48bbbea2937464c9f8825c24563",
+    "penalize lawcheck --u 16 --n 2000 --dt 0.01":
+        "bdc3af8ba0bf1bf81c1746419ff017bedfb0fc9641c18cabf55d9e2800f51922",
+    "penalize lawcheck --u 16 --n 2000 --dt 0.01 --format json":
+        "a35890d54f057764df769398688cfc7f59995ebd7e9cad22a7a49fbe23bb6363",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED_STDOUT_SHA256))
+def test_seeded_stdout_pinned(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == SEEDED_STDOUT_SHA256[command]
+
+
+def assert_cells(out, expected_rows):
+    """Every CSV cell is ``repr(float(v))`` of its value (empty for None,
+    verbatim for strings)."""
+    def cell(v):
+        if v is None:
+            return ""
+        return v if isinstance(v, str) else repr(float(v))
+
+    _, rows = parse_csv(out)
+    assert [list(r.values()) for r in rows] \
+        == [[cell(v) for v in row] for row in expected_rows]
+
+
+B15 = bessel_spec(1.5)
+
+
+def test_density_cells_are_library_values(capsys):
+    _, out, _ = run_cli(capsys, "density", "--spec", "bessel:1.5", "--t",
+                        "0.5,1", "--x", "0.4", "--y", "0.7,1.2", "--killed")
+    assert_cells(out, [
+        (t, 0.4, y, "phat") + sp.transition_density(
+            B15, 0.4, y, t, killed=True, tol=1e-9, with_error=True)
+        for t, y in itertools.product((0.5, 1.0), (0.7, 1.2))])
+    _, out, _ = run_cli(capsys, "density", "--spec", "bessel:1.5", "--t",
+                        "2", "--x", "0.3")
+    assert_cells(out, [(2.0, 0.3, 0.3, "p") + sp.transition_density(
+        B15, 0.3, 0.3, 2.0, tol=1e-9, with_error=True)])
+
+
+def test_tails_cells_are_library_values(capsys):
+    _, out, _ = run_cli(capsys, "tails", "--spec", "bessel:1.5", "--t",
+                        "0.5,2", "--x", "1")
+    assert_cells(out, [
+        (t, 1.0) + sp.levy_density(B15, t, tol=1e-9, with_error=True)
+        + sp.levy_tail(B15, t, tol=1e-9, with_error=True)
+        + sp.hitting_tail(B15, 1.0, t, tol=1e-9, with_error=True)
+        for t in (0.5, 2.0)])
+    _, out, _ = run_cli(capsys, "tails", "--spec", "bessel:1.5", "--t", "3")
+    assert_cells(out, [
+        (3.0, None) + sp.levy_density(B15, 3.0, tol=1e-9, with_error=True)
+        + sp.levy_tail(B15, 3.0, tol=1e-9, with_error=True) + (None, None)])
+
+
+def test_eigen_cells_are_library_values(capsys):
+    _, out, _ = run_cli(capsys, "eigen", "--spec", "bessel:1.5", "--x",
+                        "0.5,2", "--gamma", "0,3", "--tol", "1e-10")
+    assert_cells(out, [
+        (x, g, sp.eigenfunction(B15, x, g, kind="A", tol=1e-10),
+         sp.eigenfunction(B15, x, g, kind="C", tol=1e-10), 1e-10)
+        for x, g in itertools.product((0.5, 2.0), (0.0, 3.0))])
+
+
+def test_subexp_cells_are_library_values(capsys):
+    _, out, _ = run_cli(capsys, "subexp-check", "--tail", "pareto:1",
+                        "--tail2", "pareto:0.5:2", "--x", "10,100")
+    F, G = sx.pareto_tail(1.0, 1.0), sx.pareto_tail(0.5, 2.0)
+    expected = []
+    for x in (10.0, 100.0):
+        f, g = float(F.value(x)), float(G.value(x))
+        conv, err = sx.conv_tail(F, G, x, with_error=True)
+        expected.append((x, f, g, conv, err, conv / (f + g), err / (f + g)))
+    assert_cells(out, expected)

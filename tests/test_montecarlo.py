@@ -198,3 +198,14 @@ def test_estimator_input_validation():
         mc.levy_exponent_mc(BM, -1.0)
     with pytest.raises(UnsupportedSpecError):
         mc.sample_tau(spec_from_expressions("x", "2"), 1.0, 10, seed=0)
+
+
+def test_doob_meyer_check_starts_at_the_boundary():
+    # the identity and the occupation bias hold only from 0
+    with pytest.raises(TypeError):
+        mc.doob_meyer_check(BM, [0.1], n_paths=100, dt=0.01, x0=0.5)
+
+
+def test_off_grid_checkpoint_is_a_resolution_error():
+    with pytest.raises(ResolutionError):
+        mc.doob_meyer_check(BM, [0.15, 0.3], n_paths=100, dt=0.1)

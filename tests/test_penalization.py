@@ -9,7 +9,7 @@ from levykit import penalization as pz
 from levykit import spectral as sp
 from levykit.diffusions import (bessel_spec, brownian_spec,
                                 spec_from_expressions)
-from levykit.errors import (DomainError, ToleranceError,
+from levykit.errors import (DomainError, ResolutionError, ToleranceError,
                             UnsupportedSpecError)
 
 BM = brownian_spec()
@@ -241,3 +241,9 @@ def test_martingale_property_thread_invariance():
                                       dt=1e-3, seed=3, threads=4)
     assert rows1[0]["mean"] == rows2[0]["mean"]
     assert rows1[0]["std_error"] == rows2[0]["std_error"]
+
+
+def test_off_grid_horizon_is_a_resolution_error():
+    with pytest.raises(ResolutionError):
+        pz.martingale_property_mc(BM, [pz.indicator_weight(1.0)],
+                                  [0.15, 0.3], dt=0.1)

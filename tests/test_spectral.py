@@ -232,6 +232,47 @@ def test_hitting_tail_monotone_and_bounded():
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
+PRESET_POINTS = dict(
+    delta=st.sampled_from([1.0, 1.5, 0.5]),
+    t=st.floats(math.log(0.01), math.log(100.0)).map(math.exp),
+    x=st.floats(0.3, 3.0), y=st.floats(0.3, 3.0))
+ULPS = 8 * np.finfo(float).eps   # rounding slack, as in the bracket test
+
+
+@settings(max_examples=20, deadline=None)
+@given(**PRESET_POINTS)
+def test_transition_symmetry_within_reported_errors(delta, t, x, y):
+    spec = bessel_spec(delta)
+    for killed in (False, True):
+        a, ea = sp.transition_density(spec, x, y, t, killed=killed,
+                                      with_error=True)
+        b, eb = sp.transition_density(spec, y, x, t, killed=killed,
+                                      with_error=True)
+        assert abs(a - b) <= ea + eb + ULPS * abs(a), (killed, a, b)
+
+
+@settings(max_examples=20, deadline=None)
+@given(**PRESET_POINTS)
+def test_killed_below_full_within_reported_errors(delta, t, x, y):
+    spec = bessel_spec(delta)
+    p, ep = sp.transition_density(spec, x, y, t, with_error=True)
+    q, eq = sp.transition_density(spec, x, y, t, killed=True,
+                                  with_error=True)
+    assert q <= p + ep + eq + ULPS * abs(p), (q, p)
+
+
+@settings(max_examples=20, deadline=None)
+@given(delta=PRESET_POINTS["delta"], t=PRESET_POINTS["t"],
+       x=PRESET_POINTS["x"], later=st.floats(1.0, 4.0))
+def test_hitting_tail_in_unit_interval_and_nonincreasing(delta, t, x, later):
+    spec = bessel_spec(delta)
+    v1, e1 = sp.hitting_tail(spec, x, t, with_error=True)
+    v2, e2 = sp.hitting_tail(spec, x, t * later, with_error=True)
+    for v, e in ((v1, e1), (v2, e2)):
+        assert -e <= v <= 1.0 + e + ULPS, (v, e)
+    assert v2 <= v1 + e1 + e2 + ULPS * v1, (v1, v2)
+
+
 def test_levy_tail_integrates_density():
     t = 1.5
     val, _ = quad(lambda s: sp.levy_density(B15, s), t, np.inf)

@@ -159,7 +159,7 @@ def _arg(*flags, **options):
 
 
 def _command(name, summary, columns, *arguments, note=None,
-             monte_carlo=False, **defaults):
+             monte_carlo=False):
     """Declare subcommand ``name`` (``"mc tau"`` inside a group).
 
     The decorated row function ``rows(args, spec, meta)`` yields one tuple
@@ -168,7 +168,7 @@ def _command(name, summary, columns, *arguments, note=None,
     """
     def bind(rows):
         _COMMANDS.append((name, summary, columns.split(","), note, arguments,
-                          monte_carlo, defaults, rows))
+                          monte_carlo, rows))
         return rows
     return bind
 
@@ -181,8 +181,6 @@ def _add_common(p, monte_carlo):
                    help="output format (default csv)")
     p.add_argument("--out", default=None,
                    help="output file (default stdout)")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="numerical tolerance (default 1e-9)")
     if monte_carlo:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help=f"RNG seed (fixed default {DEFAULT_SEED}, "
@@ -193,8 +191,12 @@ def _add_common(p, monte_carlo):
                        help="grid step for pathwise methods "
                             "(default 1e-3)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default LEVYKIT_THREADS or 1; "
-                            "results do not depend on the thread count)")
+                       help="worker threads (default LEVYKIT_THREADS, else "
+                            "every CPU this process may run on; results do "
+                            "not depend on the thread count)")
+    else:
+        p.add_argument("--tol", type=float, default=1e-9,
+                       help="numerical tolerance (default 1e-9)")
 
 
 _T = _arg("--t", required=True, help="time points, comma list")
@@ -388,8 +390,9 @@ def _penalize_martingale(args, spec, meta):
           "horizon where the leftover weight mass is small",
           "weight,tol,u,leftover,leftover_se,n,seed",
           _WEIGHT,
-          note="--tol here is the leftover-mass threshold (default 0.01)",
-          monte_carlo=True, tol=0.01)
+          _arg("--tol", type=float, default=0.01,
+               help="leftover-mass threshold (default 0.01)"),
+          monte_carlo=True)
 def _penalize_horizon(args, spec, meta):
     weight = _first_weight(args)
     res = pz.penalization_horizon(spec, weight, tol=args.tol, n=args.n,
@@ -433,7 +436,7 @@ def build_parser():
                         version=f"levykit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     groups = {}
-    for (name, summary, columns, note, arguments, monte_carlo, defaults,
+    for (name, summary, columns, note, arguments, monte_carlo,
          rows) in _COMMANDS:
         group, _, leaf = name.rpartition(" ")
         where = sub
@@ -452,7 +455,7 @@ def build_parser():
         for flags, options in arguments:
             p.add_argument(*flags, **options)
         _add_common(p, monte_carlo)
-        p.set_defaults(rows=rows, columns=columns, name=name, **defaults)
+        p.set_defaults(rows=rows, columns=columns, name=name)
     return parser
 
 

@@ -63,10 +63,27 @@ DEFAULT_CHUNK = 25_000
 
 
 def resolve_threads(threads: Optional[int] = None) -> int:
-    """Thread count: the argument, else ``LEVYKIT_THREADS``, else 1."""
+    """Thread count: the argument, else ``LEVYKIT_THREADS``, else the
+    number of CPUs this process may run on.
+
+    A ``LEVYKIT_THREADS`` that is not a nonnegative integer raises
+    :class:`DomainError`.
+    """
     if threads is None:
-        threads = int(os.environ.get("LEVYKIT_THREADS", "1") or 1)
+        env = os.environ.get("LEVYKIT_THREADS", "").strip()
+        if not env:
+            return _available_cpus()
+        if not env.isdecimal():
+            raise DomainError("LEVYKIT_THREADS must be a nonnegative "
+                              f"integer, got {env!r}")
+        threads = int(env)
     return max(1, int(threads))
+
+
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -132,8 +149,8 @@ def _run_chunked(n: int, seed, worker: Callable,
     """
     sizes = _chunk_sizes(n)
     streams = np.random.SeedSequence(seed).spawn(len(sizes))
-    nthreads = resolve_threads(threads)
-    if nthreads == 1 or len(sizes) == 1:
+    nthreads = min(resolve_threads(threads), len(sizes))
+    if nthreads == 1:
         return [worker(np.random.default_rng(s), m)
                 for s, m in zip(streams, sizes)]
     with ThreadPoolExecutor(max_workers=nthreads) as pool:
@@ -381,27 +398,39 @@ def _grid_checkpoints(times: Sequence[float], dt: float,
     idx = [int(round(t / dt)) for t in times]
     if any(abs(i * dt - t) > 1e-9 for i, t in zip(idx, times)):
         raise ResolutionError("checkpoints must sit on the time grid")
+    if len(set(idx)) < len(idx):
+        raise DomainError("checkpoint times must be distinct")
     return times, idx, n_steps, eps
 
 
-def _make_stepper(spec: DiffusionSpec, dt: float):
-    """State-update closure mapping positions forward one grid step."""
+def _make_stepper(spec: DiffusionSpec, dt: float, m: int):
+    """In-place update ``step(x, rng)`` moving ``m`` positions forward one
+    grid step.  It owns its scratch buffers, so every chunk (and so every
+    worker thread) must make its own stepper."""
     if not spec.is_preset:
         raise UnsupportedSpecError(
             "grid simulation is only implemented for the built-in "
             "power-law family (reflected Brownian / Bessel)")
     if spec.delta == 1.0:
         sdt = math.sqrt(dt)
+        z = np.empty(m)
 
         def step(x, rng):
-            return np.abs(x + sdt * rng.standard_normal(x.size))
+            rng.standard_normal(out=z)
+            np.multiply(z, sdt, out=z)
+            x += z
+            np.abs(x, out=x)
     else:
         delta = spec.delta
+        nc = np.empty(m)
 
         def step(x, rng):
             # exact squared-Bessel transition for Z = X^2
-            z = rng.noncentral_chisquare(delta, x * x / dt, size=x.size) * dt
-            return np.sqrt(z)
+            np.multiply(x, x, out=nc)
+            np.divide(nc, dt, out=nc)
+            z = rng.noncentral_chisquare(delta, nc, size=m)
+            z *= dt
+            np.sqrt(z, out=x)
     return step
 
 
@@ -414,13 +443,13 @@ def simulate_path(spec: DiffusionSpec, x0: float, t: float, dt: float,
     n_steps, eps = _check_grid(t, dt, eps)
     if rng is None:
         rng = np.random.default_rng(seed)
-    step = _make_stepper(spec, dt)
+    step = _make_stepper(spec, dt, 1)
     m_eps = cumulative_speed(spec, eps)
     pos = np.empty(n_steps + 1)
     pos[0] = x0
-    x = np.array([x0])
+    x = np.array([float(x0)])
     for k in range(n_steps):
-        x = step(x, rng)
+        step(x, rng)
         pos[k + 1] = x[0]
     in_band = pos < eps
     loc = np.concatenate([[0.0], np.cumsum(in_band[:-1]) * dt / m_eps])
@@ -438,15 +467,18 @@ def _stream_ensemble(spec: DiffusionSpec, x0: float, dt: float,
     """March ``n_paths`` states forward, returning snapshots at the
     requested step indices, in step order: (positions,
     band_occupation_steps)."""
-    step = _make_stepper(spec, dt)
+    step = _make_stepper(spec, dt, n_paths)
     record = set(int(i) for i in record_idx)
     x = np.full(n_paths, float(x0))
     occ = np.zeros(n_paths)
+    in_band = np.empty(n_paths, dtype=bool)
     out = []
     for k in range(1, n_steps + 1):
-        occ += x < eps          # state at time (k-1) dt, left endpoint
-        x = step(x, rng)
-        if k in record:
+        # state at time (k-1) dt, left endpoint
+        np.less(x, eps, out=in_band)
+        occ += in_band
+        step(x, rng)
+        if k in record:     # x and occ are updated in place: copy them
             out.append((x.copy(), occ.copy()))
     return out
 

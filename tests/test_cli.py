@@ -281,3 +281,35 @@ def test_subexp_cells_are_library_values(capsys):
         conv, err = sx.conv_tail(F, G, x, with_error=True)
         expected.append((x, f, g, conv, err, conv / (f + g), err / (f + g)))
     assert_cells(out, expected)
+
+
+@pytest.mark.parametrize("argv", [
+    "mc doob-meyer --t 0.1,0.1 --n 200 --dt 0.01",
+    "penalize martingale --u 0.1,0.1 --n 200 --dt 0.01"])
+def test_repeated_checkpoints_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert "checkpoint times must be distinct" in err
+
+
+def help_text(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command.split() + ["--help"])
+    assert exc.value.code == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("command", [
+    "mc hitting-tail", "mc localtime-tail", "mc exponent", "mc tau",
+    "mc doob-meyer", "penalize martingale", "penalize lawcheck"])
+def test_monte_carlo_commands_take_no_tol(capsys, command):
+    text = help_text(capsys, command)
+    assert "--tol" not in text
+    assert "--dt DT" in text
+    assert ("--threads THREADS worker threads (default LEVYKIT_THREADS, "
+            "else every CPU this process may run on;") in text
+
+
+def test_horizon_tol_is_the_leftover_threshold(capsys):
+    text = help_text(capsys, "penalize horizon")
+    assert "--tol TOL leftover-mass threshold (default 0.01)" in text

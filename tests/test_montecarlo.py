@@ -1,10 +1,15 @@
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainc
 
 from levykit import montecarlo as mc
+from levykit import penalization as pz
 from levykit import spectral as sp
 from levykit.diffusions import (bessel_spec, brownian_spec, levy_exponent,
                                 spec_from_expressions)
@@ -185,10 +190,41 @@ def test_estimator_determinism_and_thread_invariance():
 
 def test_resolve_threads_env(monkeypatch):
     monkeypatch.delenv("LEVYKIT_THREADS", raising=False)
-    assert mc.resolve_threads(None) == 1
+    assert mc.resolve_threads(None) == len(os.sched_getaffinity(0))
     monkeypatch.setenv("LEVYKIT_THREADS", "3")
     assert mc.resolve_threads(None) == 3
     assert mc.resolve_threads(2) == 2
+
+
+@pytest.mark.parametrize("value", ["two", "1.5", "-1", "2x", "-"])
+def test_bad_threads_env_is_a_domain_error(monkeypatch, value):
+    monkeypatch.setenv("LEVYKIT_THREADS", value)
+    with pytest.raises(DomainError, match="LEVYKIT_THREADS"):
+        mc.resolve_threads(None)
+
+
+def test_threads_env_one_runs_serially(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started at LEVYKIT_THREADS=1")
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setenv("LEVYKIT_THREADS", "1")
+    n = 3 * mc.DEFAULT_CHUNK
+    assert mc.estimate_hitting_tail(B15, 1.0, 2.0, n, seed=1).n_paths == n
+
+
+def test_pool_is_no_larger_than_the_chunk_count(monkeypatch):
+    workers = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", Recording)
+    mc.estimate_hitting_tail(B15, 1.0, 2.0, 2 * mc.DEFAULT_CHUNK, seed=1,
+                             threads=8)
+    assert workers == [2]
 
 
 def test_estimator_input_validation():
@@ -209,3 +245,27 @@ def test_doob_meyer_check_starts_at_the_boundary():
 def test_off_grid_checkpoint_is_a_resolution_error():
     with pytest.raises(ResolutionError):
         mc.doob_meyer_check(BM, [0.15, 0.3], n_paths=100, dt=0.1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(steps=st.lists(st.integers(1, 20), min_size=1, max_size=5,
+                      unique=True),
+       data=st.data())
+def test_grid_checkpoints_one_row_per_distinct_time(steps, data):
+    """Both grid checks give one row per distinct on-grid time, sorted,
+    and reject a list that repeats a time."""
+    times = [k * 0.01 for k in steps]
+    checks = [
+        lambda ts: [r["t"] for r in mc.doob_meyer_check(
+            BM, ts, n_paths=200, dt=0.01, seed=0)],
+        lambda ts: [r["u"] for r in pz.martingale_property_mc(
+            BM, [pz.indicator_weight(1.0)], ts, n_paths=200, dt=0.01,
+            seed=0)],
+    ]
+    repeated = data.draw(st.permutations(
+        times + [data.draw(st.sampled_from(times))]))
+    for rows_of in checks:
+        assert rows_of(times) == sorted(times)
+        with pytest.raises(DomainError,
+                           match="checkpoint times must be distinct"):
+            rows_of(repeated)

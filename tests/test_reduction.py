@@ -4,7 +4,7 @@ Every chunked estimator adds its per-chunk sums in chunk order through one
 reducer and forms the mean and standard error once.  The hex values below
 were recorded before that reducer existed; a change in the summation
 order, in either standard-error formula or in the chunk layout flips a bit
-here, at one thread and at two.
+here, at one thread, at two and at the default.
 """
 
 import numpy as np
@@ -120,9 +120,11 @@ def _bits(result):
     return {k: _hex(result[k]) for k in EXPECTED["linfty_law_check"]}
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, None])
 @pytest.mark.parametrize("name", sorted(ESTIMATORS))
-def test_seeded_bits_pinned(name, threads):
+def test_seeded_bits_pinned(name, threads, monkeypatch):
+    # threads=None with LEVYKIT_THREADS unset: every CPU the process may use
+    monkeypatch.delenv("LEVYKIT_THREADS", raising=False)
     assert _bits(ESTIMATORS[name](threads)) == EXPECTED[name]
 
 

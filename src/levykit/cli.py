@@ -158,47 +158,43 @@ def _arg(*flags, **options):
     return flags, options
 
 
-def _command(name, summary, columns, *arguments, note=None,
-             monte_carlo=False):
+def _command(name, summary, columns, *arguments, note=None, after=()):
     """Declare subcommand ``name`` (``"mc tau"`` inside a group).
 
-    The decorated row function ``rows(args, spec, meta)`` yields one tuple
-    per output row in the order of ``columns`` (a comma list, also listed
-    in ``--help``) and may fill ``meta`` with summary fields.
+    ``arguments`` come before the shared ``--spec``, ``--format`` and
+    ``--out`` in ``--help``, and ``after`` (:data:`_TOL` or
+    :data:`_MONTE_CARLO`) after them.  The decorated row function
+    ``rows(args, spec, meta)`` yields one tuple per output row in the order
+    of ``columns`` (a comma list, also listed in ``--help``) and may fill
+    ``meta`` with summary fields.
     """
     def bind(rows):
-        _COMMANDS.append((name, summary, columns.split(","), note, arguments,
-                          monte_carlo, rows))
+        _COMMANDS.append((name, summary, columns.split(","), note,
+                          arguments + (_SPEC, _FORMAT, _OUT) + after, rows))
         return rows
     return bind
 
 
-def _add_common(p, monte_carlo):
-    p.add_argument("--spec", default="brownian",
-                   help="diffusion: brownian, bessel:<delta>, inline JSON "
-                        "or a JSON file path (default brownian)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="output format (default csv)")
-    p.add_argument("--out", default=None,
-                   help="output file (default stdout)")
-    if monte_carlo:
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help=f"RNG seed (fixed default {DEFAULT_SEED}, "
-                            "never time-based)")
-        p.add_argument("--n", type=int, default=100_000,
-                       help="number of Monte Carlo paths (default 100000)")
-        p.add_argument("--dt", type=float, default=1e-3,
-                       help="grid step for pathwise methods "
-                            "(default 1e-3)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default LEVYKIT_THREADS, else "
-                            "every CPU this process may run on; results do "
-                            "not depend on the thread count)")
-    else:
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="numerical tolerance (default 1e-9)")
-
-
+_SPEC = _arg("--spec", default="brownian",
+             help="diffusion: brownian, bessel:<delta>, inline JSON "
+                  "or a JSON file path (default brownian)")
+_FORMAT = _arg("--format", choices=("csv", "json"), default="csv",
+               help="output format (default csv)")
+_OUT = _arg("--out", default=None, help="output file (default stdout)")
+_TOL = (_arg("--tol", type=float, default=1e-9,
+             help="numerical tolerance (default 1e-9)"),)
+_MONTE_CARLO = (
+    _arg("--seed", type=int, default=DEFAULT_SEED,
+         help=f"RNG seed (fixed default {DEFAULT_SEED}, never time-based)"),
+    _arg("--n", type=int, default=100_000,
+         help="number of Monte Carlo paths (default 100000)"),
+    _arg("--dt", type=float, default=1e-3,
+         help="grid step for pathwise methods (default 1e-3)"),
+    _arg("--threads", type=int, default=None,
+         help="worker threads (default LEVYKIT_THREADS, else every CPU "
+              "this process may run on; results do not depend on the "
+              "thread count)"),
+)
 _T = _arg("--t", required=True, help="time points, comma list")
 _ELL = _arg("--ell", type=float, default=1.0)
 _HOW = _arg("--how", choices=("exact", "pathwise"), default="exact",
@@ -218,7 +214,8 @@ _WEIGHT = _arg("--weight", action="append", default=None)
                help="end points, comma list (default: y = x)"),
           _arg("--killed", action="store_true",
                help="density killed at the boundary instead"),
-          note="values are densities with respect to the speed measure")
+          note="values are densities with respect to the speed measure",
+          after=_TOL)
 def _density(args, spec, meta):
     ts = _floats(args.t)
     xs = _floats(args.x)
@@ -236,7 +233,8 @@ def _density(args, spec, meta):
           _T,
           _arg("--x", default=None,
                help="optional start for the boundary-hitting tail"),
-          note="hit_tail columns are empty unless --x is given")
+          note="hit_tail columns are empty unless --x is given",
+          after=_TOL)
 def _tails(args, spec, meta):
     ts = _floats(args.t)
     x = float(args.x) if args.x is not None else None
@@ -257,7 +255,8 @@ def _tails(args, spec, meta):
           _arg("--x", required=True, help="positions, comma list"),
           _arg("--gamma", required=True,
                help="spectral parameters, comma list"),
-          note="A(x;0) = 1 and C(x;0) = S(x), the scale function")
+          note="A(x;0) = 1 and C(x;0) = S(x), the scale function",
+          after=_TOL)
 def _eigen(args, spec, meta):
     for x, g in itertools.product(_floats(args.x), _floats(args.gamma)):
         a = spectral.eigenfunction(spec, x, g, kind="A", tol=args.tol)
@@ -294,7 +293,7 @@ def _subexp(args, spec, meta):
 @_command("mc hitting-tail", "P_x(H_0 > t) vs the closed form",
           "x,t,method,n,seed,estimate,std_error,exact,z",
           _arg("--x", type=float, required=True), _T, _HOW,
-          monte_carlo=True)
+          after=_MONTE_CARLO)
 def _mc_hitting_tail(args, spec, meta):
     for t in _floats(args.t):
         est = mc.estimate_hitting_tail(spec, args.x, t, args.n,
@@ -309,7 +308,7 @@ def _mc_hitting_tail(args, spec, meta):
           "x,ell,t,method,n,seed,estimate,std_error,asymptote,ratio",
           _arg("--x", type=float, default=0.0), _ELL, _T, _HOW,
           note="asymptote = (S(x)+ell) nu((t,inf)); ratio -> 1 as t grows",
-          monte_carlo=True)
+          after=_MONTE_CARLO)
 def _mc_localtime_tail(args, spec, meta):
     for t in _floats(args.t):
         est = mc.estimate_localtime_tail(spec, args.x, t, args.ell, args.n,
@@ -324,7 +323,7 @@ def _mc_localtime_tail(args, spec, meta):
 @_command("mc exponent", "Laplace exponent of tau vs the closed form",
           "lam,ell,n,seed,estimate,std_error,exact,z",
           _arg("--lam", required=True, help="Laplace arguments, comma list"),
-          _ELL, monte_carlo=True)
+          _ELL, after=_MONTE_CARLO)
 def _mc_exponent(args, spec, meta):
     for lam in _floats(args.lam):
         est = mc.levy_exponent_mc(spec, lam, ell=args.ell, n=args.n,
@@ -341,7 +340,7 @@ def _mc_exponent(args, spec, meta):
                help="quantile levels, comma list"),
           note="ci bounds are distribution-free 95% order-statistic "
                "intervals",
-          monte_carlo=True)
+          after=_MONTE_CARLO)
 def _mc_tau(args, spec, meta):
     values = np.sort(mc.sample_tau(spec, args.ell, args.n,
                                    seed=args.seed).values)
@@ -360,7 +359,7 @@ def _mc_tau(args, spec, meta):
           "t,n,seed,scale_mean,local_mean,gap,std_error,bias_correction,z",
           _arg("--t", required=True, help="checkpoint times, comma list"),
           note="local_mean includes the closed-form band correction",
-          monte_carlo=True)
+          after=_MONTE_CARLO)
 def _mc_doob_meyer(args, spec, meta):
     for r in mc.doob_meyer_check(spec, _floats(args.t), n_paths=args.n,
                                  dt=args.dt, seed=args.seed,
@@ -376,7 +375,7 @@ def _mc_doob_meyer(args, spec, meta):
                help="indicator:<ell0>, triangular:<K>, inline JSON or a "
                     "JSON path; repeat for several (default indicator:1.0)"),
           _arg("--u", default="1.0", help="horizons, comma list"),
-          monte_carlo=True)
+          after=_MONTE_CARLO)
 def _penalize_martingale(args, spec, meta):
     weights = [_parse_weight(w) for w in args.weight or ["indicator:1.0"]]
     for r in pz.martingale_property_mc(spec, weights, _floats(args.u),
@@ -392,7 +391,7 @@ def _penalize_martingale(args, spec, meta):
           _WEIGHT,
           _arg("--tol", type=float, default=0.01,
                help="leftover-mass threshold (default 0.01)"),
-          monte_carlo=True)
+          after=_MONTE_CARLO)
 def _penalize_horizon(args, spec, meta):
     weight = _first_weight(args)
     res = pz.penalization_horizon(spec, weight, tol=args.tol, n=args.n,
@@ -408,7 +407,7 @@ def _penalize_horizon(args, spec, meta):
                help="horizon (default: adaptive via the horizon search)"),
           note="summary metadata (weight, u, max_gap, n, seed) rides in\n"
                "CSV comments / JSON fields",
-          monte_carlo=True)
+          after=_MONTE_CARLO)
 def _penalize_lawcheck(args, spec, meta):
     weight = _first_weight(args)
     u = float(args.u) if args.u else None
@@ -436,8 +435,7 @@ def build_parser():
                         version=f"levykit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     groups = {}
-    for (name, summary, columns, note, arguments, monte_carlo,
-         rows) in _COMMANDS:
+    for name, summary, columns, note, arguments, rows in _COMMANDS:
         group, _, leaf = name.rpartition(" ")
         where = sub
         if group:
@@ -454,7 +452,6 @@ def build_parser():
             formatter_class=argparse.RawDescriptionHelpFormatter)
         for flags, options in arguments:
             p.add_argument(*flags, **options)
-        _add_common(p, monte_carlo)
         p.set_defaults(rows=rows, columns=columns, name=name)
     return parser
 

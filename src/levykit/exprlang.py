@@ -6,7 +6,8 @@ Custom diffusions are described in JSON by strings such as
 
 * one free variable ``x``
 * literals, ``+ - * /``, unary minus, ``^`` (or ``**``) for powers
-* the functions ``exp``, ``log``, ``sqrt``, ``pow``
+* calls of the functions ``exp``, ``log``, ``sqrt`` (one argument)
+  and ``pow`` (two)
 * parentheses
 
 Expressions are parsed with :mod:`ast` and validated node-by-node, so no
@@ -38,22 +39,32 @@ _ALLOWED_NODES = (
 
 
 def _validate(node: ast.AST) -> None:
+    names, callees = [], set()
     for child in ast.walk(node):
         if not isinstance(child, _ALLOWED_NODES):
             raise DomainError(
                 f"expression uses disallowed syntax: {ast.dump(child)[:60]}")
         if isinstance(child, ast.Name) and child.id != "x":
-            if child.id not in _ALLOWED_FUNCS:
-                raise DomainError(f"unknown name {child.id!r} in expression")
+            names.append(child)
         if isinstance(child, ast.Call):
+            callees.add(id(child.func))
             if not isinstance(child.func, ast.Name) \
                     or child.func.id not in _ALLOWED_FUNCS:
                 raise DomainError("only exp/log/sqrt/pow calls are allowed")
             if child.keywords:
                 raise DomainError("keyword arguments are not allowed")
+            # a ufunc takes an output array after its inputs: exp(x, x)
+            # would write into the caller's array
+            nin = _ALLOWED_FUNCS[child.func.id].nin
+            if len(child.args) != nin:
+                raise DomainError(f"{child.func.id} takes {nin} argument(s)")
         if isinstance(child, ast.Constant) \
                 and not isinstance(child.value, (int, float)):
             raise DomainError(f"non-numeric literal {child.value!r}")
+    # a function name is only allowed as the callee of a call
+    for name in names:
+        if id(name) not in callees:
+            raise DomainError(f"unknown name {name.id!r} in expression")
 
 
 def compile_expression(text: str) -> Callable:

@@ -21,11 +21,14 @@ for the presets, or, for a general scale/speed pair, the power series
 ``sum (-gamma)^n c_n(x)`` whose coefficients obey the nested recursion
 ``c_{n+1}(x) = int_0^x dS(y) int_0^y c_n dm``; the factorial bound
 ``c_n(x) <= front * B(x)^n / n!`` with ``B(x) = int_0^x m((0,y)) dS(y)``
-makes the truncation error certifiable.  A preset called without a measure
-uses its closed-form :func:`bessel_principal_measure` or
-:func:`bessel_killed_measure`.  No constructive route from a general
-scale/speed pair to its spectral measure is attempted: custom specs must
-come with a user-supplied measure.
+makes the truncation error certifiable.  The recursion of a custom spec is
+kept per ``(spec, x, kind)`` together with ``B(x)``, the front factor and
+the last few converged series, each with an evaluator built once, so a
+repeated call redoes only the ``gamma``-dependent work (see ``_Ladder``).
+A preset called without a measure uses its closed-form
+:func:`bessel_principal_measure` or :func:`bessel_killed_measure`.  No
+constructive route from a general scale/speed pair to its spectral measure
+is attempted: custom specs must come with a user-supplied measure.
 """
 
 from __future__ import annotations
@@ -80,7 +83,8 @@ class EigenSeries:
     ``value(gamma)`` is ``sum_n (-gamma)^n coefficients[n]``; the tail beyond
     the stored terms is bounded by ``front * (gamma * bound_base)^n / n!``
     summed over the missing ``n``, where ``front`` is 1 for an A-series and
-    ``S(x)`` for a C-series.
+    ``S(x)`` for a C-series.  The coefficients are a read-only copy, so a
+    series can be kept and shared.
     """
 
     x: float
@@ -88,11 +92,14 @@ class EigenSeries:
     coefficients: np.ndarray
     bound_base: float              # B(x)
     front: float                   # 1 or S(x)
+    value: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float)
+        c = np.array(self.coefficients, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise DomainError("coefficient list must be non-empty and 1-d")
+        if not np.all(np.isfinite(c)):
+            raise ConsistencyError("non-finite eigenseries coefficient")
         n = np.arange(c.size, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_bound = n * np.log(max(self.bound_base, 0.0)) \
@@ -105,33 +112,60 @@ class EigenSeries:
         if np.any(c > bound * (1 + 1e-6) + 1e-300):
             raise ConsistencyError("eigenseries coefficient exceeds the "
                                    "factorial growth bound")
+        c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
+        object.__setattr__(self, "value", _SignedSeries(c))
 
 
-def _signed_series_eval(coefficients: np.ndarray, gamma) -> np.ndarray:
-    """``sum_n (-gamma)^n c_n`` evaluated in log space.
+class _SignedSeries:
+    """``gamma -> sum_n (-gamma)^n c_n`` for fixed coefficients, evaluated
+    in log space.
 
     The separated powers ``gamma^n`` overflow long before the actual terms
     ``c_n gamma^n`` do (the coefficients decay factorially), so the terms
-    are assembled from ``log c_n + n log gamma`` under a shared shift.
-    ``gamma`` may be a float or an array of any shape.
+    are assembled from ``log c_n + n log|gamma|`` under a shared shift.
+    ``log c_n``, ``n`` and the alternating sign row are made once here; a
+    call pays only for the ``gamma``-dependent work.  The coefficients are
+    finite; ``gamma`` may be a float or an array of any shape (not NaN), and
+    at ``gamma = 0`` the value is ``c_0``.
     """
-    shape = np.shape(gamma)
-    g = np.asarray(gamma, dtype=float).ravel()
-    c = np.asarray(coefficients, dtype=float)
-    ns = np.arange(c.size, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logc = np.log(np.maximum(c, 0.0))
-        logs = logc[None, :] + ns[None, :] * np.log(np.abs(g))[:, None]
-    logs = np.where(np.isnan(logs), -np.inf, logs)
-    m = np.max(logs, axis=1)
-    m = np.where(np.isfinite(m), m, 0.0)
-    signs = (-np.sign(g))[:, None] ** ns[None, :]
-    signs[:, 0] = 1.0
-    vals = np.einsum("ij,ij->i", np.exp(logs - m[:, None]), signs) \
-        * np.exp(m)
-    vals = np.where(g == 0.0, c[0], vals)
-    return vals[0] if not shape else vals.reshape(shape)
+
+    __slots__ = ("_logc", "_n", "_alternating", "_c0")
+
+    def __init__(self, coefficients: np.ndarray):
+        c = np.asarray(coefficients, dtype=float)
+        self._n = np.arange(c.size, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._logc = np.log(np.maximum(c, 0.0))
+        # the signs of (-gamma)^n for gamma > 0; all +1 for gamma < 0
+        self._alternating = (-1.0) ** self._n
+        self._c0 = c[0]
+
+    def __call__(self, gamma):
+        if type(gamma) is float and 0.0 < gamma < math.inf:
+            # a quadrature node: for gamma in (0, inf) the NaN, sign and
+            # zero guards below are identities, so they are left out
+            logs = self._logc[None, :] \
+                + self._n[None, :] * np.log(np.array([gamma]))[:, None]
+            return self._shifted_sum(logs, self._alternating[None, :])[0]
+        g = np.asarray(gamma, dtype=float)
+        shape, g = g.shape, g.ravel()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = self._logc[None, :] \
+                + self._n[None, :] * np.log(np.abs(g))[:, None]
+        logs = np.where(np.isnan(logs), -np.inf, logs)
+        signs = np.where(g[:, None] < 0.0, 1.0, self._alternating)
+        vals = np.where(g == 0.0, self._c0, self._shifted_sum(logs, signs))
+        return vals[0] if not shape else vals.reshape(shape)
+
+    @staticmethod
+    def _shifted_sum(logs: np.ndarray, signs: np.ndarray) -> np.ndarray:
+        """Row sums of ``signs * exp(logs)``, as ``exp(m) * sum(signs *
+        exp(logs - m))`` with ``m`` the row's largest log (0 if infinite)."""
+        m = logs.max(axis=1)
+        m = np.where(np.isfinite(m), m, 0.0)
+        return np.einsum("ij,ij->i", np.exp(logs - m[:, None]), signs) \
+            * np.exp(m)
 
 
 def _poisson_tail(n_terms: int, z: float) -> float:
@@ -198,11 +232,15 @@ def _cumulative_integral(z: np.ndarray, h: np.ndarray,
 # vector ``f`` there, so a longer series extends the stored levels instead
 # of rerunning the recursion.  ``c_n`` on a grid does not depend on how many
 # terms are asked for, so every series is bit-identical to a cold one.  A
-# full ladder holds about 0.5 MB of ``f``; at most _MAX_LADDERS (about 8 MB)
-# stay alive, the least recently used one is dropped first, and a spec's
-# ladders die with it.
+# ladder also keeps ``B(x)`` and the front factor, and the last
+# _SERIES_KEPT converged series by length, each with its evaluator (four
+# float rows of n_terms + 1: 32 bytes a term, about 13 KB at the 400-term
+# cap, so at most about 0.1 MB a ladder).  A full ladder holds about 0.5 MB
+# of ``f``; at most _MAX_LADDERS (about 10 MB) stay alive, the least
+# recently used one is dropped first, and a spec's ladders die with it.
 _LEVELS = 7
 _MAX_LADDERS = 16
+_SERIES_KEPT = 8
 _LADDERS = weakref.WeakKeyDictionary()   # spec -> {(x, kind): _Ladder}
 _LADDERS_LOCK = threading.Lock()
 _LADDER_USE = itertools.count()
@@ -218,6 +256,25 @@ class _Ladder:
         self.coef = [[] for _ in range(_LEVELS)]
         self.f = [None] * _LEVELS
         self.used = 0
+        self.base = self.front = None
+        self.series = {}               # n_terms -> EigenSeries, oldest first
+
+    def constants(self, spec: DiffusionSpec) -> tuple[float, float]:
+        """``(B(x), front)`` of the series, computed on first use."""
+        if self.base is None:
+            self.base = series_bound_base(spec, self.x)
+            self.front = 1.0 if self.kind == "A" \
+                else float(spec.scale(self.x))
+        return self.base, self.front
+
+    def keep(self, n_terms: int, series: EigenSeries) -> EigenSeries:
+        """Store ``series`` as the newest, dropping the oldest beyond
+        _SERIES_KEPT."""
+        self.series.pop(n_terms, None)
+        self.series[n_terms] = series
+        if len(self.series) > _SERIES_KEPT:
+            del self.series[next(iter(self.series))]
+        return series
 
     def coefficients(self, spec: DiffusionSpec, level: int,
                      n_terms: int) -> np.ndarray:
@@ -266,6 +323,17 @@ def _ladder(spec: DiffusionSpec, x: float, kind: str) -> _Ladder:
         return ladder
 
 
+def _series_constants(spec: DiffusionSpec, x: float,
+                      kind: str) -> tuple[float, float]:
+    """``(B(x), front)`` of the eigenseries of ``(spec, x, kind)``, kept on
+    its ladder; ``x = 0`` needs no ladder."""
+    if x == 0.0:
+        return 0.0, 1.0 if kind == "A" else float(spec.scale(x))
+    ladder = _ladder(spec, x, kind)
+    with ladder.lock:
+        return ladder.constants(spec)
+
+
 def eigen_coefficients(spec: DiffusionSpec, x: float, kind: str = "C",
                        n_terms: int = 24) -> EigenSeries:
     """Coefficients ``c_0 .. c_{n_terms}`` of the eigenfunction series at x.
@@ -275,7 +343,9 @@ def eigen_coefficients(spec: DiffusionSpec, x: float, kind: str = "C",
     integration by parts (only ``S`` and the speed density are needed), on a
     geometric grid that is refined until the last coefficient is stable to
     1e-9 relative.  The recursion is kept per ``(spec, x, kind)``, so a
-    repeated or longer request extends it rather than starting over.
+    longer request extends it rather than starting over, and the last few
+    converged series are kept too, so a repeated request returns the same
+    (read-only) series.
     """
     if kind not in ("A", "C"):
         raise DomainError("kind must be 'A' or 'C'")
@@ -283,20 +353,22 @@ def eigen_coefficients(spec: DiffusionSpec, x: float, kind: str = "C",
         raise DomainError("x must be nonnegative")
     if n_terms < 0:
         raise DomainError("n_terms must be nonnegative")
-    base = series_bound_base(spec, x)
     if x == 0.0:
         coef = np.zeros(n_terms + 1)
         front = 1.0 if kind == "A" else 0.0
         coef[0] = front
         return EigenSeries(x=x, kind=kind, coefficients=coef,
                            bound_base=0.0, front=front)
-    front = 1.0 if kind == "A" else float(spec.scale(x))
 
     # refine with Richardson extrapolation across doublings (the spline
     # rule is 4th order); working terms must stabilize to 1e-9 relative,
     # deep terms (needed only to certify truncation tails) to 1e-6
     ladder = _ladder(spec, x, kind)
     with ladder.lock:
+        base, front = ladder.constants(spec)
+        series = ladder.series.get(n_terms)
+        if series is not None:
+            return ladder.keep(n_terms, series)
         prev = ladder.coefficients(spec, 0, n_terms)
         prev_ext = None
         for level in range(1, _LEVELS):
@@ -307,8 +379,9 @@ def eigen_coefficients(spec: DiffusionSpec, x: float, kind: str = "C",
                 tol_per_n = np.where(np.arange(n_terms + 1) <= 24,
                                      1e-9, 1e-6)
                 if np.all(delta <= tol_per_n):
-                    return EigenSeries(x=x, kind=kind, coefficients=ext,
-                                       bound_base=base, front=front)
+                    return ladder.keep(n_terms, EigenSeries(
+                        x=x, kind=kind, coefficients=ext, bound_base=base,
+                        front=front))
             prev, prev_ext = cur, ext
     raise ToleranceError(
         f"eigen recursion failed to stabilize coefficient n={n_terms} "
@@ -334,7 +407,7 @@ def eigen_value(series: EigenSeries, gamma: float, tol: float = 1e-10) -> float:
             f"gamma={gamma:g}"
             + ("" if needed is None else f"; {needed} terms would suffice"),
             minimal_terms=needed)
-    return float(_signed_series_eval(series.coefficients, gamma))
+    return float(series.value(gamma))
 
 
 # Bessel closed forms --------------------------------------------------------
@@ -375,8 +448,7 @@ def eigenfunction(spec: DiffusionSpec, x: float, gamma: float,
         if gamma == 0.0:
             return 1.0 if kind == "A" else float(spec.scale(x))
         return float(_bessel_eigen(spec.alpha, kind, x)(gamma))
-    base = series_bound_base(spec, x)
-    front = 1.0 if kind == "A" else float(spec.scale(x))
+    base, front = _series_constants(spec, x, kind)
     needed = _terms_needed(max(front, 1e-300), gamma * base, tol)
     if needed is None:
         raise ToleranceError(
@@ -605,17 +677,15 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
                                  lambda g: 2.0 * (1.0 + g) ** 0.5)
         evals = [_bessel_eigen(spec.alpha, eig_kind, x) for x in xs]
     else:
-        fronts = [1.0 if eig_kind == "A" else float(spec.scale(x))
-                  for x in xs]
-        bases = [series_bound_base(spec, x) for x in xs]
+        consts = [_series_constants(spec, x, eig_kind) for x in xs]
         # the e^{g B(x)} part of each eigenfunction bound is folded into
         # the damping passed to the cutoff search, so the envelope is just
         # the constant front factor
-        front_prod = math.prod(fronts)
-        g_max, tail = _gamma_max(measure, t - sum(bases), tol,
-                                 lambda g: front_prod)
+        front_prod = math.prod(front for _, front in consts)
+        g_max, tail = _gamma_max(measure, t - sum(base for base, _ in consts),
+                                 tol, lambda g: front_prod)
         evals = []
-        for x, front, base in zip(xs, fronts, bases):
+        for x, (base, front) in zip(xs, consts):
             needed = _terms_needed(max(front, 1e-300), g_max * base, tol)
             if needed is None:
                 raise ToleranceError(
@@ -626,8 +696,7 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
             # the tail bound grows with gamma, so certifying the series at
             # g_max certifies it at every quadrature node
             eigen_value(series, g_max, tol)
-            evals.append(lambda g, c=series.coefficients:
-                         _signed_series_eval(c, g))
+            evals.append(series.value)
 
     density = measure.density
 

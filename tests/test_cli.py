@@ -313,3 +313,22 @@ def test_monte_carlo_commands_take_no_tol(capsys, command):
 def test_horizon_tol_is_the_leftover_threshold(capsys):
     text = help_text(capsys, "penalize horizon")
     assert "--tol TOL leftover-mass threshold (default 0.01)" in text
+
+
+@pytest.mark.parametrize("command", ["density", "tails", "eigen"])
+def test_spectral_commands_take_tol(capsys, command):
+    assert "--tol TOL numerical tolerance (default 1e-9)" \
+        in help_text(capsys, command)
+
+
+def test_subexp_check_takes_no_tol(capsys):
+    argv = ["subexp-check", "--tail", "pareto:1.5", "--x", "10,100"]
+    assert "--tol" not in help_text(capsys, "subexp-check")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol", "1"])
+    assert exc.value.code == 2
+    # stdout as before the unread --tol was removed
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "654f67fab09b9aa12117760deab7715817298b8c6fc6bf37278047d36023981c"

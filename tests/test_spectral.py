@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import erf, gammainc
+from scipy.special import erf, gammainc, gammaln
 
 from levykit import spectral as sp
 from levykit.diffusions import bessel_exponent_constant, bessel_spec, \
@@ -487,6 +487,105 @@ def test_threads_on_one_key_get_identical_bits():
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert got == {i: cold[(6, 12)[i % 2]] for i in range(4)}
+
+
+def test_second_call_reuses_ladder_constants(monkeypatch):
+    custom = spec_from_expressions("x", "2")
+    sp.hitting_tail(custom, 1.0, 4.0, measure=M_KILL_BM)
+    calls = []
+    real = sp.series_bound_base
+    monkeypatch.setattr(sp, "series_bound_base",
+                        lambda *a: calls.append(a) or real(*a))
+    warm = sp.hitting_tail(custom, 1.0, 8.0, measure=M_KILL_BM,
+                           with_error=True)
+    assert calls == []
+    sp._LADDERS.clear()
+    cold = sp.hitting_tail(custom, 1.0, 8.0, measure=M_KILL_BM,
+                           with_error=True)
+    assert calls == [(custom, 1.0)]
+    assert [float(v).hex() for v in warm] == [float(v).hex() for v in cold]
+
+
+def test_ladder_keeps_recent_series_read_only():
+    sp._LADDERS.clear()
+    custom = spec_from_expressions("x", "2")
+    series = sp.eigen_coefficients(custom, 1.0, "C", n_terms=3)
+    assert sp.eigen_coefficients(custom, 1.0, "C", n_terms=3) is series
+    with pytest.raises(ValueError):
+        series.coefficients[0] = 1.0
+    # a caller's array is copied, not frozen
+    mine = np.array([1.0, 0.5])
+    sp.EigenSeries(x=1.0, kind="A", coefficients=mine, bound_base=1.0,
+                   front=1.0)
+    mine[0] = 1.0
+    # only the most recently used lengths stay
+    for n in range(4, 6 + sp._SERIES_KEPT):
+        sp.eigen_coefficients(custom, 1.0, "C", n_terms=n)
+    sp.eigen_coefficients(custom, 1.0, "C", n_terms=6)
+    kept = sp._LADDERS[custom][(1.0, "C")].series
+    assert len(kept) == sp._SERIES_KEPT
+    assert list(kept)[-1] == 6 and 3 not in kept
+
+
+def _signed_series_eval(coefficients, gamma):
+    """The per-call evaluator that ``EigenSeries.value`` replaced, kept as
+    the reference its bits must match."""
+    shape = np.shape(gamma)
+    g = np.asarray(gamma, dtype=float).ravel()
+    c = np.asarray(coefficients, dtype=float)
+    ns = np.arange(c.size, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logc = np.log(np.maximum(c, 0.0))
+        logs = logc[None, :] + ns[None, :] * np.log(np.abs(g))[:, None]
+    logs = np.where(np.isnan(logs), -np.inf, logs)
+    m = np.max(logs, axis=1)
+    m = np.where(np.isfinite(m), m, 0.0)
+    signs = (-np.sign(g))[:, None] ** ns[None, :]
+    signs[:, 0] = 1.0
+    vals = np.einsum("ij,ij->i", np.exp(logs - m[:, None]), signs) \
+        * np.exp(m)
+    vals = np.where(g == 0.0, c[0], vals)
+    return vals[0] if not shape else vals.reshape(shape)
+
+
+@st.composite
+def factorial_coefficients(draw):
+    """``c_n = u_n B^n / n!`` with ``u_n`` uniform on [0, 1], some zero."""
+    n = draw(st.integers(1, 400))
+    base = draw(st.floats(1e-3, 50.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = np.arange(n, dtype=float)
+    c = np.exp(k * math.log(base) - gammaln(k + 1.0)) * rng.random(n)
+    c[rng.random(n) < draw(st.floats(0.0, 0.5))] = 0.0
+    return c
+
+
+GAMMAS = st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(-50.0, 0.0))
+
+
+@st.composite
+def gamma_arguments(draw):
+    form = draw(st.sampled_from(["float", "0-d", "1-d", "2-d"]))
+    if form == "float":
+        return draw(GAMMAS)
+    if form == "0-d":
+        return np.array(draw(GAMMAS))
+    rows = draw(st.integers(1, 3)) if form == "2-d" else 1
+    cols = draw(st.integers(1, 4))
+    g = np.array(draw(st.lists(GAMMAS, min_size=rows * cols,
+                               max_size=rows * cols)))
+    return g.reshape(rows, cols) if form == "2-d" else g
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=factorial_coefficients(), gamma=gamma_arguments())
+def test_series_evaluator_matches_reference_bits(c, gamma):
+    with np.errstate(all="ignore"):
+        got = sp._SignedSeries(c)(gamma)
+        ref = _signed_series_eval(c, gamma)
+    assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
+    assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), \
+        (got, ref)
 
 
 def test_domain_errors():

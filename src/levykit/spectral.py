@@ -126,8 +126,8 @@ class _SignedSeries:
     are assembled from ``log c_n + n log|gamma|`` under a shared shift.
     ``log c_n``, ``n`` and the alternating sign row are made once here; a
     call pays only for the ``gamma``-dependent work.  The coefficients are
-    finite; ``gamma`` may be a float or an array of any shape (not NaN), and
-    at ``gamma = 0`` the value is ``c_0``.
+    finite; ``gamma`` may be a float or an array of any shape, at
+    ``gamma = 0`` the value is ``c_0``, and a NaN ``gamma`` gives NaN.
     """
 
     __slots__ = ("_logc", "_n", "_alternating", "_c0")
@@ -156,6 +156,7 @@ class _SignedSeries:
         logs = np.where(np.isnan(logs), -np.inf, logs)
         signs = np.where(g[:, None] < 0.0, 1.0, self._alternating)
         vals = np.where(g == 0.0, self._c0, self._shifted_sum(logs, signs))
+        vals = np.where(np.isnan(g), np.nan, vals)
         return vals[0] if not shape else vals.reshape(shape)
 
     @staticmethod
@@ -238,6 +239,10 @@ def _cumulative_integral(z: np.ndarray, h: np.ndarray,
 # cap, so at most about 0.1 MB a ladder).  A full ladder holds about 0.5 MB
 # of ``f``; at most _MAX_LADDERS (about 10 MB) stay alive, the least
 # recently used one is dropped first, and a spec's ladders die with it.
+# _SERIES_KEPT covers the lengths one ladder is asked for in practice:
+# ``hitting_tail`` of ``x``/``2`` at x = 1 over 16 values of t in [2, 64]
+# asks for 8 distinct lengths (half its requests repeat one), and a pass of
+# the ``custom`` benchmark workload for at most 7 per ladder.
 _LEVELS = 7
 _MAX_LADDERS = 16
 _SERIES_KEPT = 8

@@ -72,6 +72,23 @@ def test_more_failures_fail_the_comparison(tmp_path, capsys):
     assert table(capsys)[("exact", "work_per_s")][8] == "0/0.02"
 
 
+def test_workload_without_pairs_gets_one_row(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_runs(parent, "paths", [(1, 10.0, 1.0)])
+    write_runs(change, "paths", [(2, 10.0, 1.0)])     # no seed in common
+    write_runs(parent, "custom", [(3, 10.0, 1.0)])
+    write_runs(change, "custom", [(3, 12.0, 1.0)])
+    write_runs(change, "exact", [(4, 10.0, 1.0)])     # change side only
+    code = bench_compare.main([str(parent), str(change), "--benchmark",
+                               str(write_benchmark(tmp_path))])
+    rows = table(capsys)
+    assert code == 0
+    assert rows[("paths", "-")][2:3] == ["0"]
+    assert rows[("paths", "-")][7] == "no pairs"
+    assert rows[("exact", "-")][7] == "no pairs"
+    assert rows[("custom", "work_per_s")][6] == "1/1"
+
+
 def write_benchmark(tmp_path):
     path = tmp_path / "BENCHMARK.json"
     path.write_text(json.dumps({"end_to_end": METRICS}))

@@ -5,7 +5,8 @@
 ``PARENT_OUT`` and ``CHANGE_OUT`` are directories holding the
 ``result-<workload>-seed<N>-trace0.json`` files that ``bench/run.py``
 writes (its ``bench/out``).  Runs are paired by workload and seed; a seed
-present on one side only is skipped.  For every workload and every
+present on one side only is skipped, and a workload without a single pair
+gets one row flagged ``no pairs``.  For every workload and every
 end-to-end metric of ``BENCHMARK.json`` (default: the one at the repository
 root) one row gives the pair count, each side's median with its quartiles,
 the ratio of the medians, and how many pairs the change won (ties count
@@ -85,10 +86,13 @@ def report(parent_runs: dict, change_runs: dict, metrics: list) -> bool:
           "| failed share parent/change |")
     print("|---|---|---|---|---|---|---|---|---|")
     workloads = sorted({w for w, _ in parent_runs}
-                       & {w for w, _ in change_runs})
+                       | {w for w, _ in change_runs})
     for workload in workloads:
         seeds = sorted(s for w, s in parent_runs
                        if w == workload and (w, s) in change_runs)
+        if not seeds:
+            print(f"| {workload} | - | 0 | | | | | no pairs | |")
+            continue
         docs = [(parent_runs[(workload, s)], change_runs[(workload, s)])
                 for s in seeds]
         fails = [sum(map(failed_share, side)) / len(docs)

@@ -10,9 +10,7 @@ from .diffusions import (  # noqa: F401
     spec_from_expressions,
     spec_from_json,
     cumulative_speed,
-    scale_speed_average,
     levy_exponent,
-    resolvent_at_zero,
 )
 from .errors import (  # noqa: F401
     LevykitError,
@@ -57,7 +55,6 @@ from .montecarlo import (  # noqa: F401
     sample_hitting_time,
     sample_tau,
     sample_local_time,
-    simulate_path,
     occupation_bias,
     estimate_hitting_tail,
     estimate_localtime_tail,

@@ -42,10 +42,8 @@ __all__ = [
     "spec_from_json",
     "parse_spec_argument",
     "cumulative_speed",
-    "scale_speed_average",
     "series_bound_base",
     "levy_exponent",
-    "resolvent_at_zero",
     "bessel_exponent_constant",
 ]
 
@@ -276,13 +274,22 @@ def parse_spec_argument(text: str) -> DiffusionSpec:
 # speed/scale integrals
 # ---------------------------------------------------------------------------
 
+def _origin_integral(f: Callable, x: float) -> float:
+    """``int_0^x f`` for an ``f`` that may have an integrable singularity
+    at the origin: split at ``x/2``, with a quadratic substitution on the
+    left piece."""
+    half = 0.5 * x
+    # left piece: z = half * s^2 tames z^q singularities with q > -1
+    left, _ = integrate(lambda s: f(half * s * s) * 2.0 * half * s, 0.0, 1.0)
+    right, _ = integrate(f, half, x)
+    return left + right
+
+
 def cumulative_speed(spec: DiffusionSpec, x: float) -> float:
     """Speed measure of ``(0, x)``.
 
     Presets use the exact power-law form; custom specs integrate the
-    density, splitting at ``x/2`` with a quadratic substitution on the left
-    piece so an integrable singularity of ``m'`` at the origin is handled
-    cleanly.
+    density with :func:`_origin_integral`.
     """
     if x < 0:
         raise DomainError("x must be nonnegative")
@@ -291,38 +298,7 @@ def cumulative_speed(spec: DiffusionSpec, x: float) -> float:
     if spec.is_preset:
         e = 2.0 - 2.0 * spec.alpha
         return x ** e * 2.0 / e
-    half = 0.5 * x
-    # left piece: z = half * s^2 tames z^q singularities with q > -1
-    left, _ = integrate(
-        lambda s: spec.speed_density(half * s * s) * 2.0 * half * s, 0.0, 1.0)
-    right, _ = integrate(spec.speed_density, half, x)
-    return left + right
-
-
-def _scale_speed_integral(spec: DiffusionSpec, x: float) -> float:
-    """``int_0^x S(y) m'(y) dy`` (exact for presets)."""
-    if spec.is_preset:
-        return x * x / (2.0 * spec.alpha)
-    half = 0.5 * x
-
-    def f(y):
-        return spec.scale(y) * spec.speed_density(y)
-
-    left, _ = integrate(lambda s: f(half * s * s) * 2.0 * half * s, 0.0, 1.0)
-    right, _ = integrate(f, half, x)
-    return left + right
-
-
-def scale_speed_average(spec: DiffusionSpec, eps: float) -> float:
-    """Speed-measure average of the scale over the boundary band ``(0, eps)``.
-
-    This is the exact mean shortfall of a band occupation estimate of the
-    local time at zero, so the Monte Carlo module uses it (through the full
-    discrete-time correction) to debias band-normalised local times.
-    """
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    return _scale_speed_integral(spec, eps) / cumulative_speed(spec, eps)
+    return _origin_integral(spec.speed_density, x)
 
 
 def series_bound_base(spec: DiffusionSpec, x: float) -> float:
@@ -338,8 +314,8 @@ def series_bound_base(spec: DiffusionSpec, x: float) -> float:
         return 0.0
     if spec.is_preset:
         return x * x / (2.0 * (1.0 - spec.alpha))
-    return cumulative_speed(spec, x) * float(spec.scale(x)) \
-        - _scale_speed_integral(spec, x)
+    return cumulative_speed(spec, x) * float(spec.scale(x)) - _origin_integral(
+        lambda y: spec.scale(y) * spec.speed_density(y), x)
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +343,6 @@ def levy_exponent(spec: DiffusionSpec, lam: float) -> float:
             "levy_exponent has a closed form only for the presets; for "
             "custom specs use the spectral-measure route in levykit.spectral")
     return float(bessel_exponent_constant(spec.alpha) * lam ** spec.alpha)
-
-
-def resolvent_at_zero(spec: DiffusionSpec, lam: float) -> float:
-    """Resolvent density at the boundary, ``1 / Phi(lam)`` for ``lam > 0``."""
-    if lam <= 0:
-        raise DomainError("lambda must be positive")
-    return 1.0 / levy_exponent(spec, lam)
 
 
 def band_occupancy_probability(spec: DiffusionSpec, s, eps: float):

@@ -41,9 +41,7 @@ from .errors import (DomainError, RangeError, ResolutionError,
 
 __all__ = [
     "McEstimate",
-    "PathSample",
     "SubordinatorSample",
-    "simulate_path",
     "sample_hitting_time",
     "sample_tau",
     "sample_local_time",
@@ -94,26 +92,6 @@ class McEstimate:
     std_error: float
     n_paths: int
     seed: Optional[int] = None
-
-    def half_width(self, k: float = 3.0) -> float:
-        return k * self.std_error
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """One simulated path on a uniform grid.
-
-    ``local_time`` is the raw band-occupation estimate (no bias
-    correction): nondecreasing, flat outside ``[0, band_eps)``.
-    ``hit_zero_at`` is the first grid time the path is inside the band,
-    or None if it never is.
-    """
-
-    times: np.ndarray
-    positions: np.ndarray
-    local_time: np.ndarray
-    band_eps: float
-    hit_zero_at: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -383,18 +361,17 @@ def _check_grid(t: float, dt: float, eps: Optional[float]) -> tuple:
     return n_steps, float(eps)
 
 
-def _grid_checkpoints(times: Sequence[float], dt: float,
-                      eps: Optional[float]) -> tuple:
+def _grid_checkpoints(times: Sequence[float], dt: float) -> tuple:
     """Checkpoint times, sorted and placed on the grid of step ``dt``.
 
     Returns ``(times, step_indices, n_steps, eps)`` with ``n_steps`` the
-    step count to the last checkpoint; a checkpoint off the grid raises
-    :class:`ResolutionError`.
+    step count to the last checkpoint and ``eps = sqrt(dt)`` the local-time
+    band; a checkpoint off the grid raises :class:`ResolutionError`.
     """
     times = sorted(float(t) for t in times)
     if not times or times[0] <= 0:
         raise DomainError("need positive checkpoint times")
-    n_steps, eps = _check_grid(times[-1], dt, eps)
+    n_steps, eps = _check_grid(times[-1], dt, None)
     idx = [int(round(t / dt)) for t in times]
     if any(abs(i * dt - t) > 1e-9 for i, t in zip(idx, times)):
         raise ResolutionError("checkpoints must sit on the time grid")
@@ -432,33 +409,6 @@ def _make_stepper(spec: DiffusionSpec, dt: float, m: int):
             z *= dt
             np.sqrt(z, out=x)
     return step
-
-
-def simulate_path(spec: DiffusionSpec, x0: float, t: float, dt: float,
-                  rng=None, seed=None, eps: Optional[float] = None
-                  ) -> PathSample:
-    """One path on a uniform grid, with raw band-occupation local time."""
-    if x0 < 0:
-        raise DomainError("x0 must be nonnegative")
-    n_steps, eps = _check_grid(t, dt, eps)
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    step = _make_stepper(spec, dt, 1)
-    m_eps = cumulative_speed(spec, eps)
-    pos = np.empty(n_steps + 1)
-    pos[0] = x0
-    x = np.array([float(x0)])
-    for k in range(n_steps):
-        step(x, rng)
-        pos[k + 1] = x[0]
-    in_band = pos < eps
-    loc = np.concatenate([[0.0], np.cumsum(in_band[:-1]) * dt / m_eps])
-    hits = np.flatnonzero(in_band)
-    times = np.arange(n_steps + 1) * dt
-    return PathSample(times=times, positions=pos, local_time=loc,
-                      band_eps=eps,
-                      hit_zero_at=float(times[hits[0]]) if hits.size
-                      else None)
 
 
 def _stream_ensemble(spec: DiffusionSpec, x0: float, dt: float,
@@ -599,8 +549,7 @@ def levy_exponent_mc(spec: DiffusionSpec, lam: float, ell: float = 1.0,
 
 def doob_meyer_check(spec: DiffusionSpec, times: Sequence[float],
                      n_paths: int = 100_000, dt: float = 1e-4,
-                     seed=None, eps: Optional[float] = None,
-                     threads=None) -> list:
+                     seed=None, threads=None) -> list:
     """Compensator identity on grid paths: E[S(X_t)] vs E[L_t] from 0.
 
     Paths start at the boundary, the only start from which the identity
@@ -611,7 +560,7 @@ def doob_meyer_check(spec: DiffusionSpec, times: Sequence[float],
     from the per-path difference, so the two means share their noise.
     """
     _require_preset(spec, "compensator check")
-    times, idx, n_steps, eps = _grid_checkpoints(times, dt, eps)
+    times, idx, n_steps, eps = _grid_checkpoints(times, dt)
     m_eps = cumulative_speed(spec, eps)
 
     def sample(rng, m):

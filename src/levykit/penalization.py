@@ -215,10 +215,10 @@ def martingale_mean_mc(spec: DiffusionSpec, weight: WeightFunction,
                        threads=None) -> mc.McEstimate:
     """Monte Carlo ``E_0[M_u]`` (should be exactly 1).
 
-    ``method="exact"`` uses the Brownian last-zero construction (no time
-    grid, Brownian only); ``"pathwise"`` streams grid paths for any
-    preset, shifting the raw band local time by the closed-form mean
-    occupation bias before evaluating the weight.
+    ``method="exact"`` is :func:`penalized_expectation` with ``F = 1``
+    (the Brownian last-zero construction, no time grid); ``"pathwise"``
+    streams grid paths for any preset, shifting the raw band local time
+    by the closed-form mean occupation bias before evaluating the weight.
 
     The pathwise route is only trustworthy near ``alpha = 1/2``: the
     correction debiases the band local time itself, but its per-path
@@ -233,18 +233,8 @@ def martingale_mean_mc(spec: DiffusionSpec, weight: WeightFunction,
     if u == 0.0:
         return mc.McEstimate(mean=1.0, std_error=0.0, n_paths=n, seed=seed)
     if method == "exact":
-        if spec.delta != 1.0:
-            raise UnsupportedSpecError(
-                "the exact state sampler is Brownian-only; use "
-                "method='pathwise'")
-
-        def sample(rng, m):
-            st = mc.sample_brownian_state(u, m, rng=rng)
-            return [martingale_value(spec, weight, st["position"],
-                                     st["local_time"])]
-
-        (mean, se), = mc._sample_means(n, seed, sample, threads)
-        return mc.McEstimate(mean=mean, std_error=se, n_paths=n, seed=seed)
+        return penalized_expectation(spec, weight, u, lambda x, ell: 1.0,
+                                     n=n, seed=seed, threads=threads)
     if method != "pathwise":
         raise DomainError(f"unknown method {method!r}")
     rows = martingale_property_mc(spec, [weight], [u], n_paths=n, dt=dt,
@@ -258,8 +248,7 @@ def martingale_property_mc(spec: DiffusionSpec,
                            weights: Sequence[WeightFunction],
                            u_values: Sequence[float],
                            n_paths: int = 100_000, dt: float = 1e-4,
-                           seed=None, eps: Optional[float] = None,
-                           threads=None) -> list:
+                           seed=None, threads=None) -> list:
     """Unit-mean battery on one streamed ensemble.
 
     Simulates grid paths from the boundary once, snapshots every
@@ -271,7 +260,7 @@ def martingale_property_mc(spec: DiffusionSpec,
     (weight, u) with the mean, its standard error, and the distance from
     1 in standard errors.
     """
-    u_values, idx, n_steps, eps = mc._grid_checkpoints(u_values, dt, eps)
+    u_values, idx, n_steps, eps = mc._grid_checkpoints(u_values, dt)
     m_eps = cumulative_speed(spec, eps)
     shifts = [mc.occupation_bias(spec, eps, dt, u) for u in u_values]
 
@@ -330,10 +319,7 @@ def penalization_horizon(spec: DiffusionSpec, weight: WeightFunction,
     the subordinator, so one batch of ``tau_1`` draws serves every
     candidate ``u`` through the scaling ``tau_y = y^{1/alpha} tau_1``.
     """
-    alpha = spec.alpha
-    if alpha is None:
-        raise UnsupportedSpecError("horizon estimation needs the "
-                                   "power-law family")
+    alpha = mc._require_preset(spec, "horizon estimation")
     if not 0 < tol < 1:
         raise DomainError("tol must be in (0, 1)")
     rng = np.random.default_rng(seed)
@@ -494,36 +480,31 @@ def uparrow_density(spec: DiffusionSpec, x: float, y: float, t: float,
     return ph / (float(spec.scale(x)) * sy)
 
 
-def uparrow_mass(spec: DiffusionSpec, t: float, measure=None,
-                 tol: float = 1e-9) -> float:
+def uparrow_mass(spec: DiffusionSpec, t: float) -> float:
     """Total mass of the upward-conditioned transition from 0 at time t:
     ``int uparrow_density(t; 0, y) S(y)^2 m(dy)`` — equals 1 when the
-    boundary hitting density integrates correctly against ``S m``."""
+    boundary hitting density integrates correctly against ``S m``.
+
+    Presets only: a custom spec would need its spectral hitting density
+    far past the ``y`` of order ``sqrt(t)`` where it stops certifying.
+    """
     if t <= 0:
         raise DomainError("t must be positive")
-    if spec.is_preset:
-        alpha = spec.alpha
-
-        def integrand(y):
-            f = spec.oracles.hitting_density(y, t)
-            return f * y / alpha          # S(y) m'(y) = y / alpha
-
-        hi = math.sqrt(2.0 * t * 800.0)
-        # split to keep the Gaussian shoulder well resolved
-        v1, _ = integrate(integrand, 0.0, math.sqrt(2.0 * t))
-        v2, _ = integrate(integrand, math.sqrt(2.0 * t), hi)
-        return v1 + v2
-    from . import spectral
+    if not spec.is_preset:
+        raise UnsupportedSpecError("uparrow_mass is preset-only: the "
+                                   "spectral hitting density of a custom "
+                                   "spec does not certify far enough out")
+    alpha = spec.alpha
 
     def integrand(y):
-        f = spectral.hitting_density(spec, y, t, measure=measure, tol=tol)
-        sy = float(spec.scale(y))
-        my = float(spec.speed_density(y))
-        return f * sy * my
+        f = spec.oracles.hitting_density(y, t)
+        return f * y / alpha          # S(y) m'(y) = y / alpha
 
-    hi = math.sqrt(2.0 * t * 200.0)
-    val, _ = integrate(integrand, 1e-6, hi)
-    return val
+    hi = math.sqrt(2.0 * t * 800.0)
+    # split to keep the Gaussian shoulder well resolved
+    v1, _ = integrate(integrand, 0.0, math.sqrt(2.0 * t))
+    v2, _ = integrate(integrand, math.sqrt(2.0 * t), hi)
+    return v1 + v2
 
 
 def numerator_asymptotics_check(spec: DiffusionSpec,

@@ -169,18 +169,12 @@ class _SignedSeries:
             * np.exp(m)
 
 
-def _poisson_tail(n_terms: int, z: float) -> float:
-    """P(Poisson(z) >= n_terms) = regularized lower gamma(n_terms, z)."""
-    if z <= 0.0:
-        return 0.0
-    return float(gammainc(n_terms, z))
-
-
 def _series_tail_bound(front: float, z: float, n_terms: int) -> float:
-    # sum_{n >= n_terms} z^n / n! = e^z P(Poisson(z) >= n_terms)
+    # sum_{n >= n_terms} z^n / n! = e^z P(Poisson(z) >= n_terms), and that
+    # probability is the regularized lower gamma(n_terms, z)
     if z <= 0.0:
         return 0.0
-    return front * math.exp(z) * _poisson_tail(n_terms, z)
+    return front * math.exp(z) * float(gammainc(n_terms, z))
 
 
 def _terms_needed(front: float, z: float, tol: float) -> Optional[int]:
@@ -453,14 +447,26 @@ def eigenfunction(spec: DiffusionSpec, x: float, gamma: float,
         if gamma == 0.0:
             return 1.0 if kind == "A" else float(spec.scale(x))
         return float(_bessel_eigen(spec.alpha, kind, x)(gamma))
-    base, front = _series_constants(spec, x, kind)
+    _, value = _certified_series(spec, x, kind,
+                                 _series_constants(spec, x, kind), gamma, tol)
+    return value
+
+
+def _certified_series(spec: DiffusionSpec, x: float, kind: str,
+                      constants: tuple[float, float], gamma: float,
+                      tol: float) -> tuple[EigenSeries, float]:
+    """The shortest series of ``(spec, x, kind)`` whose tail bound at
+    ``gamma`` is below ``tol``, and its value there; ``constants`` is
+    ``(B(x), front)``.  The bound grows with ``gamma``, so the series is
+    certified on all of ``[0, gamma]``."""
+    base, front = constants
     needed = _terms_needed(max(front, 1e-300), gamma * base, tol)
     if needed is None:
         raise ToleranceError(
-            f"eigenfunction series needs more than {_SERIES_CAP} certified "
-            f"terms at gamma={gamma:g}, x={x:g}")
+            f"eigenfunction series at x={x:g} needs more than {_SERIES_CAP} "
+            f"certified terms up to gamma={gamma:g}")
     series = eigen_coefficients(spec, x, kind, n_terms=needed)
-    return eigen_value(series, gamma, tol)
+    return series, eigen_value(series, gamma, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +480,9 @@ class SpectralMeasure:
     ``kind`` is ``"principal"`` (pairs with A-eigenfunctions, reflected
     kernel) or ``"killed"`` (pairs with C, everything that involves hitting
     the boundary).  ``gamma_cutoff_hint`` is a power ``p`` with
-    ``density(gamma) = O(gamma^p)`` at infinity, used to pick the quadrature
-    cutoff; measures of bounded support set ``support_end`` instead.
+    ``density(gamma) = O(gamma^p)`` at infinity; construction rejects a
+    density that grows faster, and measures of bounded support set
+    ``support_end`` instead.
     Atomic measures are out of scope.
     """
 
@@ -496,10 +503,8 @@ class SpectralMeasure:
 
 
 def _near_zero_power(measure: SpectralMeasure) -> float:
-    lo = 1e-6
-    if math.isfinite(measure.support_end):
-        lo = max(lo, 1e-9)
-    g1, g2 = lo, lo * 10.0
+    g1 = 1e-6
+    g2 = g1 * 10.0
     d1, d2 = float(measure.density(g1)), float(measure.density(g2))
     if d1 < 0 or d2 < 0:
         raise DomainError("spectral density must be nonnegative")
@@ -689,19 +694,9 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
         front_prod = math.prod(front for _, front in consts)
         g_max, tail = _gamma_max(measure, t - sum(base for base, _ in consts),
                                  tol, lambda g: front_prod)
-        evals = []
-        for x, (base, front) in zip(xs, consts):
-            needed = _terms_needed(max(front, 1e-300), g_max * base, tol)
-            if needed is None:
-                raise ToleranceError(
-                    "eigenfunction series not certifiable over the "
-                    f"quadrature range [0, {g_max:.3g}]; reduce the "
-                    "measure support or increase t")
-            series = eigen_coefficients(spec, x, eig_kind, n_terms=needed)
-            # the tail bound grows with gamma, so certifying the series at
-            # g_max certifies it at every quadrature node
-            eigen_value(series, g_max, tol)
-            evals.append(series.value)
+        # a series certified at g_max is certified at every node
+        evals = [_certified_series(spec, x, eig_kind, c, g_max, tol)[0].value
+                 for x, c in zip(xs, consts)]
 
     density = measure.density
 

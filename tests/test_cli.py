@@ -158,6 +158,15 @@ def test_invalid_domain_exits_2(capsys):
     assert "invalid input" in err
 
 
+def test_constant_division_by_zero_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "eigen", "--spec",
+        '{"kind":"custom","scale":"x+1/0","speed_density":"2"}',
+        "--x", "1", "--gamma", "1")
+    assert code == 2 and out == ""
+    assert "invalid input: constant subexpression '1 / 0'" in err
+
+
 def test_tolerance_failure_exits_3(capsys):
     code, _, err = run_cli(
         capsys, "eigen", "--spec",

@@ -11,7 +11,6 @@ from levykit.diffusions import (band_occupancy_probability,
                                 bessel_exponent_constant, bessel_spec,
                                 brownian_spec, cumulative_speed,
                                 levy_exponent, parse_spec_argument,
-                                resolvent_at_zero, scale_speed_average,
                                 series_bound_base, spec_from_expressions,
                                 spec_from_json)
 from levykit.errors import DomainError, UnsupportedSpecError
@@ -71,12 +70,6 @@ def test_series_bound_base_matches_definition_for_custom():
     assert abs(b - ref) < 1e-9
 
 
-def test_scale_speed_average_is_band_mean_of_scale():
-    bm = brownian_spec()
-    # BM: int_0^e y 2dy / (2e) = e/2
-    assert math.isclose(scale_speed_average(bm, 0.2), 0.1, rel_tol=1e-9)
-
-
 def test_levy_exponent_closed_forms():
     bm = brownian_spec()
     # Phi(lam) = sqrt(2 lam)
@@ -118,15 +111,6 @@ def test_bessel_exponent_constant_formula():
     for a in (0.25, 0.5, 0.75):
         expected = gamma(1.0 - a) * 2.0 ** (1.0 - a) / gamma(a)
         assert math.isclose(bessel_exponent_constant(a), expected)
-
-
-def test_resolvent_is_reciprocal_exponent():
-    b15 = bessel_spec(1.5)
-    lam = 3.0
-    assert math.isclose(resolvent_at_zero(b15, lam) * levy_exponent(b15, lam),
-                        1.0, rel_tol=1e-12)
-    with pytest.raises(DomainError):
-        resolvent_at_zero(b15, 0.0)
 
 
 def test_band_occupancy_matches_erf_for_brownian():

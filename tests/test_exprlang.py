@@ -11,7 +11,8 @@ from levykit.exprlang import compile_expression
 # literals, + - * / ** ^, unary -/+, exp/log/sqrt of one argument and pow
 # of two, no keywords); ``safe`` says whether evaluating it on an array
 # leaves every operation to numpy (no operator or call joins literals
-# alone, whose Python arithmetic can raise or run unbounded).
+# alone; such a subexpression is worked out when compiling, and one that
+# is not a finite real number is refused there).
 
 _NUMBERS = st.one_of(st.integers(0, 9).map(str),
                      st.floats(0.1, 9.0).map(repr))
@@ -91,14 +92,18 @@ def test_compile_rejects_exactly_the_asts_outside_the_whitelist(expr):
         with pytest.raises(DomainError):
             compile_expression(text)
         return
+    if not safe:
+        try:
+            compile_expression(text)
+        except DomainError as exc:
+            assert "constant subexpression" in str(exc), text
+        return
     f = compile_expression(text)
-    if safe:
-        for x in (np.array([0.5, 1.0, 2.0]), np.array([[0.3, 1.5],
-                                                       [2.5, 4.0]])):
-            with np.errstate(all="ignore"):
-                out = f(x)
-            assert isinstance(out, np.ndarray), text
-            assert out.shape == x.shape and out.dtype == float, text
+    for x in (np.array([0.5, 1.0, 2.0]), np.array([[0.3, 1.5], [2.5, 4.0]])):
+        with np.errstate(all="ignore"):
+            out = f(x)
+        assert isinstance(out, np.ndarray), text
+        assert out.shape == x.shape and out.dtype == float, text
 
 
 def test_ufunc_output_argument_is_rejected():
@@ -107,3 +112,32 @@ def test_ufunc_output_argument_is_rejected():
     with pytest.raises(DomainError):
         compile_expression("exp(x, x)")(x)
     assert x.tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("text", [
+    "x + 1/0",             # division by zero
+    "x + 2.0**5000.0",     # float overflow
+    "x + (0-1)**0.5",      # complex result
+    "x + 10**400",         # an integer too large for a float
+    "x + pow(9, 400)",     # an integer power past 2^1024, never worked out
+    "x + log(0)",
+    "x + sqrt(0-1)",
+])
+def test_constant_subexpressions_must_be_finite_reals(text):
+    with pytest.raises(DomainError, match="constant subexpression"):
+        compile_expression(text)
+
+
+def test_constant_subexpressions_keep_their_values():
+    x = np.array([0.3, 1.1, 2.0])
+    for text, expected in (("x + 2*3", x + 6), ("-2^2 + x", x - 4),
+                           ("exp(1)*x", np.exp(1) * x),
+                           ("pow(2, 3) * x", np.power(2, 3) * x),
+                           ("x + 3**40", x + 3 ** 40),
+                           # exact, where an int64 power would wrap around
+                           ("x + pow(9, 30)", x + 9 ** 30),
+                           ("x/(1+2.5)", x / 3.5)):
+        f = compile_expression(text)
+        assert f(x).tobytes() == expected.tobytes(), text
+        assert f(0.3) == expected[0], text
+    assert compile_expression("2*3")(x).tolist() == [6.0, 6.0, 6.0]

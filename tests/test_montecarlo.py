@@ -101,24 +101,16 @@ def test_meander_and_positive_step_supports():
 # grid simulation
 # ---------------------------------------------------------------------------
 
-def test_simulate_path_shape_and_monotone_local_time():
-    path = mc.simulate_path(BM, 0.5, 1.0, 1e-3, seed=5)
-    assert path.times[0] == 0.0 and path.times[-1] == 1.0
-    assert np.all(path.positions >= 0.0)
-    assert np.all(np.diff(path.local_time) >= 0.0)
-    assert path.band_eps == pytest.approx(math.sqrt(1e-3))
-    if path.hit_zero_at is not None:
-        assert 0.0 <= path.hit_zero_at <= 1.0
-
-
-def test_simulate_path_grid_validation():
+def test_grid_validation_at_retained_entry_points():
+    # t off the dt grid, and a band narrower than sqrt(dt)
     with pytest.raises(ResolutionError):
-        mc.simulate_path(BM, 0.0, 1.0, 0.3, seed=1)
+        mc.occupation_bias(BM, 0.6, 0.3, 1.0)
     with pytest.raises(ResolutionError):
-        mc.simulate_path(BM, 0.0, 1.0, 1e-2, eps=0.05, seed=1)
+        mc.occupation_bias(BM, 0.05, 1e-2, 1.0)
+    # the grid stepper is preset-only
     with pytest.raises(UnsupportedSpecError):
-        mc.simulate_path(spec_from_expressions("x", "2"), 0.0, 1.0, 1e-3,
-                         seed=1)
+        mc.estimate_hitting_tail(spec_from_expressions("x", "2"), 1.0, 1.0,
+                                 100, seed=1, method="pathwise", dt=1e-3)
 
 
 def test_occupation_bias_frozen_values():
@@ -139,7 +131,6 @@ def test_hitting_tail_estimator_exact_route():
     exact = 0.682689492137087
     assert est.n_paths == 100_000
     assert abs(est.mean - exact) < 3 * est.std_error
-    assert est.half_width(3.0) == 3.0 * est.std_error
 
 
 def test_hitting_tail_estimator_pathwise_route():

@@ -9,7 +9,7 @@ from levykit import penalization as pz
 from levykit import spectral as sp
 from levykit.diffusions import (bessel_spec, brownian_spec,
                                 spec_from_expressions)
-from levykit.errors import (DomainError, ResolutionError, ToleranceError,
+from levykit.errors import (DomainError, ResolutionError,
                             UnsupportedSpecError)
 
 BM = brownian_spec()
@@ -215,13 +215,13 @@ def test_uparrow_mass_is_one():
         assert abs(pz.uparrow_mass(spec, 1.0) - 1.0) < 1e-10
 
 
-def test_uparrow_mass_custom_raises_when_quadrature_fails(monkeypatch):
-    # a non-integrable spike at y = 1: quad cannot converge, and the
-    # custom-spec branch must say so instead of returning a best effort
-    monkeypatch.setattr(sp, "hitting_density",
-                        lambda spec, y, t, measure=None, tol=None:
-                        1.0 / abs(y - 1.0))
-    with pytest.raises(ToleranceError):
+def test_uparrow_mass_custom_spec_is_unsupported(monkeypatch):
+    # refused up front, before any quadrature of the spectral density
+    def spectral_density(*args, **kwargs):
+        raise AssertionError("hitting_density was called")
+
+    monkeypatch.setattr(sp, "hitting_density", spectral_density)
+    with pytest.raises(UnsupportedSpecError):
         pz.uparrow_mass(spec_from_expressions("x", "2"), 1.0)
 
 

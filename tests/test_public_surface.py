@@ -1,0 +1,38 @@
+"""The exported names and the package's re-exports stay in step, so a
+deletion cannot leave a stale entry behind."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import levykit
+
+PACKAGE = Path(levykit.__file__).parent
+MODULES = sorted(m.name for m in pkgutil.iter_modules([str(PACKAGE)]))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_exists(name):
+    module = importlib.import_module(f"levykit.{name}")
+    missing = [n for n in getattr(module, "__all__", ())
+               if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_package_imports_only_exported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"levykit.{node.module}")
+        # a module without __all__ exports its public names
+        exported = getattr(module, "__all__", None) or [
+            n for n in vars(module) if not n.startswith("_")]
+        for alias in node.names:
+            assert alias.name in exported, (node.module, alias.name)
+            assert getattr(levykit, alias.name) \
+                is getattr(module, alias.name)

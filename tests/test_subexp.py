@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from levykit import subexp as sx
@@ -78,6 +80,23 @@ def test_conv_tail_error_estimate_brackets_truth():
         val, err = sx.conv_tail(E, E, x, with_error=True)
         truth = (1.0 + x) * math.exp(-x)
         assert abs(val - truth) <= max(err, 1e-12)
+
+
+_RATES = st.floats(0.25, 4.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_RATES, b=st.one_of(st.none(), _RATES), x=st.floats(0.05, 30.0))
+def test_conv_tail_error_brackets_two_exponentials(a, b, x):
+    # Exp(a) + Exp(b) has tail (b e^{-ax} - a e^{-bx}) / (b - a), written
+    # with expm1 so that it stays exact as b -> a, where it is (1 + ax) e^{-ax}
+    b = a if b is None else b
+    d = b - a
+    ratio = x if d == 0.0 else -math.expm1(-d * x) / d
+    exact = math.exp(-a * x) * (1.0 + a * ratio)
+    val, err = sx.conv_tail(sx.exponential_tail(a), sx.exponential_tail(b),
+                            x, with_error=True)
+    assert abs(val - exact) <= err + 8 * np.finfo(float).eps * abs(exact)
 
 
 def test_conv_tail_structural_bounds():

@@ -280,8 +280,9 @@ def _origin_integral(f: Callable, x: float) -> float:
     left piece."""
     half = 0.5 * x
     # left piece: z = half * s^2 tames z^q singularities with q > -1
-    left, _ = integrate(lambda s: f(half * s * s) * 2.0 * half * s, 0.0, 1.0)
-    right, _ = integrate(f, half, x)
+    left, _ = integrate(lambda ss: [f(half * s * s) * 2.0 * half * s
+                                    for s in ss.tolist()], 0.0, 1.0)
+    right, _ = integrate(lambda ys: [f(y) for y in ys.tolist()], half, x)
     return left + right
 
 

@@ -126,14 +126,18 @@ def compile_expression(text: str) -> Callable:
     if not isinstance(text, str) or not text.strip():
         raise DomainError("expression must be a non-empty string")
     source = text.replace("^", "**")
+    env = {"__builtins__": {}}
     try:
         tree = ast.parse(source, mode="eval")
+        body, value = _fold(tree.body, env)
+        tree.body = body if value is None else _bind(body, value, env)
+        code = compile(tree, "<levykit-expression>", "eval")
     except SyntaxError as exc:
         raise DomainError(f"cannot parse expression {text!r}: {exc}") from exc
-    env = {"__builtins__": {}}
-    body, value = _fold(tree.body, env)
-    tree.body = body if value is None else _bind(body, value, env)
-    code = compile(tree, "<levykit-expression>", "eval")
+    except RecursionError as exc:
+        # the parser, the folding walk and the compiler all recurse once
+        # per nesting level
+        raise DomainError("expression nested too deeply") from exc
     env.update(_ALLOWED_FUNCS)
 
     def func(x):

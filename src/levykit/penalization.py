@@ -75,8 +75,9 @@ class WeightFunction:
     def __post_init__(self):
         if not math.isfinite(self.support_end) or self.support_end <= 0:
             raise DomainError("support_end must be positive and finite")
-        total, _ = integrate(lambda y: float(self.h(y)), 0.0,
-                             self.support_end)
+        total, _ = integrate(lambda ys: [float(self.h(y))
+                                         for y in ys.tolist()],
+                             0.0, self.support_end)
         if abs(total - 1.0) > 1e-8:
             raise DomainError(
                 f"weight density integrates to {total:.10f}, not 1")
@@ -496,9 +497,10 @@ def uparrow_mass(spec: DiffusionSpec, t: float) -> float:
                                    "spec does not certify far enough out")
     alpha = spec.alpha
 
-    def integrand(y):
-        f = spec.oracles.hitting_density(y, t)
-        return f * y / alpha          # S(y) m'(y) = y / alpha
+    def integrand(ys):
+        # S(y) m'(y) = y / alpha
+        return [spec.oracles.hitting_density(y, t) * y / alpha
+                for y in ys.tolist()]
 
     hi = math.sqrt(2.0 * t * 800.0)
     # split to keep the Gaussian shoulder well resolved

@@ -125,9 +125,10 @@ class _SignedSeries:
     ``c_n gamma^n`` do (the coefficients decay factorially), so the terms
     are assembled from ``log c_n + n log|gamma|`` under a shared shift.
     ``log c_n``, ``n`` and the alternating sign row are made once here; a
-    call pays only for the ``gamma``-dependent work.  The coefficients are
-    finite; ``gamma`` may be a float or an array of any shape, at
-    ``gamma = 0`` the value is ``c_0``, and a NaN ``gamma`` gives NaN.
+    call pays only for the ``gamma``-dependent work, and an array of nodes
+    costs one set of array operations.  The coefficients are finite;
+    ``gamma`` may be a float or an array of any shape, at ``gamma = 0`` the
+    value is ``c_0``, and a NaN ``gamma`` gives NaN.
     """
 
     __slots__ = ("_logc", "_n", "_alternating", "_c0")
@@ -142,12 +143,6 @@ class _SignedSeries:
         self._c0 = c[0]
 
     def __call__(self, gamma):
-        if type(gamma) is float and 0.0 < gamma < math.inf:
-            # a quadrature node: for gamma in (0, inf) the NaN, sign and
-            # zero guards below are identities, so they are left out
-            logs = self._logc[None, :] \
-                + self._n[None, :] * np.log(np.array([gamma]))[:, None]
-            return self._shifted_sum(logs, self._alternating[None, :])[0]
         g = np.asarray(gamma, dtype=float)
         shape, g = g.shape, g.ravel()
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -411,24 +406,38 @@ def eigen_value(series: EigenSeries, gamma: float, tol: float = 1e-10) -> float:
 
 # Bessel closed forms --------------------------------------------------------
 
-def _bessel_eigen(alpha: float, kind: str, x: float) -> Callable:
+def _bessel_eigen(alpha: float, kind: str, x: float,
+                  nodewise: bool = False) -> Callable:
     """Closed-form ``A(x; .)`` or ``C(x; .)`` of a Bessel preset, as a
     function of ``gamma > 0`` (a float or an array).
 
     With ``s = sqrt(2 gamma)``: ``A = Gamma(1-a) 2^{-a} (x s)^a J_{-a}(x s)``
     and ``C = Gamma(a) 2^{a-1} x^a s^{-a} J_a(x s)``.  At ``x = 0`` they are
-    the boundary values ``A = 1`` and ``C = S(0) = 0``.
+    the boundary values ``A = 1`` and ``C = S(0) = 0``.  With ``nodewise``
+    the function takes a 1-d array of quadrature nodes and works out the
+    powers of ``2 gamma`` node by node on Python floats, as for a float
+    ``gamma`` (numpy's vectorised ``power`` can differ from libm in the last
+    bit); ``jv`` runs once on the whole array either way.
     """
     if x == 0.0:
         edge = 1.0 if kind == "A" else 0.0
         return lambda g: edge
     if kind == "A":
+        order, power = -alpha, 0.5 * alpha
         c = gamma_fn(1.0 - alpha) * 2.0 ** (-alpha) * x ** alpha
-        return lambda g: c * (2.0 * g) ** (0.5 * alpha) \
-            * jv(-alpha, x * (2.0 * g) ** 0.5)
-    c = gamma_fn(alpha) * 2.0 ** (alpha - 1.0) * x ** alpha
-    return lambda g: c * (2.0 * g) ** (-0.5 * alpha) \
-        * jv(alpha, x * (2.0 * g) ** 0.5)
+    else:
+        order, power = alpha, -0.5 * alpha
+        c = gamma_fn(alpha) * 2.0 ** (alpha - 1.0) * x ** alpha
+    if not nodewise:
+        return lambda g: c * (2.0 * g) ** power \
+            * jv(order, x * (2.0 * g) ** 0.5)
+
+    def eig(g):
+        two_g = (2.0 * g).tolist()
+        front = np.array([c * s ** power for s in two_g])
+        return front * jv(order, np.array([x * s ** 0.5 for s in two_g]))
+
+    return eig
 
 
 def eigenfunction(spec: DiffusionSpec, x: float, gamma: float,
@@ -660,7 +669,8 @@ def _gamma_max(measure: SpectralMeasure, t_eff: float, tol: float,
 
 
 def _integrate_gamma(f: Callable, g_max: float):
-    """``int_0^{g_max} f(gamma) dgamma`` as ``(value, abserr)``.
+    """``int_0^{g_max} f(gamma) dgamma`` as ``(value, abserr)``, for an
+    ``f`` that maps an array of ``gamma > 0`` to their values.
 
     The substitution ``gamma = v^4 / 2`` (``dgamma = 2 v^3 dv``) flattens
     the integrable power singularity a measure density leaves at the
@@ -670,7 +680,12 @@ def _integrate_gamma(f: Callable, g_max: float):
     def integrand(v):
         u = v * v
         g = 0.5 * u * u
-        return 0.0 if g == 0.0 else f(g) * 2.0 * u * v
+        # a node so close to 0 that gamma underflows contributes 0
+        live = g != 0.0
+        out = np.zeros_like(v)
+        out[live] = np.asarray(f(g[live]), dtype=float) * 2.0 * u[live] \
+            * v[live]
+        return out
 
     return integrate(integrand, 0.0, (2.0 * g_max) ** 0.25,
                      settings=_SPECTRAL_QUAD)
@@ -685,7 +700,8 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
         # 2 (1+g)^{1/2} stands in for a bound on the Bessel product
         g_max, tail = _gamma_max(measure, t, tol,
                                  lambda g: 2.0 * (1.0 + g) ** 0.5)
-        evals = [_bessel_eigen(spec.alpha, eig_kind, x) for x in xs]
+        evals = [_bessel_eigen(spec.alpha, eig_kind, x,
+                               nodewise=measure.knots is None) for x in xs]
     else:
         consts = [_series_constants(spec, x, eig_kind) for x in xs]
         # the e^{g B(x)} part of each eigenfunction bound is folded into
@@ -737,9 +753,13 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
         return v8, abs(v8 - v4) + tail
 
     def f(g):
-        val = math.exp(-g * t) * float(density(g))
+        # exp and the density node by node (numpy's vectorised exp can
+        # differ from libm in the last bit); the eigenfunctions, the costly
+        # part, once per array of nodes
+        val = np.array([math.exp(-gi * t) * float(density(gi))
+                        for gi in g.tolist()])
         for e in evals:
-            val *= e(g)
+            val = val * e(g)
         return val / g if inverse_gamma else val
 
     val, err = _integrate_gamma(f, g_max)
@@ -841,8 +861,9 @@ def levy_exponent_from_measure(measure: SpectralMeasure, lam: float,
         raise DomainError("lambda must be nonnegative")
     end = measure.support_end
 
-    def f(g):
-        return lam / (g * (g + lam)) * float(measure.density(g))
+    def f(gs):
+        return [lam / (g * (g + lam)) * float(measure.density(g))
+                for g in gs.tolist()]
 
     if lam == 0.0:
         val, err = 0.0, 0.0

@@ -337,9 +337,11 @@ def tauberian_ratio(mu_density: Callable, g1: Callable, g2: Callable,
 
         # head in sqrt-space to soften integrable origin singularities
         split = 1.0 / lam
-        head, _ = integrate(lambda w: integrand(w * w) * 2.0 * w,
+        head, _ = integrate(lambda ws: [integrand(w * w) * 2.0 * w
+                                        for w in ws.tolist()],
                             0.0, math.sqrt(split))
-        body, _ = integrate(integrand, split, 740.0 / lam)
+        body, _ = integrate(lambda gs: [integrand(g) for g in gs.tolist()],
+                            split, 740.0 / lam)
         if not math.isfinite(head + body):
             raise IntegrabilityError("Laplace integral diverges")
         return head + body

@@ -93,3 +93,43 @@ def write_benchmark(tmp_path):
     path = tmp_path / "BENCHMARK.json"
     path.write_text(json.dumps({"end_to_end": METRICS}))
     return path
+
+
+def test_traced_runs_compare_per_layer_metrics(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_runs(parent, "custom", [(s, 100.0, 1.0) for s in (1, 2, 3)])
+    write_runs(change, "custom", [(s, 100.0, 1.0) for s in (1, 2, 3)])
+    layers = [{"name": "spectral.custom.hitting_tail.ms", "better": "lower"},
+              {"name": "cli.tails.ms", "better": "lower"},
+              {"name": "subexp.conv_tail.ms", "better": "lower"},
+              {"name": "spectral.eigen_reuse_share.custom",
+               "better": "higher"}]
+    # traced runs of two workloads pool into one row per metric:
+    # hitting_tail 3x faster, tails 20% slower, conv_tail within 10%, and
+    # the share present on the parent side only
+    for side, scale in ((parent, 1.0), (change, 1.0 / 3.0)):
+        for workload, seed in (("custom", 1), ("spectral", 1), ("custom", 2)):
+            doc = {"attempted": 1, "failed": 0, "metrics": {
+                "spectral.custom.hitting_tail.ms": {"value": 6.0 * scale
+                                                    + seed},
+                "cli.tails.ms": {"value": 10.0 if side is parent else 12.0},
+                "subexp.conv_tail.ms": {"value": 2.0 + 0.1 * seed}}}
+            if side is parent:
+                doc["metrics"]["spectral.eigen_reuse_share.custom"] = {
+                    "value": 0.5}
+            name = f"result-{workload}-seed{seed}-trace1.json"
+            (side / name).write_text(json.dumps(doc))
+    path = tmp_path / "BENCHMARK.json"
+    path.write_text(json.dumps({"end_to_end": METRICS, "per_layer": layers}))
+    code = bench_compare.main([str(parent), str(change), "--benchmark",
+                               str(path)])
+    rows = table(capsys)
+    # per-layer rows inform; only the end-to-end rows set the exit code
+    assert code == 0
+    fast = rows[("spectral.custom.hitting_tail.ms", "3")]
+    assert fast[5:7] == ["3/3", "gain"]
+    assert fast[2].startswith("7 [")
+    assert rows[("cli.tails.ms", "3")][4:7] == ["1.200", "0/3", "WORSE"]
+    assert rows[("subexp.conv_tail.ms", "3")][6] == ""
+    assert not any(key[0] == "spectral.eigen_reuse_share.custom"
+                   for key in rows)

@@ -167,6 +167,19 @@ def test_constant_division_by_zero_exits_2(capsys):
     assert "invalid input: constant subexpression '1 / 0'" in err
 
 
+@pytest.mark.parametrize("terms", [1201, 5000])
+def test_deeply_nested_expression_exits_2(capsys, terms):
+    # 1,201 terms overflow the recursion of the folding walk, 5,000 that
+    # of the parser itself
+    scale = "+".join(["x"] * terms)
+    code, out, err = run_cli(
+        capsys, "eigen", "--spec",
+        json.dumps({"kind": "custom", "scale": scale, "speed_density": "2"}),
+        "--x", "1", "--gamma", "1")
+    assert code == 2 and out == ""
+    assert "invalid input: expression nested too deeply" in err
+
+
 def test_tolerance_failure_exits_3(capsys):
     code, _, err = run_cli(
         capsys, "eigen", "--spec",

@@ -3,23 +3,30 @@
     python3 tools/bench_compare.py PARENT_OUT CHANGE_OUT [--benchmark FILE]
 
 ``PARENT_OUT`` and ``CHANGE_OUT`` are directories holding the
-``result-<workload>-seed<N>-trace0.json`` files that ``bench/run.py``
+``result-<workload>-seed<N>-trace<0|1>.json`` files that ``bench/run.py``
 writes (its ``bench/out``).  Runs are paired by workload and seed; a seed
 present on one side only is skipped, and a workload without a single pair
 gets one row flagged ``no pairs``.  For every workload and every
 end-to-end metric of ``BENCHMARK.json`` (default: the one at the repository
-root) one row gives the pair count, each side's median with its quartiles,
-the ratio of the medians, and how many pairs the change won (ties count
-for neither side).  The flag column reads
+root) one row of the untraced (``trace0``) runs gives the pair count, each
+side's median with its quartiles, the ratio of the medians, and how many
+pairs the change won (ties count for neither side).  The flag column reads
 
 * ``WORSE`` when the change's median is worse than the parent's by more
   than the metric's ``bound``, as a share of the parent's median;
 * ``gain`` when the change won at least nine tenths of the pairs and its
   median leads the parent's by more than the parent's interquartile range.
 
-A last column gives the failed share of calls on each side.  The exit code
-is 1 when any row reads ``WORSE`` or the change fails a larger share of
-calls, else 0.  Standard library only.
+A last column gives the failed share of calls on each side.
+
+When both sides have traced (``trace1``) runs, a second table does the
+same for every per-layer metric of ``BENCHMARK.json``, over all traced
+pairs at once (each traced run measures every layer, whatever its
+workload), with ``WORSE`` at 10% of the parent's median.  It locates where
+a change saves or costs time; a per-layer value comes from one traced pass
+and has no bound in ``BENCHMARK.json``, so it does not gate.  The exit code
+is 1 when an end-to-end row reads ``WORSE`` or the change fails a larger
+share of calls, else 0.  Standard library only.
 """
 
 from __future__ import annotations
@@ -31,18 +38,23 @@ import statistics
 import sys
 from pathlib import Path
 
-RESULT = re.compile(r"result-(?P<workload>.+)-seed(?P<seed>\d+)-trace0\.json")
+RESULT = re.compile(r"result-(?P<workload>.+)-seed(?P<seed>\d+)"
+                    r"-trace(?P<trace>[01])\.json")
 ROOT = Path(__file__).resolve().parent.parent
+LAYER_BOUND = 0.10
 
 
-def load_runs(directory: Path) -> dict:
-    """``{(workload, seed): result document}`` of one side."""
+def load_runs(directory: Path, trace: int = 0) -> dict:
+    """``{(workload, seed): result document}`` of one side's untraced
+    (``trace=0``) or traced (``trace=1``) runs; a document without metrics
+    is left out."""
     runs = {}
     for path in Path(directory).iterdir():
         match = RESULT.fullmatch(path.name)
-        if match:
-            key = (match["workload"], int(match["seed"]))
-            runs[key] = json.loads(path.read_text(encoding="utf-8"))
+        if match and int(match["trace"]) == trace:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            if doc.get("metrics"):
+                runs[(match["workload"], int(match["seed"]))] = doc
     return runs
 
 
@@ -78,6 +90,14 @@ def _cell(q: tuple) -> str:
     return f"{med:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
+def _summary(row: dict) -> str:
+    """The median, ratio, won and flag cells of a compared metric."""
+    ratio = (row["change"][1] / row["parent"][1]
+             if row["parent"][1] else float("nan"))
+    return (f"{_cell(row['parent'])} | {_cell(row['change'])} "
+            f"| {ratio:.3f} | {row['won']}/{row['pairs']} | {row['flag']}")
+
+
 def report(parent_runs: dict, change_runs: dict, metrics: list) -> bool:
     """Print the table; True when nothing is flagged worse."""
     ok = True
@@ -105,19 +125,39 @@ def report(parent_runs: dict, change_runs: dict, metrics: list) -> bool:
                       c["metrics"][name]["value"]) for p, c in docs]
             row = compare_metric(pairs, metric["better"], metric["bound"])
             ok = ok and row["flag"] != "WORSE"
-            ratio = (row["change"][1] / row["parent"][1]
-                     if row["parent"][1] else float("nan"))
-            print(f"| {workload} | {name} | {row['pairs']} "
-                  f"| {_cell(row['parent'])} | {_cell(row['change'])} "
-                  f"| {ratio:.3f} | {row['won']}/{row['pairs']} "
-                  f"| {row['flag']} | {fails[0]:.3g}/{fails[1]:.3g} |")
+            print(f"| {workload} | {name} | {row['pairs']} | {_summary(row)} "
+                  f"| {fails[0]:.3g}/{fails[1]:.3g} |")
     return ok
+
+
+def report_layers(parent_runs: dict, change_runs: dict,
+                  metrics: list) -> None:
+    """Print the per-layer table over every traced pair, if there is one;
+    a metric that either side lacks is skipped."""
+    keys = sorted(set(parent_runs) & set(change_runs))
+    if not keys:
+        return
+    print()
+    print("| per-layer metric | pairs | parent median [q1, q3] "
+          "| change median [q1, q3] | change/parent | change won "
+          f"| flag (worse at {LAYER_BOUND:.0%}) |")
+    print("|---|---|---|---|---|---|---|")
+    for metric in metrics:
+        name = metric["name"]
+        pairs = [(parent_runs[k]["metrics"][name]["value"],
+                  change_runs[k]["metrics"][name]["value"]) for k in keys
+                 if name in parent_runs[k]["metrics"]
+                 and name in change_runs[k]["metrics"]]
+        if pairs:
+            row = compare_metric(pairs, metric["better"], LAYER_BOUND)
+            print(f"| {name} | {row['pairs']} | {_summary(row)} |")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Pair parent and change benchmark results by workload "
-                    "and seed, and compare their end-to-end metrics.")
+                    "and seed, and compare their end-to-end and per-layer "
+                    "metrics.")
     parser.add_argument("parent", type=Path, help="parent's bench/out")
     parser.add_argument("change", type=Path, help="change's bench/out")
     parser.add_argument("--benchmark", type=Path,
@@ -128,6 +168,9 @@ def main(argv=None) -> int:
     metrics = json.loads(args.benchmark.read_text(encoding="utf-8"))
     ok = report(load_runs(args.parent), load_runs(args.change),
                 metrics["end_to_end"])
+    report_layers(load_runs(args.parent, trace=1),
+                  load_runs(args.change, trace=1),
+                  metrics.get("per_layer", []))
     return 0 if ok else 1
 
 

@@ -104,9 +104,6 @@ _WG7 = (0.0, 0.129484966168869693270611432679082,
         0.0, 0.381830050505118944950369775488975,
         0.0, 0.417959183673469387755102040816327)
 
-_X21 = np.array(_XGK21[:-1])
-_X15 = np.array(_XGK15[:-1])
-
 _MESSAGES = {
     1: "the maximum number of subdivisions has been achieved",
     2: "roundoff error prevents the requested tolerance from being achieved",
@@ -193,19 +190,23 @@ def _panels(func, bound=None):
     panels asked for at once: 21-point panels of a finite range, or, with
     ``bound``, 15-point panels of ``[bound, inf)`` mapped onto ``(0, 1]``
     by ``x = bound + (1 - t) / t``, ``dx = dt / t^2``."""
-    rule, kronrod = (_X21, _kronrod21) if bound is None \
-        else (_X15, _kronrod15)
-    size = 2 * rule.size + 1
+    rule, kronrod = (_XGK21[:-1], _kronrod21) if bound is None \
+        else (_XGK15[:-1], _kronrod15)
+    size = 2 * len(rule) + 1
 
     def panels(*intervals):
-        centr = np.array([0.5 * (a + b) for a, b in intervals])[:, None]
-        hlgth = [0.5 * (b - a) for a, b in intervals]
-        absc = np.array(hlgth)[:, None] * rule
-        t = np.hstack([centr, centr - absc, centr + absc]).ravel()
+        nodes, hlgths = [], []
+        for a, b in intervals:
+            centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+            absc = [hlgth * x for x in rule]
+            nodes += [centr, *[centr - d for d in absc],
+                      *[centr + d for d in absc]]
+            hlgths.append(hlgth)
+        t = np.array(nodes)
         fv = _values(func, t) if bound is None \
             else _values(func, bound + (1.0 - t) / t) / t / t
         fv = fv.tolist()
-        return [kronrod(fv, size * k, h) for k, h in enumerate(hlgth)]
+        return [kronrod(fv, size * k, h) for k, h in enumerate(hlgths)]
     return panels
 
 

@@ -52,8 +52,9 @@ _EPMACH = sys.float_info.epsilon        # d1mach(4)
 _UFLOW = sys.float_info.min             # d1mach(1)
 _OFLOW = sys.float_info.max             # d1mach(2)
 
-# dqk21: Kronrod abscissae (descending, the centre last), the Kronrod
-# weights, and the weights of the 10-point Gauss rule on the even abscissae
+# dqk21: Kronrod abscissae (descending; the centre 0 is left out), the
+# Kronrod weights (the centre's last), and the weights of the 10-point Gauss
+# rule on the abscissae of odd index
 _XGK21 = (0.995657163025808080735527280689003,
           0.973906528517171720077964012084452,
           0.930157491355708226001207180059508,
@@ -63,8 +64,7 @@ _XGK21 = (0.995657163025808080735527280689003,
           0.562757134668604683339000099272694,
           0.433395394129247190799265943165784,
           0.294392862701460198131126603103866,
-          0.148874338981631210884826001129720,
-          0.0)
+          0.148874338981631210884826001129720)
 _WGK21 = (0.011694638867371874278064396062192,
           0.032558162307964727478818972459390,
           0.054755896574351996031381300244580,
@@ -82,15 +82,16 @@ _WG10 = (0.066671344308688137593568809893332,
          0.269266719309996355091226921569469,
          0.295524224714752870173892994651338)
 
-# dqk15i: the same layout for the 15-point Kronrod / 7-point Gauss pair
+# dqk15i: the same for the 15-point Kronrod / 7-point Gauss pair, with the
+# Gauss weights listed per Kronrod abscissa (0 off the Gauss nodes), the
+# centre's last
 _XGK15 = (0.991455371120812639206854697526329,
           0.949107912342758524526189684047851,
           0.864864423359769072789712788640926,
           0.741531185599394439863864773280788,
           0.586087235467691130294144845693013,
           0.405845151377397166906606412076961,
-          0.207784955007898467600689403773245,
-          0.0)
+          0.207784955007898467600689403773245)
 _WGK15 = (0.022935322010529224963732008058970,
           0.063092092629978553290700663189204,
           0.104790010322250183839876322541518,
@@ -190,8 +191,8 @@ def _panels(func, bound=None):
     panels asked for at once: 21-point panels of a finite range, or, with
     ``bound``, 15-point panels of ``[bound, inf)`` mapped onto ``(0, 1]``
     by ``x = bound + (1 - t) / t``, ``dx = dt / t^2``."""
-    rule, kronrod = (_XGK21[:-1], _kronrod21) if bound is None \
-        else (_XGK15[:-1], _kronrod15)
+    rule, kronrod = (_XGK21, _kronrod21) if bound is None \
+        else (_XGK15, _kronrod15)
     size = 2 * len(rule) + 1
 
     def panels(*intervals):
@@ -334,7 +335,7 @@ def _ratio(x: float, y: float) -> float:
 
 
 def _qags(panels, a, b, epsabs, epsrel, limit, small):
-    """The ``dqagse`` / ``dqagie`` driver on ``[a, b]`` (``(0, 1]`` for the
+    """The ``dqagse`` / ``dqagie`` main loop on ``[a, b]`` (``(0, 1]`` for the
     mapped semi-infinite range), with ``small`` the first smallest-panel
     width.  Returns ``(result, abserr, last, ier)``, ``ier`` as QUADPACK
     reports it."""

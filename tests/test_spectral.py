@@ -350,6 +350,23 @@ def test_measure_from_table_reproduces_closed_forms():
         assert rel < 5e-3, t
 
 
+# the 2000-knot table of the reflected Brownian killed measure, and values
+# of the Brownian Levy tail on it, as hex; here the 8- and 4-point cell sums
+# agree to the last bit, so |v8 - v4| alone would report a zero error
+TABLE_GRID = np.geomspace(1e-14, 2e3, 2000)
+TABLE_LEVY_TAIL = {0.1: "0x1.42f600e7f3fddp+1", 1.0: "0x1.988450388de2ep-1",
+                   10.0: "0x1.025e61afe76b7p-2"}
+
+
+@pytest.mark.parametrize("t", sorted(TABLE_LEVY_TAIL))
+def test_table_measure_error_covers_summation_rounding(t):
+    tab = sp.measure_from_table(TABLE_GRID, M_KILL_BM.density(TABLE_GRID),
+                                kind="killed")
+    val, err = sp.levy_tail(BM, t, measure=tab, with_error=True)
+    assert val.hex() == TABLE_LEVY_TAIL[t]
+    assert err > 0.0
+
+
 def test_levy_exponent_from_measure():
     got = sp.levy_exponent_from_measure(M_KILL_BM, 2.0)
     assert abs(got - 2.0) < 1e-9

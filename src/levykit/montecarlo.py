@@ -287,6 +287,11 @@ def sample_brownian_state(u: float, n: int, rng=None, seed=None) -> dict:
     return {"last_zero": g, "local_time": loc, "position": pos}
 
 
+def _require_rng(rng) -> None:
+    if rng is None:
+        raise DomainError("rng is required: pass a numpy Generator")
+
+
 def sample_meander_position(r, v: float, n: Optional[int] = None,
                             rng=None) -> np.ndarray:
     """Position at time ``v`` of a Brownian meander of length ``r``.
@@ -295,10 +300,13 @@ def sample_meander_position(r, v: float, n: Optional[int] = None,
     lengths, all ``>= v``.  Rejection from the Rayleigh(sqrt(v)) proposal
     with acceptance ``2 Phi(y / sqrt(r - v)) - 1`` (the probability a
     Brownian bridge stays positive past ``y``); at ``r == v`` this is the
-    meander endpoint, plain Rayleigh(sqrt(v)).
+    meander endpoint, plain Rayleigh(sqrt(v)).  ``rng`` is required.
     """
+    _require_rng(rng)
     r = np.asarray(r, dtype=float)
     if r.ndim == 0:
+        if n is None:
+            raise DomainError("a scalar r needs n, the number of draws")
         r = np.full(int(n), float(r))
     if v <= 0 or np.any(r < v):
         raise DomainError("need 0 < v <= r")
@@ -323,7 +331,9 @@ def sample_positive_step(y, w, rng) -> np.ndarray:
 
     Rejection from the free Gaussian step: discard nonpositive
     proposals, accept ``z`` with probability ``1 - exp(-2 y z / w)``.
+    ``rng`` is required.
     """
+    _require_rng(rng)
     y = np.asarray(y, dtype=float)
     w = np.broadcast_to(np.asarray(w, dtype=float), y.shape).copy()
     if np.any(y <= 0):
@@ -383,13 +393,24 @@ def _grid_checkpoints(times: Sequence[float], dt: float) -> tuple:
 def _make_stepper(spec: DiffusionSpec, dt: float, m: int):
     """In-place update ``step(x, rng)`` moving ``m`` positions forward one
     grid step.  It owns its scratch buffers, so every chunk (and so every
-    worker thread) must make its own stepper."""
+    worker thread) must make its own stepper.
+
+    Every step is exact.  Brownian motion reflects a Gaussian step.  The
+    Bessel square ``Z = X^2`` moves to ``dt * chi2(delta, Z/dt)``, which
+    for ``delta`` in (1, 2) is drawn as
+    ``(X + sqrt(dt) N)^2 + 2 dt G exp(-E/a)`` with ``a = (delta-1)/2``:
+    the noncentral split ``chi2(delta, lam) = (N + sqrt(lam))^2 +
+    chi2(delta-1)`` and ``Gamma(a) = Gamma(a+1) U^{1/a}`` for shape below
+    one (Marsaglia & Tsang 2000), ``U = exp(-E)`` with ``E ~ Exp(1)``.  Each
+    draw fills a buffer in place.  ``delta < 1`` has no Gaussian part and
+    keeps numpy's ``noncentral_chisquare``.
+    """
     if not spec.is_preset:
         raise UnsupportedSpecError(
             "grid simulation is only implemented for the built-in "
             "power-law family (reflected Brownian / Bessel)")
+    sdt = math.sqrt(dt)
     if spec.delta == 1.0:
-        sdt = math.sqrt(dt)
         z = np.empty(m)
 
         def step(x, rng):
@@ -397,12 +418,28 @@ def _make_stepper(spec: DiffusionSpec, dt: float, m: int):
             np.multiply(z, sdt, out=z)
             x += z
             np.abs(x, out=x)
+    elif spec.delta > 1.0:
+        a = (spec.delta - 1.0) / 2.0
+        z, w = np.empty(m), np.empty(m)
+
+        def step(x, rng):
+            rng.standard_normal(out=z)
+            rng.standard_gamma(a + 1.0, out=w)
+            np.multiply(z, sdt, out=z)
+            x += z
+            np.multiply(x, x, out=x)
+            rng.standard_exponential(out=z)
+            np.multiply(z, -1.0 / a, out=z)
+            np.exp(z, out=z)
+            np.multiply(w, z, out=w)
+            np.multiply(w, 2.0 * dt, out=w)
+            x += w
+            np.sqrt(x, out=x)
     else:
         delta = spec.delta
         nc = np.empty(m)
 
         def step(x, rng):
-            # exact squared-Bessel transition for Z = X^2
             np.multiply(x, x, out=nc)
             np.divide(nc, dt, out=nc)
             z = rng.noncentral_chisquare(delta, nc, size=m)

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc
+from scipy.stats import kstest, ncx2
 
 from levykit import montecarlo as mc
 from levykit import penalization as pz
@@ -97,6 +99,21 @@ def test_meander_and_positive_step_supports():
     assert np.array_equal(same, pos)
 
 
+def test_meander_scalar_length_needs_n():
+    with pytest.raises(DomainError, match="needs n"):
+        mc.sample_meander_position(2.0, 1.0, rng=np.random.default_rng(0))
+
+
+def test_meander_needs_rng():
+    with pytest.raises(DomainError, match="rng"):
+        mc.sample_meander_position(np.full(10, 2.0), 1.0)
+
+
+def test_positive_step_needs_rng():
+    with pytest.raises(DomainError, match="rng"):
+        mc.sample_positive_step(np.ones(10), 0.5, None)
+
+
 # ---------------------------------------------------------------------------
 # grid simulation
 # ---------------------------------------------------------------------------
@@ -111,6 +128,42 @@ def test_grid_validation_at_retained_entry_points():
     with pytest.raises(UnsupportedSpecError):
         mc.estimate_hitting_tail(spec_from_expressions("x", "2"), 1.0, 1.0,
                                  100, seed=1, method="pathwise", dt=1e-3)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-2])
+@pytest.mark.parametrize("x0", [0.0, 0.03, 1.0])
+@pytest.mark.parametrize("delta", [0.5, 1.5, 1.9, 1.001])
+def test_bessel_grid_step_law(delta, x0, dt):
+    """One grid step of the squared Bessel process moves ``x0^2`` to
+    ``dt * chi2(delta, x0^2/dt)``, mean ``x0^2 + delta dt``, variance
+    ``2 delta dt^2 + 4 x0^2 dt``.  At ``delta = 1.001`` the factor
+    ``U^{1/a}`` underflows, and the states must stay finite and
+    nonnegative."""
+    n = 40_000
+    x = np.full(n, x0)
+    mc._make_stepper(bessel_spec(delta), dt, n)(x, np.random.default_rng(7))
+    assert np.all(np.isfinite(x)) and np.all(x >= 0.0)
+    z = x * x
+    assert kstest(z, ncx2(delta, x0 * x0 / dt, scale=dt).cdf).pvalue > 1e-3
+    mean, var = x0 * x0 + delta * dt, 2 * delta * dt * dt + 4 * x0 * x0 * dt
+    assert abs(z.mean() - mean) < 5 * math.sqrt(var / n)
+    dev2 = (z - z.mean()) ** 2
+    assert abs(z.var(ddof=1) - var) < 5 * dev2.std() / math.sqrt(n)
+
+
+@pytest.mark.parametrize("spec", [BM, B15], ids=["brownian", "bessel"])
+def test_grid_step_allocates_less_than_a_state_array(spec):
+    x = np.full(mc.DEFAULT_CHUNK, 0.1)
+    rng = np.random.default_rng(0)
+    step = mc._make_stepper(spec, 1e-3, x.size)
+    step(x, rng)
+    tracemalloc.start()
+    try:
+        step(x, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes
 
 
 def test_occupation_bias_frozen_values():

@@ -59,13 +59,13 @@ EXPECTED = {
     "localtime_pathwise": ("0x1.d80215d20ce24p-2", "0x1.1697ba158925fp-9"),
     "levy_exponent_mc": ("0x1.59f285a91031cp-1", "0x1.a4788a0110942p-9"),
     "doob_meyer": [
-        dict(zip(_DM, ("0x1.999999999999ap-4", "0x1.17d0b3777273cp+0",
-                       "0x1.171532ca8e028p+0", "0x1.770159c8e2b00p-9",
-                       "0x1.78d01ca492979p-9", "0x1.6bbd1fa0a5e5ep-2")),
+        dict(zip(_DM, ("0x1.999999999999ap-4", "0x1.17b8b0d264f18p+0",
+                       "0x1.17ddd8eafc83ep+0", "-0x1.2940c4bc93600p-11",
+                       "0x1.788dfc40244afp-9", "0x1.6bbd1fa0a5e5ep-2")),
              n_paths=N),
-        dict(zip(_DM, ("0x1.999999999999ap-3", "0x1.4c88f47184136p+0",
-                       "0x1.4ba2191ca62aep+0", "0x1.cdb6a9bbd0f00p-9",
-                       "0x1.f132eb5764ca7p-9", "0x1.695d57316d6a0p-2")),
+        dict(zip(_DM, ("0x1.999999999999ap-3", "0x1.4c80fce25db93p+0",
+                       "0x1.4cbcfc1da9ce9p+0", "-0x1.dff9da60abc00p-11",
+                       "0x1.f18da0f78d0f9p-9", "0x1.695d57316d6a0p-2")),
              n_paths=N),
     ],
     "martingale_mean_exact": ("0x1.0078fcef72879p+0",

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import montecarlo as mc
+from . import spectral
 from .diffusions import DiffusionSpec, cumulative_speed
 from .errors import (DomainError, RangeError, ToleranceError,
                      UnsupportedSpecError)
@@ -163,7 +163,7 @@ def weight_from_table(xs, hs, name: str = "table-weight") -> WeightFunction:
 
     # cum may have flat stretches; thin to strictly increasing for inversion
     keep = np.concatenate([[True], np.diff(cum) > 0])
-    inv = PchipInterpolator(cum[keep], xs[keep], extrapolate=False)
+    inv = spectral._pchip(cum[keep], xs[keep])
 
     def quantile(q):
         q = np.clip(np.asarray(q, dtype=float), 0.0, float(cum[keep][-1]))
@@ -462,7 +462,6 @@ def uparrow_density(spec: DiffusionSpec, x: float, y: float, t: float,
     """Transition density of the upward-conditioned diffusion wrt its
     own speed measure ``S^2 m``: ``phat(t; x, y) / (S(x) S(y))``, with
     the ``x = 0`` limit ``(hitting density from y) / S(y)``."""
-    from . import spectral
     if x < 0 or y <= 0:
         raise DomainError("need x >= 0 and y > 0")
     sy = float(spec.scale(y))
@@ -520,7 +519,6 @@ def numerator_asymptotics_check(spec: DiffusionSpec,
     mass of ``h``.  Sampled with the exact marginal local-time draw; the
     excursion tail comes from the spectral route.
     """
-    from . import spectral
     rng = np.random.default_rng(seed)
     lt = mc.sample_local_time(spec, a, t, n, rng=rng)
     vals = np.asarray(weight.h(lt), dtype=float)

@@ -159,7 +159,9 @@ def _panels(func):
 def _mapped(func, a: float):
     """``[a, inf)`` mapped onto ``(0, 1]`` as QAGI maps it: ``x = a + (1 -
     t) / t``, ``dx = dt / t^2``.  No Kronrod node lies on an endpoint, so
-    ``t = 0`` is never evaluated."""
+    ``t = 0`` is never evaluated; but a node next to ``t = 1`` can round
+    to ``t >= 1``, so ``x`` can fall at or just below ``a``, and an
+    integrand singular at ``a`` may be evaluated there and raise."""
     return lambda t: _values(func, a + (1.0 - t) / t) / t / t
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.linalg import solve_banded
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc, gammaln, jv
 
@@ -143,13 +143,17 @@ class _SignedSeries:
         self._c0 = c[0]
 
     def __call__(self, gamma):
+        return self._prefix_sum(gamma, None)
+
+    def _prefix_sum(self, gamma, terms: Optional[int]):
+        """The sum of the first ``terms`` terms (None: all) at ``gamma``."""
         g = np.asarray(gamma, dtype=float)
         shape, g = g.shape, g.ravel()
+        logc, n = self._logc[:terms], self._n[:terms]
         with np.errstate(divide="ignore", invalid="ignore"):
-            logs = self._logc[None, :] \
-                + self._n[None, :] * np.log(np.abs(g))[:, None]
+            logs = logc[None, :] + n[None, :] * np.log(np.abs(g))[:, None]
         logs = np.where(np.isnan(logs), -np.inf, logs)
-        signs = np.where(g[:, None] < 0.0, 1.0, self._alternating)
+        signs = np.where(g[:, None] < 0.0, 1.0, self._alternating[:terms])
         vals = np.where(g == 0.0, self._c0, self._shifted_sum(logs, signs))
         vals = np.where(np.isnan(g), np.nan, vals)
         return vals[0] if not shape else vals.reshape(shape)
@@ -188,7 +192,7 @@ def _cumulative_integral(z: np.ndarray, h: np.ndarray,
 
     ``h`` may follow a power law near 0 (its value at ``z[0]`` is ignored);
     the head ``(0, z_1]`` is integrated from a power-law fit through the
-    first two interior nodes, the rest by the antiderivative of a cubic
+    first two interior nodes, the rest exactly for the not-a-knot cubic
     spline in the log abscissa (where power-law-like integrands are smooth
     exponentials).  Deep in the eigenfunction recursion the smallest nodes
     are absolutely negligible but relatively noisy, so the fitted exponent
@@ -198,8 +202,11 @@ def _cumulative_integral(z: np.ndarray, h: np.ndarray,
     """
     zi, hi = z[1:], h[1:]
     w = np.log(zi)
-    spline = CubicSpline(w, hi * zi)    # int h dz = int h(e^w) e^w dw
-    cum = spline.antiderivative()(w)
+    y, dw = hi * zi, np.diff(w)         # int h dz = int h(e^w) e^w dw
+    d = _spline_slopes(w, dw, y)
+    # a cubic with end values y_i, y_{i+1} and end slopes d_i, d_{i+1}
+    # integrates to dw (y_i + y_{i+1}) / 2 - dw^2 (d_{i+1} - d_i) / 12
+    pieces = dw * (y[:-1] + y[1:]) / 2.0 - dw * dw * (d[1:] - d[:-1]) / 12.0
     # head (0, z_1]: fit h ~ c z^s through the first two nodes
     if hi[0] > 0.0 and hi[1] > 0.0:
         s = math.log(hi[1] / hi[0]) / (w[1] - w[0])
@@ -211,10 +218,28 @@ def _cumulative_integral(z: np.ndarray, h: np.ndarray,
             "scale/speed recursion integral diverges")
     s = min(max(s, -0.999), 80.0) if math.isfinite(s) else 80.0
     first = hi[0] * zi[0] / (s + 1.0)
-    out = np.empty_like(z)
-    out[0] = 0.0
-    out[1:] = first + cum
-    return out
+    return np.concatenate([[0.0, first], first + np.cumsum(pieces)])
+
+
+def _spline_slopes(x: np.ndarray, dx: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Node slopes of the not-a-knot cubic spline through ``(x, y)``, for at
+    least four nodes: the tridiagonal system ``CubicSpline`` solves."""
+    slope = np.diff(y) / dx
+    ab = np.zeros((3, x.size))          # upper, main and lower diagonals
+    b = np.empty(x.size)
+    ab[0, 2:] = dx[:-1]
+    ab[1, 1:-1] = 2.0 * (dx[:-1] + dx[1:])
+    ab[2, :-2] = dx[1:]
+    b[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    ab[1, 0], ab[0, 1] = dx[1], d
+    b[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    ab[1, -1], ab[2, -2] = dx[-2], d
+    b[-1] = (dx[-1] ** 2 * slope[-2]
+             + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    return solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
+                        check_finite=False)
 
 
 # Recursion ladders: per (spec, x, kind), the coefficients computed so far
@@ -574,6 +599,44 @@ def bessel_killed_measure(alpha: float) -> SpectralMeasure:
                            alpha=alpha)
 
 
+def _pchip(x, y) -> Callable:
+    """scipy's ``PchipInterpolator(x, y, extrapolate=False)`` bit for bit,
+    for strictly increasing ``x`` with at least two nodes: the same slopes
+    and power-basis coefficients, summed in the same order, and NaN
+    outside ``[x[0], x[-1]]``."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if x.size == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        # weighted harmonic means inside, 0 where the data turn or stall
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) \
+            | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            inner = np.where(flat, 0.0,
+                             1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        # Moler's shape-preserving three-point rule at both ends
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        e = np.where(np.sign(e) != np.sign(m0), 0.0, np.where(
+            (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0)),
+            3.0 * m0, e))
+        d = np.concatenate([e[:1], inner, e[1:]])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
+
+    def interp(q):
+        q = np.asarray(q, dtype=float)
+        i = np.minimum(np.searchsorted(x, q, side="right"), x.size - 1) - 1
+        s = q - x[i]
+        out = 0.0 + c3[i] + c2[i] * s + c1[i] * (s * s) + c0[i] * (s * s * s)
+        return np.where((q >= x[0]) & (q <= x[-1]), out, np.nan)
+
+    return interp
+
+
 def measure_from_table(gammas, densities, kind: str = "killed") -> SpectralMeasure:
     """Measure from a density table; zero outside the tabulated support."""
     g = np.asarray(gammas, dtype=float)
@@ -590,13 +653,12 @@ def measure_from_table(gammas, densities, kind: str = "killed") -> SpectralMeasu
                 "killed measure table has positive density at gamma=0; "
                 "int density/gamma diverges")
         g, d = g[1:], d[1:]
-    interp = PchipInterpolator(g, d, extrapolate=False)
+    interp = _pchip(g, d)
     lo, hi = g[0], g[-1]
 
     def density(x):
         x = np.asarray(x, dtype=float)
-        out = interp(np.clip(x, lo, hi))
-        out = np.where((x < lo) | (x > hi), 0.0, out)
+        out = np.where((x < lo) | (x > hi), 0.0, interp(x))
         return out[()] if out.ndim == 0 else out
 
     # near-zero integrability from the first two positive-density nodes
@@ -620,6 +682,9 @@ def measure_from_table(gammas, densities, kind: str = "killed") -> SpectralMeasu
 
 _SPECTRAL_QUAD = QuadratureSettings(epsabs=1e-12, epsrel=1e-10, limit=400)
 _CELL_BLOCK = 256
+# a series on a block of table cells sums only the terms it needs for a
+# tail bound below this level at the block's largest gamma
+_PREFIX_TAIL = float(np.finfo(float).eps) ** 2
 # positive halves (nodes, weights) of numpy's leggauss(8) and leggauss(4),
 # written out: computing them takes an eigenvalue solve, and the first
 # LAPACK call of a process costs it about 0.8 MB of resident memory
@@ -695,7 +760,8 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
                        measure: SpectralMeasure, eig_kind: str, xs,
                        inverse_gamma: bool):
     """``int e^{-gamma t} prod_i eig(x_i; gamma) [gamma^{-1}] measure(dgamma)``
-    with an error covering the quadrature and the cutoff."""
+    with an error covering the quadrature, the cutoff and, for a table,
+    the mass below its first knot."""
     if spec.is_preset:
         # 2 (1+g)^{1/2} stands in for a bound on the Bessel product
         g_max, tail = _gamma_max(measure, t, tol,
@@ -731,32 +797,53 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
         overlay = np.geomspace(lo, hi, 257)
         cuts = np.unique(np.concatenate([knots, overlay]))
 
+        def integrand(g):
+            """The integrand at an array of nodes; a series sums only the
+            terms its tail bound at the largest node needs (_PREFIX_TAIL)."""
+            vals = np.exp(-g * t) * np.asarray(density(g))
+            if spec.is_preset:
+                factors = [e(g) for e in evals]
+            else:
+                z = float(g.max())
+                factors = [e._prefix_sum(g, _terms_needed(
+                    max(front, 1e-300), z * base, _PREFIX_TAIL))
+                    for e, (base, front) in zip(evals, consts)]
+            for factor in factors:
+                vals = vals * np.asarray(factor)
+            return vals / g if inverse_gamma else vals
+
         def cell_sum(order):
             """The cell sum and the sum of its terms' magnitudes."""
             nodes, wts = _GAUSS_LEGENDRE[order]
             total = magnitude = 0.0
             # blocks of cells bound the temporaries: a series evaluator
-            # holds a (nodes x terms) matrix
+            # holds a (nodes x terms) matrix; the block partial sums fix
+            # the rounding, so the blocks stay as they are
             lefts, rights = cuts[:-1], cuts[1:]
             for i in range(0, lefts.size, _CELL_BLOCK):
                 a, b = lefts[i:i + _CELL_BLOCK], rights[i:i + _CELL_BLOCK]
                 half = 0.5 * (b - a)
                 g = 0.5 * (a + b)[:, None] + half[:, None] * nodes[None, :]
-                vals = np.exp(-g * t) * np.asarray(density(g))
-                for e in evals:
-                    vals = vals * np.asarray(e(g))
-                if inverse_gamma:
-                    vals = vals / g
-                terms = vals * (half[:, None] * wts[None, :])
+                terms = integrand(g) * (half[:, None] * wts[None, :])
                 total += float(np.sum(terms))
                 magnitude += float(np.sum(np.abs(terms)))
             return total, magnitude
 
+        # the table says nothing below its first knot: estimate that head
+        # from the power law through the integrand at the first two knots
+        f0, f1 = np.abs(integrand(knots[:2]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            power = float(np.log(f1 / f0) / np.log(knots[1] / lo))
+        if f0 > 0.0 and not power > -1.0:
+            raise IntegrabilityError(
+                f"integrand behaves like gamma^{power:.3f} below the first "
+                "table knot; its integral from 0 diverges")
+        head = f0 * lo / (power + 1.0) if f0 > 0.0 else 0.0
         (v8, m8), (v4, _) = cell_sum(8), cell_sum(4)
         # |v8 - v4| reads 0 where both rules round alike, so the rounding
         # of the n-term sum, n eps sum |w_i f_i|, is added
         rounding = 8 * (cuts.size - 1) * np.finfo(float).eps * m8
-        return v8, abs(v8 - v4) + rounding + tail
+        return v8, abs(v8 - v4) + rounding + head + tail
 
     def f(g):
         # exp and the density node by node (numpy's vectorised exp can

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
+from . import spectral
 from .errors import DomainError, IntegrabilityError, RangeError
 from .quadrature import integrate
 
@@ -73,9 +73,8 @@ class TailDistribution:
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "tail", tl)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            interp = PchipInterpolator(
-                np.concatenate([[0.0], g]), np.concatenate([[1.0], tl]),
-                extrapolate=False)
+            interp = spectral._pchip(np.concatenate([[0.0], g]),
+                                     np.concatenate([[1.0], tl]))
         object.__setattr__(self, "_interp", interp)
 
     @property
@@ -185,7 +184,6 @@ def hitting_tail_distribution(spec, x: float, grid=None,
     must stay inside the window where that route certifies its truncation
     (large enough t for the given x).
     """
-    from . import spectral
     from scipy.special import gammainc
 
     g = _with_grid(grid)

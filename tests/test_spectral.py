@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.special import erf, gammainc, gammaln
 
 from levykit import spectral as sp
 from levykit.diffusions import bessel_exponent_constant, bessel_spec, \
     brownian_spec, spec_from_expressions
-from levykit.errors import DomainError, ToleranceError, TruncationError, UnsupportedSpecError
+from levykit.errors import DomainError, IntegrabilityError, LevykitError, \
+    ToleranceError, TruncationError, UnsupportedSpecError
 
 BM = brownian_spec()
 B15 = bessel_spec(1.5)
@@ -334,6 +336,37 @@ def test_eigen_series_certification_cap():
         sp.eigenfunction(custom, 1.0, 1e9, kind="A", tol=1e-12)
 
 
+def _spline_cumulative(z, h):
+    """The recursion's cumulative integral through scipy: the power-law
+    head as in ``_cumulative_integral``, then the ``CubicSpline``
+    antiderivative in ``log z`` at its own nodes; also the magnitudes of
+    the summed pieces."""
+    zi, hi = z[1:], h[1:]
+    w = np.log(zi)
+    cum = CubicSpline(w, hi * zi).antiderivative()(w)
+    s = math.log(hi[1] / hi[0]) / (w[1] - w[0])
+    first = hi[0] * zi[0] / (min(max(s, -0.999), 80.0) + 1.0)
+    return np.concatenate([[0.0], first + cum]), \
+        abs(first) + np.cumsum(np.abs(np.diff(cum, prepend=0.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=st.floats(0.05, 20.0), n=st.integers(4, 4096),
+       power=st.floats(-0.95, 3.0), wiggle=st.floats(0.0, 0.9),
+       freq=st.floats(0.0, 5.0))
+def test_cumulative_integral_matches_spline_antiderivative(x, n, power,
+                                                           wiggle, freq):
+    zi = np.geomspace(x * 1e-4, x, n)
+    hi = zi ** power * (1.0 + wiggle * np.sin(freq * np.log(zi)))
+    # the value at z = 0 is never read
+    z, h = np.concatenate([[0.0], zi]), np.concatenate([[math.nan], hi])
+    ref, magnitude = _spline_cumulative(z, h)
+    got = sp._cumulative_integral(z, h)
+    assert got[0] == 0.0
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got[1:] - ref[1:]) <= 64 * eps * magnitude)
+
+
 # ---------------------------------------------------------------------------
 # measures
 # ---------------------------------------------------------------------------
@@ -365,6 +398,112 @@ def test_table_measure_error_covers_summation_rounding(t):
     val, err = sp.levy_tail(BM, t, measure=tab, with_error=True)
     assert val.hex() == TABLE_LEVY_TAIL[t]
     assert err > 0.0
+
+
+# the table drops the measure's mass below its first knot, 1e-14: for the
+# Brownian killed density sqrt(2 gamma) / pi that is 9.0e-8 of every value
+# below, which the error now counts
+@pytest.mark.parametrize("t", sorted(TABLE_LEVY_TAIL))
+def test_table_measure_error_covers_mass_below_first_knot(t):
+    tab = sp.measure_from_table(TABLE_GRID, M_KILL_BM.density(TABLE_GRID),
+                                kind="killed")
+    val, err = sp.levy_tail(BM, t, measure=tab, with_error=True)
+    miss = BM.oracles.levy_tail(t) - val
+    assert 8.9e-8 < miss <= err < 9.1e-8, (miss, err)
+
+
+@pytest.mark.parametrize("t", [2.0, 4.0, 8.0])
+def test_custom_table_hitting_tail_error_brackets_closed_form(t):
+    custom = spec_from_expressions("x", "2")
+    g = np.geomspace(1e-14, 20.0, 400)
+    tab = sp.measure_from_table(g, M_KILL_BM.density(g), kind="killed")
+    val, err = sp.hitting_tail(custom, 1.0, t, measure=tab, with_error=True)
+    assert abs(val - erf(1.0 / math.sqrt(2.0 * t))) <= err < 1e-7
+
+
+def test_table_head_that_diverges_is_refused():
+    # a killed density ~ gamma^{-1/2} from gamma = 1e-3 on: nu((t, inf))
+    # integrates gamma^{-3/2} near 0
+    g = np.geomspace(1e-3, 20.0, 200)
+    tab = sp.measure_from_table(g, g ** -0.5, kind="killed")
+    with pytest.raises(IntegrabilityError):
+        sp.levy_tail(BM, 1.0, measure=tab)
+
+
+@st.composite
+def pchip_tables(draw):
+    """Strictly increasing nodes at one scale and monotone, flat or
+    sign-changing data, with queries at the knots, the ends, between them,
+    outside the range and NaN."""
+    n = draw(st.integers(2, 60))
+    scale = 10.0 ** draw(st.floats(-14.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = scale * (draw(st.floats(-2.0, 2.0))
+                 + np.cumsum(rng.uniform(0.01, 1.0, n)))
+    shape = draw(st.sampled_from(["monotone", "flat", "signs"]))
+    if shape == "monotone":
+        y = np.cumsum(rng.exponential(scale, n)) * draw(st.sampled_from(
+            [1.0, -1.0]))
+    elif shape == "flat":
+        y = np.repeat(rng.normal(0.0, scale, n), rng.integers(1, 4, n))[:n]
+    else:
+        y = rng.normal(0.0, scale, n)
+    span = x[-1] - x[0]
+    q = np.concatenate([x, [x[0], x[-1], math.nan, x[0] - 0.1 * span,
+                            x[-1] + 0.1 * span, np.nextafter(x[0], -1e300),
+                            np.nextafter(x[-1], 1e300)],
+                        rng.uniform(x[0], x[-1], 40)])
+    return x, y, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(pchip_tables())
+def test_pchip_matches_scipy_bit_for_bit(table):
+    x, y, q = table
+    ref = PchipInterpolator(x, y, extrapolate=False)
+    got = sp._pchip(x, y)
+    assert got(q).tobytes() == ref(q).tobytes()
+    for qi in (q[0], q[-1], math.nan):      # scalars give 0-d arrays
+        a, b = got(qi), ref(qi)
+        assert a.shape == b.shape == () and a.tobytes() == b.tobytes()
+
+
+# the knots branch sums each series only over the prefix its cell block
+# needs; over this corpus every value and error keeps its bits when the
+# full series is summed instead (a tail level of 0 keeps every term)
+def _table_corpus():
+    twins = {("x", "2"): 0.5, ("x^0.5/0.5", "2*x^0.5"): 0.25}
+    out = {}
+    for expressions, alpha in twins.items():
+        custom = spec_from_expressions(*expressions)
+        for n in (120, 400, 2000):
+            g = np.geomspace(1e-14, 20.0, n)
+            for kind, measure in (
+                    ("killed", sp.bessel_killed_measure(alpha)),
+                    ("principal", sp.bessel_principal_measure(alpha))):
+                tab = sp.measure_from_table(g, measure.density(g), kind=kind)
+                for x in (0.5, 1.0, 2.0):
+                    for t in (1.0, 2.0, 4.0, 8.0, 32.0):
+                        key = (expressions, n, kind, x, t)
+                        try:
+                            if kind == "killed":
+                                got = sp.hitting_tail(custom, x, t,
+                                                      measure=tab,
+                                                      with_error=True)
+                            else:
+                                got = sp.transition_density(
+                                    custom, x, 1.0, t, measure=tab,
+                                    with_error=True)
+                            out[key] = (got[0].hex(), float(got[1]).hex())
+                        except LevykitError as exc:
+                            out[key] = type(exc).__name__
+    return out
+
+
+def test_table_cells_sum_series_prefixes_without_moving_bits(monkeypatch):
+    prefixes = _table_corpus()
+    monkeypatch.setattr(sp, "_PREFIX_TAIL", 0.0)
+    assert _table_corpus() == prefixes
 
 
 def test_levy_exponent_from_measure():
@@ -426,24 +565,24 @@ def test_series_bits_over_request_sequences(requests):
         assert _series_bits(got) == _COLD_A[n], requests
 
 
-# (value, error) hex recorded before the recursion was stored, evaluated
-# here with the shorter series first so the longer ones extend it
+# (value, error) hex, each recorded on a cold ladder and evaluated here with
+# the shorter series first so the longer ones extend it
 _PINNED = {
     ("x", "2"): (
-        ("hitting_tail", 4.0, "0x1.881d788cab1dcp-2", "0x1.676f8df0211bcp-36"),
+        ("hitting_tail", 4.0, "0x1.881d788cab1dfp-2", "0x1.676f97f733abcp-36"),
         ("hitting_density", 4.0,
-         "0x1.6883d022086a8p-5", "0x1.bf9e811e28874p-41"),
-        ("hitting_tail", 2.0, "0x1.0a7ef5c18edd1p-1", "0x1.233b09f77892bp-38"),
+         "0x1.6883d022086b2p-5", "0x1.bf9e9a7582a74p-41"),
+        ("hitting_tail", 2.0, "0x1.0a7ef5c18edd5p-1", "0x1.233b0e7e1192bp-38"),
         ("hitting_density", 2.0,
-         "0x1.c1efca49a5004p-4", "0x1.262edad56852bp-38"),
+         "0x1.c1efca49a5020p-4", "0x1.262ed9a4a2d2bp-38"),
     ),
     ("x^0.5/0.5", "2*x^0.5"): (
-        ("hitting_tail", 4.0, "0x1.47c2af70d9e56p-1", "0x1.743364de08154p-38"),
+        ("hitting_tail", 4.0, "0x1.47c2af70d9e59p-1", "0x1.7433392f91654p-38"),
         ("hitting_density", 4.0,
-         "0x1.286863002a6ccp-5", "0x1.ee25a4dda0176p-43"),
-        ("hitting_tail", 2.0, "0x1.7cc35b06c198dp-1", "0x1.8891b7f0bb13cp-41"),
+         "0x1.286863002a6ddp-5", "0x1.ee2545eb4c876p-43"),
+        ("hitting_tail", 2.0, "0x1.7cc35b06c1994p-1", "0x1.8891a4f60ed3cp-41"),
         ("hitting_density", 2.0,
-         "0x1.37124f7e50ac5p-4", "0x1.8473fc09b38bcp-41"),
+         "0x1.37124f7e50aebp-4", "0x1.84742fc0e74bcp-41"),
     ),
 }
 

@@ -38,6 +38,7 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -142,10 +143,7 @@ class _SignedSeries:
         self._alternating = (-1.0) ** self._n
         self._c0 = c[0]
 
-    def __call__(self, gamma):
-        return self._prefix_sum(gamma, None)
-
-    def _prefix_sum(self, gamma, terms: Optional[int]):
+    def __call__(self, gamma, terms: Optional[int] = None):
         """The sum of the first ``terms`` terms (None: all) at ``gamma``."""
         g = np.asarray(gamma, dtype=float)
         shape, g = g.shape, g.ravel()
@@ -637,8 +635,26 @@ def _pchip(x, y) -> Callable:
     return interp
 
 
+def _table_power(g: np.ndarray, d: np.ndarray) -> float:
+    """Power of a table density near 0: through its first two positive
+    nodes if the first lies below 1, else ``inf``."""
+    pos = np.flatnonzero(d > 0)
+    if pos.size < 2 or g[pos[0]] >= 1.0:
+        return math.inf
+    i, j = pos[:2]
+    return math.log(d[j] / d[i]) / math.log(g[j] / g[i])
+
+
 def measure_from_table(gammas, densities, kind: str = "killed") -> SpectralMeasure:
-    """Measure from a density table; zero outside the tabulated support."""
+    """Measure from a density table; zero outside the tabulated support.
+
+    A spectral integral against it reports in its error the mass the
+    density would carry below the first knot if it continued there as the
+    power law through its first two positive-density knots; there is none
+    when the first of them lies at 1 or beyond, and a continuation whose
+    integral diverges raises :class:`IntegrabilityError`.  The value leaves
+    that mass out.  A table meant to vanish below its first knot starts
+    with a zero density there."""
     g = np.asarray(gammas, dtype=float)
     d = np.asarray(densities, dtype=float)
     if g.ndim != 1 or g.shape != d.shape or g.size < 4:
@@ -661,13 +677,7 @@ def measure_from_table(gammas, densities, kind: str = "killed") -> SpectralMeasu
         out = np.where((x < lo) | (x > hi), 0.0, interp(x))
         return out[()] if out.ndim == 0 else out
 
-    # near-zero integrability from the first two positive-density nodes
-    pos = np.flatnonzero(d > 0)
-    if pos.size >= 2 and g[pos[0]] < 1.0:
-        i, j = pos[0], pos[1]
-        s = math.log(d[j] / d[i]) / math.log(g[j] / g[i])
-    else:
-        s = math.inf
+    s = _table_power(g, d)
     if kind == "killed" and g[0] < 1e-8 and not s > 0.0:
         raise IntegrabilityError(
             f"killed table density ~ gamma^{s:.2f} near 0")
@@ -797,19 +807,18 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
         overlay = np.geomspace(lo, hi, 257)
         cuts = np.unique(np.concatenate([knots, overlay]))
 
-        def integrand(g):
-            """The integrand at an array of nodes; a series sums only the
-            terms its tail bound at the largest node needs (_PREFIX_TAIL)."""
+        def integrand(g, t=t):
+            """The integrand at an array of nodes (undamped at ``t = 0``); a
+            series sums only the terms its tail bound at the largest node
+            needs (_PREFIX_TAIL)."""
             vals = np.exp(-g * t) * np.asarray(density(g))
-            if spec.is_preset:
-                factors = [e(g) for e in evals]
-            else:
-                z = float(g.max())
-                factors = [e._prefix_sum(g, _terms_needed(
-                    max(front, 1e-300), z * base, _PREFIX_TAIL))
-                    for e, (base, front) in zip(evals, consts)]
-            for factor in factors:
-                vals = vals * np.asarray(factor)
+            for k, e in enumerate(evals):
+                if not spec.is_preset:
+                    base, front = consts[k]
+                    e = partial(e, terms=_terms_needed(
+                        max(front, 1e-300), float(g.max()) * base,
+                        _PREFIX_TAIL))
+                vals = vals * np.asarray(e(g))
             return vals / g if inverse_gamma else vals
 
         def cell_sum(order):
@@ -829,11 +838,12 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
                 magnitude += float(np.sum(np.abs(terms)))
             return total, magnitude
 
-        # the table says nothing below its first knot: estimate that head
-        # from the power law through the integrand at the first two knots
-        f0, f1 = np.abs(integrand(knots[:2]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            power = float(np.log(f1 / f0) / np.log(knots[1] / lo))
+        # the head below lo, if the density continues as its table power
+        # law: e^{-gamma t} <= 1 and the eigenfunctions are smooth at 0, so
+        # the undamped integrand at lo times (gamma / lo)^power stands in
+        power = _table_power(measure.knots, np.asarray(
+            density(measure.knots))) - inverse_gamma
+        f0 = abs(float(integrand(knots[:1], 0.0)[0]))
         if f0 > 0.0 and not power > -1.0:
             raise IntegrabilityError(
                 f"integrand behaves like gamma^{power:.3f} below the first "

@@ -412,6 +412,32 @@ def test_table_measure_error_covers_mass_below_first_knot(t):
     assert 8.9e-8 < miss <= err < 9.1e-8, (miss, err)
 
 
+# with zero density at the first knot the head is 0, and the 8- and 4-point
+# cell sums still agree to the last bit: only the rounding term keeps the
+# error above 0
+@pytest.mark.parametrize("t", sorted(TABLE_LEVY_TAIL))
+def test_table_error_covers_summation_rounding_without_a_head(t):
+    d = M_KILL_BM.density(TABLE_GRID)
+    d[0] = 0.0
+    tab = sp.measure_from_table(TABLE_GRID, d, kind="killed")
+    val, err = sp.levy_tail(BM, t, measure=tab, with_error=True)
+    assert 0.0 < err < 1e-10
+
+
+# a table from gamma = 0.1 misses most of the measure at large t, and its
+# error must still cover that: at t = 5 and 20 the power through the
+# damped integrand at the first two knots falls to -1 and below
+@pytest.mark.parametrize("t", [1.0, 4.0, 5.0, 20.0])
+def test_table_from_a_coarse_first_knot_brackets_closed_form(t):
+    g = np.geomspace(0.1, 20.0, 100)
+    tab = sp.measure_from_table(g, M_KILL_BM.density(g), kind="killed")
+    val, err = sp.levy_tail(BM, t, measure=tab, with_error=True)
+    assert abs(val - BM.oracles.levy_tail(t)) <= err
+    val, err = sp.hitting_tail(spec_from_expressions("x", "2"), 1.0, t,
+                               measure=tab, with_error=True)
+    assert abs(val - erf(1.0 / math.sqrt(2.0 * t))) <= err
+
+
 @pytest.mark.parametrize("t", [2.0, 4.0, 8.0])
 def test_custom_table_hitting_tail_error_brackets_closed_form(t):
     custom = spec_from_expressions("x", "2")
@@ -428,6 +454,10 @@ def test_table_head_that_diverges_is_refused():
     tab = sp.measure_from_table(g, g ** -0.5, kind="killed")
     with pytest.raises(IntegrabilityError):
         sp.levy_tail(BM, 1.0, measure=tab)
+    # a zero density at a first knot says the measure vanishes below it
+    tab = sp.measure_from_table(np.r_[5e-4, g], np.r_[0.0, g ** -0.5],
+                                kind="killed")
+    assert sp.levy_tail(BM, 1.0, measure=tab) > 0.0
 
 
 @st.composite

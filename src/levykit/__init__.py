@@ -42,12 +42,10 @@ from .subexp import (  # noqa: F401
     pareto_tail,
     exponential_tail,
     tail_from_table,
-    tail_from_samples,
     hitting_tail_distribution,
     conv_tail,
     subexp_ratio,
     mixed_ratio,
-    long_tail_check,
     tauberian_ratio,
 )
 from .montecarlo import (  # noqa: F401

@@ -56,7 +56,8 @@ class ClosedFormOracles:
     the speed measure (symmetric in ``x, y``); ``hitting_density`` is the
     density of the first hitting time of zero from ``x``; ``levy_density``
     and ``levy_tail`` describe the Levy measure of the inverse local time at
-    zero.
+    zero.  Each maps arrays to an array of their broadcast shape, and
+    floats to a float.
     """
 
     transition_density: Callable  # (t, x, y) -> p(t; x, y)
@@ -70,6 +71,9 @@ class ClosedFormOracles:
 class DiffusionSpec:
     """Scale/speed description of a reflected diffusion on ``[0, inf)``.
 
+    ``scale`` and ``speed_density`` map an array of ``x > 0`` to an array
+    of the same shape, and a float to a float: quadratures and the
+    eigenfunction recursion evaluate them on whole arrays of nodes.
     ``alpha`` is set for the Bessel presets only and enables every
     closed-form fast path in the package; custom specs carry just the two
     coefficient functions.
@@ -287,9 +291,8 @@ def _origin_integral(f: Callable, x: float) -> float:
     left piece."""
     half = 0.5 * x
     # left piece: z = half * s^2 tames z^q singularities with q > -1
-    left, _ = integrate(lambda ss: [f(half * s * s) * 2.0 * half * s
-                                    for s in ss.tolist()], 0.0, 1.0)
-    right, _ = integrate(lambda ys: [f(y) for y in ys.tolist()], half, x)
+    left, _ = integrate(lambda s: f(half * s * s) * 2.0 * half * s, 0.0, 1.0)
+    right, _ = integrate(f, half, x)
     return left + right
 
 

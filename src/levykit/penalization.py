@@ -60,10 +60,11 @@ __all__ = [
 class WeightFunction:
     """Probability density on the local-time axis, with its CDF.
 
-    ``h`` and ``cdf`` must be vectorized callables; ``quantile`` (inverse
-    CDF) powers the exact horizon estimates.  Construction verifies that
-    ``h`` integrates to one and that it is non-increasing with the stated
-    compact support, the shape the penalized-law identities require.
+    ``h`` and ``cdf`` map an array to an array of the same shape, and a
+    float to a float; ``quantile`` (inverse CDF) powers the exact horizon
+    estimates.  Construction verifies that ``h`` integrates to one and
+    that it is non-increasing with the stated compact support, the shape
+    the penalized-law identities require.
     """
 
     h: Callable
@@ -75,9 +76,7 @@ class WeightFunction:
     def __post_init__(self):
         if not math.isfinite(self.support_end) or self.support_end <= 0:
             raise DomainError("support_end must be positive and finite")
-        total, _ = integrate(lambda ys: [float(self.h(y))
-                                         for y in ys.tolist()],
-                             0.0, self.support_end)
+        total, _ = integrate(self.h, 0.0, self.support_end)
         if abs(total - 1.0) > 1e-8:
             raise DomainError(
                 f"weight density integrates to {total:.10f}, not 1")
@@ -496,10 +495,9 @@ def uparrow_mass(spec: DiffusionSpec, t: float) -> float:
                                    "spec does not certify far enough out")
     alpha = spec.alpha
 
-    def integrand(ys):
+    def integrand(y):
         # S(y) m'(y) = y / alpha
-        return [spec.oracles.hitting_density(y, t) * y / alpha
-                for y in ys.tolist()]
+        return spec.oracles.hitting_density(y, t) * y / alpha
 
     hi = math.sqrt(2.0 * t * 800.0)
     # split to keep the Gaussian shoulder well resolved

@@ -492,8 +492,9 @@ def integrate(func, a, b, settings: QuadratureSettings | None = None):
     range is then mapped onto ``(0, 1]``, as :func:`quadpack` says).
 
     ``func`` takes a 1-d array of nodes and returns an array of their
-    values; a scalar integrand ``g`` is passed as
-    ``lambda xs: [g(x) for x in xs.tolist()]``.  Returns
+    values, as every integrand of the package does except those of
+    :func:`levykit.subexp.tauberian_ratio`, whose weights are scalar
+    callables evaluated node by node.  Returns
     ``(value, abserr_estimate)``.  A quadrature that reports
     non-convergence, or whose error estimate is far above the requested
     tolerance, raises ``ToleranceError``.

@@ -429,18 +429,13 @@ def eigen_value(series: EigenSeries, gamma: float, tol: float = 1e-10) -> float:
 
 # Bessel closed forms --------------------------------------------------------
 
-def _bessel_eigen(alpha: float, kind: str, x: float,
-                  nodewise: bool = False) -> Callable:
+def _bessel_eigen(alpha: float, kind: str, x: float) -> Callable:
     """Closed-form ``A(x; .)`` or ``C(x; .)`` of a Bessel preset, as a
     function of ``gamma > 0`` (a float or an array).
 
     With ``s = sqrt(2 gamma)``: ``A = Gamma(1-a) 2^{-a} (x s)^a J_{-a}(x s)``
     and ``C = Gamma(a) 2^{a-1} x^a s^{-a} J_a(x s)``.  At ``x = 0`` they are
-    the boundary values ``A = 1`` and ``C = S(0) = 0``.  With ``nodewise``
-    the function takes a 1-d array of quadrature nodes and works out the
-    powers of ``2 gamma`` node by node on Python floats, as for a float
-    ``gamma`` (numpy's vectorised ``power`` can differ from libm in the last
-    bit); ``jv`` runs once on the whole array either way.
+    the boundary values ``A = 1`` and ``C = S(0) = 0``.
     """
     if x == 0.0:
         edge = 1.0 if kind == "A" else 0.0
@@ -451,16 +446,8 @@ def _bessel_eigen(alpha: float, kind: str, x: float,
     else:
         order, power = alpha, -0.5 * alpha
         c = gamma_fn(alpha) * 2.0 ** (alpha - 1.0) * x ** alpha
-    if not nodewise:
-        return lambda g: c * (2.0 * g) ** power \
-            * jv(order, x * (2.0 * g) ** 0.5)
-
-    def eig(g):
-        two_g = (2.0 * g).tolist()
-        front = np.array([c * s ** power for s in two_g])
-        return front * jv(order, np.array([x * s ** 0.5 for s in two_g]))
-
-    return eig
+    return lambda g: c * (2.0 * g) ** power \
+        * jv(order, x * (2.0 * g) ** 0.5)
 
 
 def eigenfunction(spec: DiffusionSpec, x: float, gamma: float,
@@ -511,10 +498,12 @@ class SpectralMeasure:
 
     ``kind`` is ``"principal"`` (pairs with A-eigenfunctions, reflected
     kernel) or ``"killed"`` (pairs with C, everything that involves hitting
-    the boundary).  ``gamma_cutoff_hint`` is a power ``p`` with
-    ``density(gamma) = O(gamma^p)`` at infinity; construction rejects a
-    density that grows faster, and measures of bounded support set
-    ``support_end`` instead.
+    the boundary).  ``density`` maps an array of ``gamma > 0`` to an array
+    of the same shape, and a float to a float: the quadrature evaluates it
+    on a whole panel of nodes at once.  ``gamma_cutoff_hint`` is a power
+    ``p`` with ``density(gamma) = O(gamma^p)`` at infinity; construction
+    rejects a density that grows faster, and measures of bounded support
+    set ``support_end`` instead.
     Atomic measures are out of scope.
     """
 
@@ -522,16 +511,13 @@ class SpectralMeasure:
     density: Callable
     gamma_cutoff_hint: float = 1.0
     support_end: float = math.inf
-    name: str = "custom"
-    alpha: Optional[float] = None   # set for the Bessel closed forms
     knots: Optional[np.ndarray] = field(default=None, repr=False,
                                         compare=False)
 
     def __post_init__(self):
         if self.kind not in ("principal", "killed"):
             raise DomainError("measure kind must be 'principal' or 'killed'")
-        if self.alpha is None:
-            _check_measure_integrability(self)
+        _check_measure_integrability(self)
 
 
 def _near_zero_power(measure: SpectralMeasure) -> float:
@@ -579,8 +565,7 @@ def bessel_principal_measure(alpha: float) -> SpectralMeasure:
         return c * g ** (-alpha)
 
     return SpectralMeasure(kind="principal", density=density,
-                           gamma_cutoff_hint=-alpha, name="bessel",
-                           alpha=alpha)
+                           gamma_cutoff_hint=-alpha)
 
 
 def bessel_killed_measure(alpha: float) -> SpectralMeasure:
@@ -593,8 +578,7 @@ def bessel_killed_measure(alpha: float) -> SpectralMeasure:
         return c * g ** alpha
 
     return SpectralMeasure(kind="killed", density=density,
-                           gamma_cutoff_hint=alpha, name="bessel_hat",
-                           alpha=alpha)
+                           gamma_cutoff_hint=alpha)
 
 
 def _pchip(x, y) -> Callable:
@@ -683,7 +667,7 @@ def measure_from_table(gammas, densities, kind: str = "killed") -> SpectralMeasu
             f"killed table density ~ gamma^{s:.2f} near 0")
     return SpectralMeasure(kind=kind, density=density,
                            gamma_cutoff_hint=0.0, support_end=float(hi),
-                           name="table", alpha=None, knots=g.copy())
+                           knots=g.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -776,8 +760,7 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
         # 2 (1+g)^{1/2} stands in for a bound on the Bessel product
         g_max, tail = _gamma_max(measure, t, tol,
                                  lambda g: 2.0 * (1.0 + g) ** 0.5)
-        evals = [_bessel_eigen(spec.alpha, eig_kind, x,
-                               nodewise=measure.knots is None) for x in xs]
+        evals = [_bessel_eigen(spec.alpha, eig_kind, x) for x in xs]
     else:
         consts = [_series_constants(spec, x, eig_kind) for x in xs]
         # the e^{g B(x)} part of each eigenfunction bound is folded into
@@ -856,11 +839,7 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
         return v8, abs(v8 - v4) + rounding + head + tail
 
     def f(g):
-        # exp and the density node by node (numpy's vectorised exp can
-        # differ from libm in the last bit); the eigenfunctions, the costly
-        # part, once per array of nodes
-        val = np.array([math.exp(-gi * t) * float(density(gi))
-                        for gi in g.tolist()])
+        val = np.exp(-g * t) * density(g)
         for e in evals:
             val = val * e(g)
         return val / g if inverse_gamma else val
@@ -964,9 +943,8 @@ def levy_exponent_from_measure(measure: SpectralMeasure, lam: float,
         raise DomainError("lambda must be nonnegative")
     end = measure.support_end
 
-    def f(gs):
-        return [lam / (g * (g + lam)) * float(measure.density(g))
-                for g in gs.tolist()]
+    def f(g):
+        return lam / (g * (g + lam)) * measure.density(g)
 
     if lam == 0.0:
         val, err = 0.0, 0.0

@@ -11,8 +11,7 @@ of ``F``.  On top of it sit the classical heavy-tail diagnostics: the
 self-convolution ratio (which tends to 2 exactly for subexponential tails
 and diverges otherwise), the two-distribution ratio against
 ``Fbar + Gbar`` (which tends to 1 when ``Gbar/Fbar`` has a positive
-limit), translation-insensitivity ratios, the exponential-moment probe,
-and a weak Tauberian comparator for Laplace-type integrals.
+limit), and a weak Tauberian comparator for Laplace-type integrals.
 
 Everything here is distribution-level: no densities, no atoms, no silent
 extrapolation beyond the stored grid.
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,14 +34,11 @@ __all__ = [
     "pareto_tail",
     "exponential_tail",
     "tail_from_table",
-    "tail_from_samples",
     "scaled_tail",
     "hitting_tail_distribution",
     "conv_tail",
     "subexp_ratio",
     "mixed_ratio",
-    "long_tail_check",
-    "exp_moment_check",
     "tauberian_ratio",
 ]
 
@@ -141,20 +137,6 @@ def tail_from_table(xs, tails, name: str = "table") -> TailDistribution:
     """Tail from explicit (x, survival) pairs; no analytic extension."""
     return TailDistribution(grid=np.asarray(xs, dtype=float),
                             tail=np.asarray(tails, dtype=float), name=name)
-
-
-def tail_from_samples(samples, grid=None,
-                      name: str = "empirical") -> TailDistribution:
-    """Empirical survival function of a positive sample on a grid."""
-    s = np.sort(np.asarray(samples, dtype=float))
-    if s.size == 0 or s[0] < 0:
-        raise DomainError("samples must be nonnegative and non-empty")
-    g = _with_grid(grid)
-    g = g[g <= s[-1] * 1.0000001] if grid is None else g
-    if g.size < 8:
-        raise DomainError("sample range too short for the default grid")
-    tl = 1.0 - np.searchsorted(s, g, side="right") / s.size
-    return TailDistribution(grid=g, tail=tl, name=name)
 
 
 def scaled_tail(F: TailDistribution, c: float,
@@ -286,30 +268,6 @@ def mixed_ratio(F: TailDistribution, G: TailDistribution, x: float) -> float:
     if denom <= 1e-300:
         raise RangeError(f"both tails vanish numerically at x={x:g}")
     return conv_tail(F, G, x) / denom
-
-
-def long_tail_check(F: TailDistribution, y_set: Sequence[float],
-                    x: float) -> list:
-    """Translation ratios ``Fbar(x + y) / Fbar(x)`` for each ``y``.
-
-    All ratios approach 1 for long-tailed (in particular subexponential)
-    distributions; an exponential tail pins them at ``e^{-rate y}``.
-    """
-    fbar = float(F.value(x))
-    if fbar <= 1e-300:
-        raise RangeError(f"tail vanishes numerically at x={x:g}")
-    return [float(F.value(x + float(y))) / fbar for y in y_set]
-
-
-def exp_moment_check(F: TailDistribution, eps: float, x: float) -> float:
-    """``e^{eps x} Fbar(x)`` — divergent in ``x`` for subexponential tails."""
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    fbar = float(F.value(x))
-    if fbar <= 0.0:
-        return 0.0
-    log_val = eps * x + math.log(fbar)
-    return math.exp(min(log_val, 700.0))
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,12 @@ for the presets, or, for a general scale/speed pair, the power series
 ``sum (-gamma)^n c_n(x)`` whose coefficients obey the nested recursion
 ``c_{n+1}(x) = int_0^x dS(y) int_0^y c_n dm``; the factorial bound
 ``c_n(x) <= front * B(x)^n / n!`` with ``B(x) = int_0^x m((0,y)) dS(y)``
-makes the truncation error certifiable.  The recursion of a custom spec is
-kept per ``(spec, x, kind)`` together with ``B(x)``, the front factor and
-the last few converged series, each with an evaluator built once, so a
-repeated call redoes only the ``gamma``-dependent work (see ``_Ladder``).
+makes the truncation error certifiable.  One ``_Ladder`` per ``(spec, x,
+kind)`` owns a custom series: it keeps the recursion, ``B(x)``, the front
+factor and the last few converged series, and serves every request, for
+the series of a given length (``eigen_coefficients``) or the shortest one
+certified up to a ``gamma`` (``eigenfunction``, the spectral integrals).
+``EigenSeries.value`` evaluates a series at any array of ``gamma``.
 A preset called without a measure uses its closed-form
 :func:`bessel_principal_measure` or :func:`bessel_killed_measure`.  No
 constructive route from a general scale/speed pair to its spectral measure
@@ -38,7 +40,6 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -93,7 +94,6 @@ class EigenSeries:
     coefficients: np.ndarray
     bound_base: float              # B(x)
     front: float                   # 1 or S(x)
-    value: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.array(self.coefficients, dtype=float)
@@ -115,36 +115,23 @@ class EigenSeries:
                                    "factorial growth bound")
         c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
-        object.__setattr__(self, "value", _SignedSeries(c))
+        # what ``value`` needs of the coefficients, made once: log c_n, n
+        # and the signs of (-gamma)^n for gamma > 0 (all +1 for gamma < 0)
+        with np.errstate(divide="ignore"):
+            object.__setattr__(self, "_logc", np.log(np.maximum(c, 0.0)))
+        object.__setattr__(self, "_n", n)
+        object.__setattr__(self, "_alternating", (-1.0) ** n)
 
+    def value(self, gamma, terms: Optional[int] = None):
+        """The sum of the first ``terms`` terms (None: all) at ``gamma``, a
+        float or an array of any shape; at ``gamma = 0`` it is ``c_0``, and
+        a NaN ``gamma`` gives NaN.
 
-class _SignedSeries:
-    """``gamma -> sum_n (-gamma)^n c_n`` for fixed coefficients, evaluated
-    in log space.
-
-    The separated powers ``gamma^n`` overflow long before the actual terms
-    ``c_n gamma^n`` do (the coefficients decay factorially), so the terms
-    are assembled from ``log c_n + n log|gamma|`` under a shared shift.
-    ``log c_n``, ``n`` and the alternating sign row are made once here; a
-    call pays only for the ``gamma``-dependent work, and an array of nodes
-    costs one set of array operations.  The coefficients are finite;
-    ``gamma`` may be a float or an array of any shape, at ``gamma = 0`` the
-    value is ``c_0``, and a NaN ``gamma`` gives NaN.
-    """
-
-    __slots__ = ("_logc", "_n", "_alternating", "_c0")
-
-    def __init__(self, coefficients: np.ndarray):
-        c = np.asarray(coefficients, dtype=float)
-        self._n = np.arange(c.size, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self._logc = np.log(np.maximum(c, 0.0))
-        # the signs of (-gamma)^n for gamma > 0; all +1 for gamma < 0
-        self._alternating = (-1.0) ** self._n
-        self._c0 = c[0]
-
-    def __call__(self, gamma, terms: Optional[int] = None):
-        """The sum of the first ``terms`` terms (None: all) at ``gamma``."""
+        The separated powers ``gamma^n`` overflow long before the actual
+        terms ``c_n gamma^n`` do (the coefficients decay factorially), so
+        the terms are assembled from ``log c_n + n log|gamma|`` under a
+        shared shift: each row's largest log, or 0 if it is infinite.
+        """
         g = np.asarray(gamma, dtype=float)
         shape, g = g.shape, g.ravel()
         logc, n = self._logc[:terms], self._n[:terms]
@@ -152,18 +139,13 @@ class _SignedSeries:
             logs = logc[None, :] + n[None, :] * np.log(np.abs(g))[:, None]
         logs = np.where(np.isnan(logs), -np.inf, logs)
         signs = np.where(g[:, None] < 0.0, 1.0, self._alternating[:terms])
-        vals = np.where(g == 0.0, self._c0, self._shifted_sum(logs, signs))
-        vals = np.where(np.isnan(g), np.nan, vals)
-        return vals[0] if not shape else vals.reshape(shape)
-
-    @staticmethod
-    def _shifted_sum(logs: np.ndarray, signs: np.ndarray) -> np.ndarray:
-        """Row sums of ``signs * exp(logs)``, as ``exp(m) * sum(signs *
-        exp(logs - m))`` with ``m`` the row's largest log (0 if infinite)."""
         m = logs.max(axis=1)
         m = np.where(np.isfinite(m), m, 0.0)
-        return np.einsum("ij,ij->i", np.exp(logs - m[:, None]), signs) \
+        sums = np.einsum("ij,ij->i", np.exp(logs - m[:, None]), signs) \
             * np.exp(m)
+        vals = np.where(g == 0.0, self.coefficients[0], sums)
+        vals = np.where(np.isnan(g), np.nan, vals)
+        return vals[0] if not shape else vals.reshape(shape)
 
 
 def _series_tail_bound(front: float, z: float, n_terms: int) -> float:
@@ -264,8 +246,11 @@ _LADDER_USE = itertools.count()
 
 
 class _Ladder:
-    """Recursion state of one ``(spec, x, kind)`` at every grid level; it
-    holds no reference to the spec, which keys it weakly."""
+    """Recursion state of one ``(spec, x, kind)`` at every grid level, and
+    the one maker of its series: :meth:`series` gives the converged series
+    of a length, :meth:`certified` the shortest one certified up to a
+    ``gamma``.  Each public method takes the ladder's lock itself.  A
+    ladder holds no reference to the spec, which keys it weakly."""
 
     def __init__(self, x: float, kind: str):
         self.x, self.kind = x, kind
@@ -274,27 +259,71 @@ class _Ladder:
         self.f = [None] * _LEVELS
         self.used = 0
         self.base = self.front = None
-        self.series = {}               # n_terms -> EigenSeries, oldest first
+        self.kept = {}                 # n_terms -> EigenSeries, oldest first
 
     def constants(self, spec: DiffusionSpec) -> tuple[float, float]:
         """``(B(x), front)`` of the series, computed on first use."""
-        if self.base is None:
-            self.base = series_bound_base(spec, self.x)
-            self.front = 1.0 if self.kind == "A" \
-                else float(spec.scale(self.x))
-        return self.base, self.front
+        with self.lock:
+            if self.base is None:
+                self.base = series_bound_base(spec, self.x)
+                self.front = 1.0 if self.kind == "A" \
+                    else float(spec.scale(self.x))
+            return self.base, self.front
 
-    def keep(self, n_terms: int, series: EigenSeries) -> EigenSeries:
-        """Store ``series`` as the newest, dropping the oldest beyond
-        _SERIES_KEPT."""
-        self.series.pop(n_terms, None)
-        self.series[n_terms] = series
-        if len(self.series) > _SERIES_KEPT:
-            del self.series[next(iter(self.series))]
-        return series
+    def series(self, spec: DiffusionSpec, n_terms: int) -> EigenSeries:
+        """The converged series ``c_0 .. c_{n_terms}``, kept as the newest
+        of the last _SERIES_KEPT lengths asked for."""
+        base, front = self.constants(spec)
+        with self.lock:
+            series = self.kept.pop(n_terms, None)
+            if series is None:
+                series = EigenSeries(self.x, self.kind, self._converged(
+                    spec, n_terms, front), base, front)
+            self.kept[n_terms] = series
+            if len(self.kept) > _SERIES_KEPT:
+                del self.kept[next(iter(self.kept))]
+            return series
 
-    def coefficients(self, spec: DiffusionSpec, level: int,
-                     n_terms: int) -> np.ndarray:
+    def certified(self, spec: DiffusionSpec, gamma: float,
+                  tol: float) -> EigenSeries:
+        """The shortest series whose tail bound at ``gamma`` is below
+        ``tol``.  The bound grows with ``gamma``, so the series is certified
+        on all of ``[0, gamma]``."""
+        base, front = self.constants(spec)
+        needed = _terms_needed(max(front, 1e-300), gamma * base, tol)
+        if needed is None:
+            raise ToleranceError(
+                f"eigenfunction series at x={self.x:g} needs more than "
+                f"{_SERIES_CAP} certified terms up to gamma={gamma:g}")
+        return self.series(spec, needed)
+
+    def _converged(self, spec: DiffusionSpec, n_terms: int,
+                   front: float) -> np.ndarray:
+        """Coefficients refined with Richardson extrapolation across grid
+        doublings (the spline rule is 4th order) until working terms are
+        stable to 1e-9 relative and deep terms (needed only to certify
+        truncation tails) to 1e-6."""
+        if self.x == 0.0:
+            # at the boundary A = 1 and C = S(0) for every gamma
+            return np.r_[front, np.zeros(n_terms)]
+        prev = self._coefficients(spec, 0, n_terms)
+        prev_ext = None
+        for level in range(1, _LEVELS):
+            cur = self._coefficients(spec, level, n_terms)
+            ext = cur + (cur - prev) / 15.0
+            if prev_ext is not None:
+                delta = np.abs(ext - prev_ext) / (np.abs(ext) + 1e-280)
+                tol_per_n = np.where(np.arange(n_terms + 1) <= 24,
+                                     1e-9, 1e-6)
+                if np.all(delta <= tol_per_n):
+                    return ext
+            prev, prev_ext = cur, ext
+        raise ToleranceError(
+            f"eigen recursion failed to stabilize coefficient n={n_terms} "
+            f"at x={self.x} after grid refinement")
+
+    def _coefficients(self, spec: DiffusionSpec, level: int,
+                      n_terms: int) -> np.ndarray:
         """``c_0 .. c_{n_terms}`` on the grid of ``512 * 2^level`` nodes,
         extending the stored recursion as far as needed."""
         coef = self.coef[level]
@@ -325,7 +354,10 @@ class _Ladder:
 
 
 def _ladder(spec: DiffusionSpec, x: float, kind: str) -> _Ladder:
-    """The stored ladder of ``(spec, x, kind)``, made on first use."""
+    """The stored ladder of ``(spec, x, kind)``, made on first use; at the
+    boundary ``x = 0``, which needs no recursion, a fresh one not stored."""
+    if x == 0.0:
+        return _Ladder(x, kind)
     with _LADDERS_LOCK:
         ladders = _LADDERS.setdefault(spec, {})
         ladder = ladders.get((x, kind))
@@ -338,17 +370,6 @@ def _ladder(spec: DiffusionSpec, x: float, kind: str) -> _Ladder:
             _, owner, key = min(live, key=lambda e: e[0])
             del owner[key]
         return ladder
-
-
-def _series_constants(spec: DiffusionSpec, x: float,
-                      kind: str) -> tuple[float, float]:
-    """``(B(x), front)`` of the eigenseries of ``(spec, x, kind)``, kept on
-    its ladder; ``x = 0`` needs no ladder."""
-    if x == 0.0:
-        return 0.0, 1.0 if kind == "A" else float(spec.scale(x))
-    ladder = _ladder(spec, x, kind)
-    with ladder.lock:
-        return ladder.constants(spec)
 
 
 def eigen_coefficients(spec: DiffusionSpec, x: float, kind: str = "C",
@@ -370,39 +391,7 @@ def eigen_coefficients(spec: DiffusionSpec, x: float, kind: str = "C",
         raise DomainError("x must be nonnegative")
     if n_terms < 0:
         raise DomainError("n_terms must be nonnegative")
-    if x == 0.0:
-        coef = np.zeros(n_terms + 1)
-        front = 1.0 if kind == "A" else 0.0
-        coef[0] = front
-        return EigenSeries(x=x, kind=kind, coefficients=coef,
-                           bound_base=0.0, front=front)
-
-    # refine with Richardson extrapolation across doublings (the spline
-    # rule is 4th order); working terms must stabilize to 1e-9 relative,
-    # deep terms (needed only to certify truncation tails) to 1e-6
-    ladder = _ladder(spec, x, kind)
-    with ladder.lock:
-        base, front = ladder.constants(spec)
-        series = ladder.series.get(n_terms)
-        if series is not None:
-            return ladder.keep(n_terms, series)
-        prev = ladder.coefficients(spec, 0, n_terms)
-        prev_ext = None
-        for level in range(1, _LEVELS):
-            cur = ladder.coefficients(spec, level, n_terms)
-            ext = cur + (cur - prev) / 15.0
-            if prev_ext is not None:
-                delta = np.abs(ext - prev_ext) / (np.abs(ext) + 1e-280)
-                tol_per_n = np.where(np.arange(n_terms + 1) <= 24,
-                                     1e-9, 1e-6)
-                if np.all(delta <= tol_per_n):
-                    return ladder.keep(n_terms, EigenSeries(
-                        x=x, kind=kind, coefficients=ext, bound_base=base,
-                        front=front))
-            prev, prev_ext = cur, ext
-    raise ToleranceError(
-        f"eigen recursion failed to stabilize coefficient n={n_terms} "
-        f"at x={x} after grid refinement")
+    return _ladder(spec, x, kind).series(spec, n_terms)
 
 
 def eigen_value(series: EigenSeries, gamma: float, tol: float = 1e-10) -> float:
@@ -431,7 +420,8 @@ def eigen_value(series: EigenSeries, gamma: float, tol: float = 1e-10) -> float:
 
 def _bessel_eigen(alpha: float, kind: str, x: float) -> Callable:
     """Closed-form ``A(x; .)`` or ``C(x; .)`` of a Bessel preset, as a
-    function of ``gamma > 0`` (a float or an array).
+    function of ``gamma > 0`` (a float or an array).  It takes the
+    ``terms`` argument of :meth:`EigenSeries.value` and ignores it.
 
     With ``s = sqrt(2 gamma)``: ``A = Gamma(1-a) 2^{-a} (x s)^a J_{-a}(x s)``
     and ``C = Gamma(a) 2^{a-1} x^a s^{-a} J_a(x s)``.  At ``x = 0`` they are
@@ -439,14 +429,14 @@ def _bessel_eigen(alpha: float, kind: str, x: float) -> Callable:
     """
     if x == 0.0:
         edge = 1.0 if kind == "A" else 0.0
-        return lambda g: edge
+        return lambda g, terms=None: edge
     if kind == "A":
         order, power = -alpha, 0.5 * alpha
         c = gamma_fn(1.0 - alpha) * 2.0 ** (-alpha) * x ** alpha
     else:
         order, power = alpha, -0.5 * alpha
         c = gamma_fn(alpha) * 2.0 ** (alpha - 1.0) * x ** alpha
-    return lambda g: c * (2.0 * g) ** power \
+    return lambda g, terms=None: c * (2.0 * g) ** power \
         * jv(order, x * (2.0 * g) ** 0.5)
 
 
@@ -466,26 +456,8 @@ def eigenfunction(spec: DiffusionSpec, x: float, gamma: float,
         if gamma == 0.0:
             return 1.0 if kind == "A" else float(spec.scale(x))
         return float(_bessel_eigen(spec.alpha, kind, x)(gamma))
-    _, value = _certified_series(spec, x, kind,
-                                 _series_constants(spec, x, kind), gamma, tol)
-    return value
-
-
-def _certified_series(spec: DiffusionSpec, x: float, kind: str,
-                      constants: tuple[float, float], gamma: float,
-                      tol: float) -> tuple[EigenSeries, float]:
-    """The shortest series of ``(spec, x, kind)`` whose tail bound at
-    ``gamma`` is below ``tol``, and its value there; ``constants`` is
-    ``(B(x), front)``.  The bound grows with ``gamma``, so the series is
-    certified on all of ``[0, gamma]``."""
-    base, front = constants
-    needed = _terms_needed(max(front, 1e-300), gamma * base, tol)
-    if needed is None:
-        raise ToleranceError(
-            f"eigenfunction series at x={x:g} needs more than {_SERIES_CAP} "
-            f"certified terms up to gamma={gamma:g}")
-    series = eigen_coefficients(spec, x, kind, n_terms=needed)
-    return series, eigen_value(series, gamma, tol)
+    return eigen_value(_ladder(spec, x, kind).certified(spec, gamma, tol),
+                       gamma, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -751,105 +723,12 @@ def _integrate_gamma(f: Callable, g_max: float):
 
 
 def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
-                       measure: SpectralMeasure, eig_kind: str, xs,
-                       inverse_gamma: bool):
+                       eig_kind: str, xs, inverse_gamma: bool,
+                       measure: Optional[SpectralMeasure]):
     """``int e^{-gamma t} prod_i eig(x_i; gamma) [gamma^{-1}] measure(dgamma)``
     with an error covering the quadrature, the cutoff and, for a table,
-    the mass below its first knot."""
-    if spec.is_preset:
-        # 2 (1+g)^{1/2} stands in for a bound on the Bessel product
-        g_max, tail = _gamma_max(measure, t, tol,
-                                 lambda g: 2.0 * (1.0 + g) ** 0.5)
-        evals = [_bessel_eigen(spec.alpha, eig_kind, x) for x in xs]
-    else:
-        consts = [_series_constants(spec, x, eig_kind) for x in xs]
-        # the e^{g B(x)} part of each eigenfunction bound is folded into
-        # the damping passed to the cutoff search, so the envelope is just
-        # the constant front factor
-        front_prod = math.prod(front for _, front in consts)
-        g_max, tail = _gamma_max(measure, t - sum(base for base, _ in consts),
-                                 tol, lambda g: front_prod)
-        # a series certified at g_max is certified at every node
-        evals = [_certified_series(spec, x, eig_kind, c, g_max, tol)[0].value
-                 for x, c in zip(xs, consts)]
-
-    density = measure.density
-
-    if measure.knots is not None:
-        # piecewise-cubic density: a fixed Gauss rule per cell is exact up
-        # to the smooth eigenfunction/damping factors, provided the cells
-        # resolve the power-law weight near the left end of the support --
-        # so refine the knot partition with a geometric overlay
-        hi = min(g_max, measure.support_end)
-        knots = measure.knots[measure.knots <= hi]
-        if knots.size == 0 or knots[-1] < hi:
-            knots = np.append(knots, hi)
-        lo = knots[0]
-        if lo <= 0 or hi / lo < 1.0:
-            raise DomainError("degenerate table support")
-        overlay = np.geomspace(lo, hi, 257)
-        cuts = np.unique(np.concatenate([knots, overlay]))
-
-        def integrand(g, t=t):
-            """The integrand at an array of nodes (undamped at ``t = 0``); a
-            series sums only the terms its tail bound at the largest node
-            needs (_PREFIX_TAIL)."""
-            vals = np.exp(-g * t) * np.asarray(density(g))
-            for k, e in enumerate(evals):
-                if not spec.is_preset:
-                    base, front = consts[k]
-                    e = partial(e, terms=_terms_needed(
-                        max(front, 1e-300), float(g.max()) * base,
-                        _PREFIX_TAIL))
-                vals = vals * np.asarray(e(g))
-            return vals / g if inverse_gamma else vals
-
-        def cell_sum(order):
-            """The cell sum and the sum of its terms' magnitudes."""
-            nodes, wts = _GAUSS_LEGENDRE[order]
-            total = magnitude = 0.0
-            # blocks of cells bound the temporaries: a series evaluator
-            # holds a (nodes x terms) matrix; the block partial sums fix
-            # the rounding, so the blocks stay as they are
-            lefts, rights = cuts[:-1], cuts[1:]
-            for i in range(0, lefts.size, _CELL_BLOCK):
-                a, b = lefts[i:i + _CELL_BLOCK], rights[i:i + _CELL_BLOCK]
-                half = 0.5 * (b - a)
-                g = 0.5 * (a + b)[:, None] + half[:, None] * nodes[None, :]
-                terms = integrand(g) * (half[:, None] * wts[None, :])
-                total += float(np.sum(terms))
-                magnitude += float(np.sum(np.abs(terms)))
-            return total, magnitude
-
-        # the head below lo, if the density continues as its table power
-        # law: e^{-gamma t} <= 1 and the eigenfunctions are smooth at 0, so
-        # the undamped integrand at lo times (gamma / lo)^power stands in
-        power = _table_power(measure.knots, np.asarray(
-            density(measure.knots))) - inverse_gamma
-        f0 = abs(float(integrand(knots[:1], 0.0)[0]))
-        if f0 > 0.0 and not power > -1.0:
-            raise IntegrabilityError(
-                f"integrand behaves like gamma^{power:.3f} below the first "
-                "table knot; its integral from 0 diverges")
-        head = f0 * lo / (power + 1.0) if f0 > 0.0 else 0.0
-        (v8, m8), (v4, _) = cell_sum(8), cell_sum(4)
-        # |v8 - v4| reads 0 where both rules round alike, so the rounding
-        # of the n-term sum, n eps sum |w_i f_i|, is added
-        rounding = 8 * (cuts.size - 1) * np.finfo(float).eps * m8
-        return v8, abs(v8 - v4) + rounding + head + tail
-
-    def f(g):
-        val = np.exp(-g * t) * density(g)
-        for e in evals:
-            val = val * e(g)
-        return val / g if inverse_gamma else val
-
-    val, err = _integrate_gamma(f, g_max)
-    return val, err + tail
-
-
-def _dispatch(spec: DiffusionSpec, t: float, tol: float, *, eig_kind: str,
-              xs, inverse_gamma: bool, measure: Optional[SpectralMeasure]):
+    the mass below its first knot.  A preset without a measure takes its
+    closed-form one."""
     _check_t(t)
     needed_kind = "principal" if eig_kind == "A" else "killed"
     if measure is None:
@@ -864,9 +743,95 @@ def _dispatch(spec: DiffusionSpec, t: float, tol: float, *, eig_kind: str,
         raise DomainError(
             f"this functional needs a {needed_kind!r} measure, got "
             f"{measure.kind!r}")
-    return _spectral_integral(spec, t, tol, measure=measure,
-                              eig_kind=eig_kind, xs=xs,
-                              inverse_gamma=inverse_gamma)
+    if spec.is_preset:
+        # 2 (1+g)^{1/2} stands in for a bound on the Bessel product
+        g_max, tail = _gamma_max(measure, t, tol,
+                                 lambda g: 2.0 * (1.0 + g) ** 0.5)
+        evals = [_bessel_eigen(spec.alpha, eig_kind, x) for x in xs]
+    else:
+        ladders = [_ladder(spec, x, eig_kind) for x in xs]
+        consts = [ladder.constants(spec) for ladder in ladders]
+        # the e^{g B(x)} part of each eigenfunction bound is folded into
+        # the damping passed to the cutoff search, so the envelope is just
+        # the constant front factor
+        front_prod = math.prod(front for _, front in consts)
+        g_max, tail = _gamma_max(measure, t - sum(base for base, _ in consts),
+                                 tol, lambda g: front_prod)
+        # a series certified at g_max is certified at every node; it keeps
+        # needed + 1 coefficients, so its tail bound there, front e^z
+        # P(needed + 1, z), is below the tol that P(needed, z) met, and
+        # eigen_value would never raise on it
+        evals = [ladder.certified(spec, g_max, tol).value
+                 for ladder in ladders]
+
+    density = measure.density
+
+    def integrand(g, t=t, top=None):
+        """The integrand at an array of nodes (undamped at ``t = 0``).  With
+        ``top``, the largest node, a series sums only the terms its tail
+        bound there needs (_PREFIX_TAIL)."""
+        vals = np.exp(-g * t) * density(g)
+        for k, e in enumerate(evals):
+            terms = None
+            if top is not None and not spec.is_preset:
+                base, front = consts[k]
+                terms = _terms_needed(max(front, 1e-300), top * base,
+                                      _PREFIX_TAIL)
+            vals = vals * e(g, terms)
+        return vals / g if inverse_gamma else vals
+
+    if measure.knots is None:
+        val, err = _integrate_gamma(integrand, g_max)
+        return val, err + tail
+
+    # piecewise-cubic density: a fixed Gauss rule per cell is exact up to
+    # the smooth eigenfunction/damping factors, provided the cells resolve
+    # the power-law weight near the left end of the support -- so refine
+    # the knot partition with a geometric overlay
+    hi = min(g_max, measure.support_end)
+    knots = measure.knots[measure.knots <= hi]
+    if knots.size == 0 or knots[-1] < hi:
+        knots = np.append(knots, hi)
+    lo = knots[0]
+    if lo <= 0 or hi / lo < 1.0:
+        raise DomainError("degenerate table support")
+    overlay = np.geomspace(lo, hi, 257)
+    cuts = np.unique(np.concatenate([knots, overlay]))
+
+    def cell_sum(order):
+        """The cell sum and the sum of its terms' magnitudes."""
+        nodes, wts = _GAUSS_LEGENDRE[order]
+        total = magnitude = 0.0
+        # blocks of cells bound the temporaries: a series evaluator holds a
+        # (nodes x terms) matrix; the block partial sums fix the rounding,
+        # so the blocks stay as they are
+        lefts, rights = cuts[:-1], cuts[1:]
+        for i in range(0, lefts.size, _CELL_BLOCK):
+            a, b = lefts[i:i + _CELL_BLOCK], rights[i:i + _CELL_BLOCK]
+            half = 0.5 * (b - a)
+            g = 0.5 * (a + b)[:, None] + half[:, None] * nodes[None, :]
+            terms = integrand(g, top=float(g.max())) \
+                * (half[:, None] * wts[None, :])
+            total += float(np.sum(terms))
+            magnitude += float(np.sum(np.abs(terms)))
+        return total, magnitude
+
+    # the head below lo, if the density continues as its table power law:
+    # e^{-gamma t} <= 1 and the eigenfunctions are smooth at 0, so the
+    # undamped integrand at lo times (gamma / lo)^power stands in
+    power = _table_power(measure.knots, np.asarray(
+        density(measure.knots))) - inverse_gamma
+    f0 = abs(float(integrand(knots[:1], 0.0, float(lo))[0]))
+    if f0 > 0.0 and not power > -1.0:
+        raise IntegrabilityError(
+            f"integrand behaves like gamma^{power:.3f} below the first "
+            "table knot; its integral from 0 diverges")
+    head = f0 * lo / (power + 1.0) if f0 > 0.0 else 0.0
+    (v8, m8), (v4, _) = cell_sum(8), cell_sum(4)
+    # |v8 - v4| reads 0 where both rules round alike, so the rounding of
+    # the n-term sum, n eps sum |w_i f_i|, is added
+    rounding = 8 * (cuts.size - 1) * np.finfo(float).eps * m8
+    return v8, abs(v8 - v4) + rounding + head + tail
 
 
 def transition_density(spec: DiffusionSpec, x: float, y: float, t: float,
@@ -877,8 +842,9 @@ def transition_density(spec: DiffusionSpec, x: float, y: float, t: float,
     ``(t; x, y)``, a density in ``y`` with respect to the speed measure."""
     if x < 0 or y < 0:
         raise DomainError("x and y must be nonnegative")
-    val, err = _dispatch(spec, t, tol, eig_kind="C" if killed else "A",
-                         xs=(x, y), inverse_gamma=False, measure=measure)
+    val, err = _spectral_integral(spec, t, tol,
+                                  eig_kind="C" if killed else "A", xs=(x, y),
+                                  inverse_gamma=False, measure=measure)
     return (val, err) if with_error else val
 
 
@@ -888,8 +854,8 @@ def hitting_density(spec: DiffusionSpec, x: float, t: float,
     """Density of the first boundary-hitting time from ``x > 0``."""
     if x <= 0:
         raise DomainError("x must be positive")
-    val, err = _dispatch(spec, t, tol, eig_kind="C", xs=(x,),
-                         inverse_gamma=False, measure=measure)
+    val, err = _spectral_integral(spec, t, tol, eig_kind="C", xs=(x,),
+                                  inverse_gamma=False, measure=measure)
     return (val, err) if with_error else val
 
 
@@ -897,8 +863,8 @@ def levy_density(spec: DiffusionSpec, t: float,
                  measure: Optional[SpectralMeasure] = None,
                  tol: float = 1e-9, with_error: bool = False):
     """Levy density of the inverse local time at the boundary."""
-    val, err = _dispatch(spec, t, tol, eig_kind="C", xs=(),
-                         inverse_gamma=False, measure=measure)
+    val, err = _spectral_integral(spec, t, tol, eig_kind="C", xs=(),
+                                  inverse_gamma=False, measure=measure)
     return (val, err) if with_error else val
 
 
@@ -906,8 +872,8 @@ def levy_tail(spec: DiffusionSpec, t: float,
               measure: Optional[SpectralMeasure] = None,
               tol: float = 1e-9, with_error: bool = False):
     """Levy tail mass ``nu((t, inf))`` of the inverse local time."""
-    val, err = _dispatch(spec, t, tol, eig_kind="C", xs=(),
-                         inverse_gamma=True, measure=measure)
+    val, err = _spectral_integral(spec, t, tol, eig_kind="C", xs=(),
+                                  inverse_gamma=True, measure=measure)
     return (val, err) if with_error else val
 
 
@@ -917,8 +883,8 @@ def hitting_tail(spec: DiffusionSpec, x: float, t: float,
     """``P_x(H_0 > t)``, the boundary-hitting survival function."""
     if x <= 0:
         raise DomainError("x must be positive")
-    val, err = _dispatch(spec, t, tol, eig_kind="C", xs=(x,),
-                         inverse_gamma=True, measure=measure)
+    val, err = _spectral_integral(spec, t, tol, eig_kind="C", xs=(x,),
+                                  inverse_gamma=True, measure=measure)
     slack = max(tol, 10.0 * err, 1e-7)
     if val < -slack or val > 1.0 + slack:
         raise ConsistencyError(

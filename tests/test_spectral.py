@@ -710,9 +710,42 @@ def test_ladder_keeps_recent_series_read_only():
     for n in range(4, 6 + sp._SERIES_KEPT):
         sp.eigen_coefficients(custom, 1.0, "C", n_terms=n)
     sp.eigen_coefficients(custom, 1.0, "C", n_terms=6)
-    kept = sp._LADDERS[custom][(1.0, "C")].series
+    kept = sp._LADDERS[custom][(1.0, "C")].kept
     assert len(kept) == sp._SERIES_KEPT
     assert list(kept)[-1] == 6 and 3 not in kept
+
+
+def test_custom_boundary_point_takes_no_ladder():
+    sp._LADDERS.clear()
+    custom = spec_from_expressions("x", "2")
+    for kind, edge in (("A", 1.0), ("C", 0.0)):
+        series = sp.eigen_coefficients(custom, 0.0, kind)
+        assert series.coefficients.tolist() == [edge] + [0.0] * 24
+        assert sp.eigenfunction(custom, 0.0, 2.5, kind) == edge
+    # the Brownian kernel from the boundary, w.r.t. the speed 2 dy
+    for y in (0.7, 0.0):
+        val, err = sp.transition_density(custom, 0.0, y, 1.0,
+                                         measure=M_FULL_BM, with_error=True)
+        assert abs(val - math.exp(-y * y / 2) / math.sqrt(2 * math.pi)) \
+            <= err < 1e-12
+    assert all(x != 0.0 for ladders in sp._LADDERS.values()
+               for x, _ in ladders)
+
+
+def test_warm_custom_call_looks_each_ladder_up_once(monkeypatch):
+    custom = spec_from_expressions("x", "2")
+
+    def call():
+        return sp.transition_density(custom, 0.5, 1.0, 4.0, killed=True,
+                                     measure=M_KILL_BM, with_error=True)
+
+    cold = call()
+    seen = []
+    real = sp._ladder
+    monkeypatch.setattr(sp, "_ladder",
+                        lambda *a: seen.append(a[1:]) or real(*a))
+    assert call() == cold
+    assert seen == [(0.5, "C"), (1.0, "C")]
 
 
 def _signed_series_eval(coefficients, gamma):
@@ -770,7 +803,7 @@ def gamma_arguments(draw):
 @given(c=factorial_coefficients(), gamma=gamma_arguments())
 def test_series_evaluator_matches_reference_bits(c, gamma):
     with np.errstate(all="ignore"):
-        got = sp._SignedSeries(c)(gamma)
+        got = sp.EigenSeries(1.0, "A", c, 50.0, 1.0).value(gamma)
         ref = _signed_series_eval(c, gamma)
     assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
     # a NaN gamma gives NaN (the reference gave 0 for a one-term series)

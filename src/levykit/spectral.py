@@ -681,16 +681,18 @@ def _gamma_max(measure: SpectralMeasure, t_eff: float, tol: float,
     ``4 max(g, 1/t_eff)`` falls below ``tol / 10``; that value is the tail
     estimate, a heuristic rather than a proven bound.  ``envelope`` stands
     in for a bound on the eigenfunction product.  A measure of bounded
-    support is cut at its end, with no tail.
+    support is cut at its end, with no tail, when the search reaches it or
+    when there is no damping to search with.
     """
-    if math.isfinite(measure.support_end):
-        return measure.support_end, 0.0
-    if t_eff <= 0:
+    end = measure.support_end
+    if t_eff <= 0 and math.isinf(end):
         raise ToleranceError(
             "spectral integral not certifiable: the series growth bound "
             "exceeds the exponential damping (t too small for this x)")
-    g = max(4.0 / t_eff, 1.0)
+    g = max(4.0 / t_eff, 1.0) if t_eff > 0 else end
     for _ in range(200):
+        if g >= end:
+            return end, 0.0
         tail = math.exp(-g * t_eff) * float(measure.density(g)) \
             * envelope(g) * max(g, 1.0 / t_eff) * 4.0
         if tail < tol / 10.0:
@@ -788,14 +790,13 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
     # the smooth eigenfunction/damping factors, provided the cells resolve
     # the power-law weight near the left end of the support -- so refine
     # the knot partition with a geometric overlay
-    hi = min(g_max, measure.support_end)
-    knots = measure.knots[measure.knots <= hi]
-    if knots.size == 0 or knots[-1] < hi:
-        knots = np.append(knots, hi)
+    knots = measure.knots[measure.knots <= g_max]
+    if knots.size == 0 or knots[-1] < g_max:
+        knots = np.append(knots, g_max)
     lo = knots[0]
-    if lo <= 0 or hi / lo < 1.0:
+    if lo <= 0 or g_max / lo < 1.0:
         raise DomainError("degenerate table support")
-    overlay = np.geomspace(lo, hi, 257)
+    overlay = np.geomspace(lo, g_max, 257)
     cuts = np.unique(np.concatenate([knots, overlay]))
 
     def cell_sum(order):

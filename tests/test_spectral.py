@@ -385,10 +385,11 @@ def test_measure_from_table_reproduces_closed_forms():
 
 # the 2000-knot table of the reflected Brownian killed measure, and values
 # of the Brownian Levy tail on it, as hex; here the 8- and 4-point cell sums
-# agree to the last bit, so |v8 - v4| alone would report a zero error
+# agree to the last bit, so |v8 - v4| alone would report a zero error; at
+# t = 1 and 10 the damping cuts the table below its end, at t = 0.1 not
 TABLE_GRID = np.geomspace(1e-14, 2e3, 2000)
-TABLE_LEVY_TAIL = {0.1: "0x1.42f600e7f3fddp+1", 1.0: "0x1.988450388de2ep-1",
-                   10.0: "0x1.025e61afe76b7p-2"}
+TABLE_LEVY_TAIL = {0.1: "0x1.42f600e7f3fddp+1", 1.0: "0x1.988450388de26p-1",
+                   10.0: "0x1.025e61afe76b8p-2"}
 
 
 @pytest.mark.parametrize("t", sorted(TABLE_LEVY_TAIL))
@@ -443,6 +444,17 @@ def test_custom_table_hitting_tail_error_brackets_closed_form(t):
     custom = spec_from_expressions("x", "2")
     g = np.geomspace(1e-14, 20.0, 400)
     tab = sp.measure_from_table(g, M_KILL_BM.density(g), kind="killed")
+    val, err = sp.hitting_tail(custom, 1.0, t, measure=tab, with_error=True)
+    assert abs(val - erf(1.0 / math.sqrt(2.0 * t))) <= err < 1e-7
+
+
+# the damping, not the end of the table, sets the cutoff: certifying the
+# series up to the table's end, gamma = 2000, would take over 400 terms
+@pytest.mark.parametrize("t", [2.0, 4.0, 16.0])
+def test_custom_hitting_tail_on_a_far_reaching_table(t):
+    custom = spec_from_expressions("x", "2")
+    tab = sp.measure_from_table(TABLE_GRID, M_KILL_BM.density(TABLE_GRID),
+                                kind="killed")
     val, err = sp.hitting_tail(custom, 1.0, t, measure=tab, with_error=True)
     assert abs(val - erf(1.0 / math.sqrt(2.0 * t))) <= err < 1e-7
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.special import gammaincinv
 
 from . import montecarlo as mc
 from . import spectral
@@ -398,8 +399,6 @@ def post_lastzero_marginal_check(weight: WeightFunction, v: float = 1.0,
     batches).  Tuples whose post-zero window is shorter than ``v`` are
     dropped; their weighted mass vanishes as ``u`` grows.
     """
-    from scipy.stats import maxwell
-
     from .diffusions import brownian_spec
     spec = brownian_spec()
     if v <= 0:
@@ -410,7 +409,9 @@ def post_lastzero_marginal_check(weight: WeightFunction, v: float = 1.0,
         raise DomainError("u must exceed v")
     bins, batches = 10, 20
     rng = np.random.default_rng(seed)
-    edges = maxwell.ppf(np.linspace(0.0, 1.0, bins + 1), scale=math.sqrt(v))
+    # Maxwell(sqrt(v)) quantiles as scipy.stats.maxwell.ppf forms them
+    edges = np.sqrt(2.0 * gammaincinv(1.5, np.linspace(0.0, 1.0, bins + 1))) \
+        * math.sqrt(v)
     edges[0], edges[-1] = 0.0, np.inf
 
     kept = dropped_weight = 0.0

@@ -185,6 +185,18 @@ def test_post_lastzero_marginal_and_independence():
     assert abs(sum(res["bin_probs"]) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("v", [0.5, 1.0, 2.0, 3.7])
+def test_post_lastzero_bins_are_scipy_maxwell_quantiles(monkeypatch, v):
+    from scipy.stats import maxwell
+    edges, histogram = [], np.histogram
+    monkeypatch.setattr(np, "histogram", lambda a, bins, weights: (
+        edges.append(bins) or histogram(a, bins=bins, weights=weights)))
+    pz.post_lastzero_marginal_check(pz.indicator_weight(1.0), v=v,
+                                    u=v + 4.0, n=200, seed=0)
+    want = maxwell.ppf(np.linspace(0.0, 1.0, 11), scale=math.sqrt(v))
+    assert edges[0].tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the conditioned diffusion
 # ---------------------------------------------------------------------------

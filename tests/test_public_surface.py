@@ -52,3 +52,13 @@ def test_import_leaves_heavy_scipy_modules_out():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_post_lastzero_check_leaves_scipy_stats_out():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.resolve().parent))
+    code = ("import sys; from levykit import penalization as pz; "
+            "pz.post_lastzero_marginal_check(pz.indicator_weight(1.0), "
+            "u=5.0, n=200, seed=0); print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

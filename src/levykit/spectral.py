@@ -148,14 +148,6 @@ class EigenSeries:
         return vals[0] if not shape else vals.reshape(shape)
 
 
-def _series_tail_bound(front: float, z: float, n_terms: int) -> float:
-    # sum_{n >= n_terms} z^n / n! = e^z P(Poisson(z) >= n_terms), and that
-    # probability is the regularized lower gamma(n_terms, z)
-    if z <= 0.0:
-        return 0.0
-    return front * math.exp(z) * float(gammainc(n_terms, z))
-
-
 def _terms_needed(front: float, z: float, tol: float) -> Optional[int]:
     """Smallest N with tail bound below tol, or None if > _SERIES_CAP."""
     if z <= 0.0:
@@ -252,13 +244,15 @@ class _Ladder:
     ``gamma``.  Each public method takes the ladder's lock itself.  A
     ladder holds no reference to the spec, which keys it weakly."""
 
-    def __init__(self, x: float, kind: str):
+    def __init__(self, x: float, kind: str, front: Optional[float] = None):
         self.x, self.kind = x, kind
         self.lock = threading.Lock()   # held while extending or reading
         self.coef = [[] for _ in range(_LEVELS)]
         self.f = [None] * _LEVELS
         self.used = 0
-        self.base = self.front = None
+        # a boundary ladder is made with its front factor, and B(0) = 0
+        self.base = None if front is None else 0.0
+        self.front = front
         self.kept = {}                 # n_terms -> EigenSeries, oldest first
 
     def constants(self, spec: DiffusionSpec) -> tuple[float, float]:
@@ -304,7 +298,6 @@ class _Ladder:
         stable to 1e-9 relative and deep terms (needed only to certify
         truncation tails) to 1e-6."""
         if self.x == 0.0:
-            # at the boundary A = 1 and C = S(0) for every gamma
             return np.r_[front, np.zeros(n_terms)]
         prev = self._coefficients(spec, 0, n_terms)
         prev_ext = None
@@ -353,11 +346,17 @@ class _Ladder:
         return np.array(coef[:n_terms + 1])
 
 
+# at the boundary A = 1 and C = S(0) = 0 for every gamma and every spec,
+# so one ladder per kind, outside the registry, serves them all
+_BOUNDARY = {"A": _Ladder(0.0, "A", front=1.0),
+             "C": _Ladder(0.0, "C", front=0.0)}
+
+
 def _ladder(spec: DiffusionSpec, x: float, kind: str) -> _Ladder:
-    """The stored ladder of ``(spec, x, kind)``, made on first use; at the
-    boundary ``x = 0``, which needs no recursion, a fresh one not stored."""
+    """The stored ladder of ``(spec, x, kind)``, made on first use, or at
+    the boundary ``x = 0`` the shared one of ``kind``."""
     if x == 0.0:
-        return _Ladder(x, kind)
+        return _BOUNDARY[kind]
     with _LADDERS_LOCK:
         ladders = _LADDERS.setdefault(spec, {})
         ladder = ladders.get((x, kind))
@@ -405,7 +404,10 @@ def eigen_value(series: EigenSeries, gamma: float, tol: float = 1e-10) -> float:
     gamma = float(gamma)
     z = abs(gamma) * series.bound_base
     n = series.coefficients.size
-    bound = _series_tail_bound(series.front, z, n)
+    # sum_{k >= n} z^k / k! = e^z P(Poisson(z) >= n), and that probability
+    # is the regularized lower gamma(n, z)
+    bound = series.front * math.exp(z) * float(gammainc(n, z)) \
+        if z > 0.0 else 0.0
     if not bound < tol:
         needed = _terms_needed(series.front, z, tol)
         raise TruncationError(
@@ -666,13 +668,6 @@ _GAUSS_LEGENDRE = {n: (np.r_[-np.array(x)[::-1], x], np.r_[w[::-1], w])
                    for n, (x, w) in _GAUSS_HALVES.items()}
 
 
-def _check_t(t: float) -> None:
-    if t <= 0:
-        raise DomainError("t must be positive")
-    if t < T_MIN:
-        raise RangeError(f"t below the supported minimum {T_MIN:g}")
-
-
 def _gamma_max(measure: SpectralMeasure, t_eff: float, tol: float,
                envelope: Callable) -> tuple[float, float]:
     """Quadrature cutoff ``g_max`` and the tail estimate beyond it.
@@ -682,7 +677,8 @@ def _gamma_max(measure: SpectralMeasure, t_eff: float, tol: float,
     estimate, a heuristic rather than a proven bound.  ``envelope`` stands
     in for a bound on the eigenfunction product.  A measure of bounded
     support is cut at its end, with no tail, when the search reaches it or
-    when there is no damping to search with.
+    when there is no damping to search with; before that, a probe where its
+    density is 0 (below a table's first knot, say) is passed over.
     """
     end = measure.support_end
     if t_eff <= 0 and math.isinf(end):
@@ -693,9 +689,10 @@ def _gamma_max(measure: SpectralMeasure, t_eff: float, tol: float,
     for _ in range(200):
         if g >= end:
             return end, 0.0
-        tail = math.exp(-g * t_eff) * float(measure.density(g)) \
-            * envelope(g) * max(g, 1.0 / t_eff) * 4.0
-        if tail < tol / 10.0:
+        d = float(measure.density(g))
+        tail = math.exp(-g * t_eff) * d * envelope(g) \
+            * max(g, 1.0 / t_eff) * 4.0
+        if tail < tol / 10.0 and (d > 0.0 or math.isinf(end)):
             return g, tail
         g *= 2.0
     raise ToleranceError("no finite quadrature cutoff found for the measure")
@@ -731,7 +728,10 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
     with an error covering the quadrature, the cutoff and, for a table,
     the mass below its first knot.  A preset without a measure takes its
     closed-form one."""
-    _check_t(t)
+    if t <= 0:
+        raise DomainError("t must be positive")
+    if t < T_MIN:
+        raise RangeError(f"t below the supported minimum {T_MIN:g}")
     needed_kind = "principal" if eig_kind == "A" else "killed"
     if measure is None:
         if not spec.is_preset:

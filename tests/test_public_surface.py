@@ -43,22 +43,16 @@ def test_package_imports_only_exported_names():
 
 def test_import_leaves_heavy_scipy_modules_out():
     # scipy.interpolate would bring in optimize, sparse and spatial: about
-    # a third of the import time and resident memory of the package
+    # a third of the import time and resident memory of the package; the
+    # post-last-zero check draws its Maxwell quantiles without scipy.stats
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.resolve().parent))
     code = ("import sys, levykit, levykit.cli; print(sorted({m for m in "
             "sys.modules if m.split('.')[:2] in (['scipy', 'interpolate'], "
             "['scipy', 'optimize'], ['scipy', 'sparse'], "
-            "['scipy', 'spatial'])}))")
+            "['scipy', 'spatial'])})); from levykit import penalization "
+            "as pz; pz.post_lastzero_marginal_check(pz.indicator_weight("
+            "1.0), u=5.0, n=200, seed=0); print('scipy.stats' in "
+            "sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
-
-
-def test_post_lastzero_check_leaves_scipy_stats_out():
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.resolve().parent))
-    code = ("import sys; from levykit import penalization as pz; "
-            "pz.post_lastzero_marginal_check(pz.indicator_weight(1.0), "
-            "u=5.0, n=200, seed=0); print('scipy.stats' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["[]", "False"]

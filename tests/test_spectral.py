@@ -459,6 +459,33 @@ def test_custom_hitting_tail_on_a_far_reaching_table(t):
     assert abs(val - erf(1.0 / math.sqrt(2.0 * t))) <= err < 1e-7
 
 
+# a probe where a table's density is 0 (below its first knot, or in a
+# stretch where it vanishes) is no cutoff: the mass beyond it counts
+def _table_starting_at_5():
+    g = np.geomspace(5.0, 100.0, 50)
+    return g, M_KILL_BM.density(g)
+
+
+def _table_vanishing_on_2_to_10():
+    g = np.geomspace(1e-14, 100.0, 400)
+    d = M_KILL_BM.density(g)
+    d[(g > 2.0) & (g < 10.0)] = 0.0
+    return g, d
+
+
+@pytest.mark.parametrize("t", [1.0, 4.0])
+@pytest.mark.parametrize("table", [_table_starting_at_5,
+                                   _table_vanishing_on_2_to_10])
+def test_zero_density_probe_does_not_cut_a_table(table, t):
+    g, d = table()
+    tab = sp.measure_from_table(g, d, kind="killed")
+    val, err = sp.levy_tail(BM, t, measure=tab, with_error=True)
+    full = quad(lambda x: tab.density(x) / x * math.exp(-x * t), g[0], g[-1],
+                points=g[1:-1], limit=1000, epsabs=1e-16, epsrel=1e-12)[0]
+    assert full > 1e-11
+    assert abs(val - full) <= err + 1e-12 * full, (val, err, full)
+
+
 def test_table_head_that_diverges_is_refused():
     # a killed density ~ gamma^{-1/2} from gamma = 1e-3 on: nu((t, inf))
     # integrates gamma^{-3/2} near 0
@@ -742,6 +769,9 @@ def test_custom_boundary_point_takes_no_ladder():
             <= err < 1e-12
     assert all(x != 0.0 for ladders in sp._LADDERS.values()
                for x, _ in ladders)
+    # one boundary ladder per kind serves every spec
+    other = spec_from_expressions("x^0.5/0.5", "2*x^0.5")
+    assert sp._ladder(custom, 0.0, "C") is sp._ladder(other, 0.0, "C")
 
 
 def test_warm_custom_call_looks_each_ladder_up_once(monkeypatch):

@@ -78,7 +78,7 @@ _SERIES_CAP = 400
 # eigenfunction series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSeries:
     """Truncated coefficient sequence of one eigenfunction at a fixed point.
 
@@ -86,7 +86,7 @@ class EigenSeries:
     the stored terms is bounded by ``front * (gamma * bound_base)^n / n!``
     summed over the missing ``n``, where ``front`` is 1 for an A-series and
     ``S(x)`` for a C-series.  The coefficients are a read-only copy, so a
-    series can be kept and shared.
+    series can be kept and shared; series compare and hash by identity.
     """
 
     x: float
@@ -130,32 +130,56 @@ class EigenSeries:
         The separated powers ``gamma^n`` overflow long before the actual
         terms ``c_n gamma^n`` do (the coefficients decay factorially), so
         the terms are assembled from ``log c_n + n log|gamma|`` under a
-        shared shift: each row's largest log, or 0 if it is infinite.
+        shared shift: each row's largest log, or 0 if it is infinite.  The
+        term matrix is built, shifted and exponentiated in place.
         """
         g = np.asarray(gamma, dtype=float)
         shape, g = g.shape, g.ravel()
         logc, n = self._logc[:terms], self._n[:terms]
         with np.errstate(divide="ignore", invalid="ignore"):
-            logs = logc[None, :] + n[None, :] * np.log(np.abs(g))[:, None]
-        logs = np.where(np.isnan(logs), -np.inf, logs)
-        signs = np.where(g[:, None] < 0.0, 1.0, self._alternating[:terms])
+            lg = np.log(np.abs(g))
+            logs = lg[:, None] * n[None, :]
+            logs += logc
+        # 0 * inf and -inf + inf leave NaNs, only where log|gamma| is not
+        # finite (gamma = 0, +-inf or NaN); such a term counts as absent
+        odd = ~np.isfinite(lg)
+        has_odd = odd.any()
+        if has_odd:
+            rows = logs[odd]
+            rows[np.isnan(rows)] = -np.inf
+            logs[odd] = rows
         m = logs.max(axis=1)
         m = np.where(np.isfinite(m), m, 0.0)
-        sums = np.einsum("ij,ij->i", np.exp(logs - m[:, None]), signs) \
-            * np.exp(m)
-        vals = np.where(g == 0.0, self.coefficients[0], sums)
-        vals = np.where(np.isnan(g), np.nan, vals)
+        logs -= m[:, None]
+        mags = np.exp(logs, out=logs)
+        if (g < 0.0).any():
+            signs = np.where(g[:, None] < 0.0, 1.0, self._alternating[:terms])
+            vals = np.einsum("ij,ij->i", mags, signs) * np.exp(m)
+        else:
+            vals = np.einsum("ij,j->i", mags, self._alternating[:terms]) \
+                * np.exp(m)
+        if has_odd:
+            vals = np.where(g == 0.0, self.coefficients[0], vals)
+            vals = np.where(np.isnan(g), np.nan, vals)
         return vals[0] if not shape else vals.reshape(shape)
 
 
 def _terms_needed(front: float, z: float, tol: float) -> Optional[int]:
-    """Smallest N with tail bound below tol, or None if > _SERIES_CAP."""
+    """Smallest N with tail bound below tol, or None if > _SERIES_CAP.
+
+    ``gammainc(n, z)`` is scanned in doubling windows of ``n`` (1-64,
+    65-192, ...), so a short series does not pay for the whole cap."""
     if z <= 0.0:
         return 1
-    ns = np.arange(1, _SERIES_CAP + 1)
-    ok = gammainc(ns, z) < tol * np.exp(-z) / front
-    hit = np.flatnonzero(ok)
-    return int(ns[hit[0]]) if hit.size else None
+    level = tol * np.exp(-z) / front
+    lo, width = 1, 64
+    while lo <= _SERIES_CAP:
+        ns = np.arange(lo, min(lo + width, _SERIES_CAP + 1))
+        hit = np.flatnonzero(gammainc(ns, z) < level)
+        if hit.size:
+            return int(ns[hit[0]])
+        lo, width = lo + width, 2 * width
+    return None
 
 
 def _cumulative_integral(z: np.ndarray, h: np.ndarray,
@@ -710,6 +734,8 @@ def _integrate_gamma(f: Callable, g_max: float):
     def integrand(v):
         u = v * v
         g = 0.5 * u * u
+        if g.all():                    # the usual case: none underflows
+            return np.asarray(f(g), dtype=float) * 2.0 * u * v
         # a node so close to 0 that gamma underflows contributes 0
         live = g != 0.0
         out = np.zeros_like(v)
@@ -730,6 +756,8 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
     closed-form one."""
     if t <= 0:
         raise DomainError("t must be positive")
+    if not tol > 0:
+        raise DomainError("tol must be positive")
     if t < T_MIN:
         raise RangeError(f"t below the supported minimum {T_MIN:g}")
     needed_kind = "principal" if eig_kind == "A" else "killed"

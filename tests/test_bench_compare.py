@@ -133,3 +133,40 @@ def test_traced_runs_compare_per_layer_metrics(tmp_path, capsys):
     assert rows[("subexp.conv_tail.ms", "3")][6] == ""
     assert not any(key[0] == "spectral.eigen_reuse_share.custom"
                    for key in rows)
+
+
+def test_json_keeps_every_compared_row(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_runs(parent, "custom",
+               [(s, 150.0 + s, 4.0 + 0.01 * s) for s in range(10)])
+    write_runs(change, "custom",
+               [(s, 300.0 + s, 5.6 + 0.01 * s) for s in range(10)], failed=1)
+    write_runs(parent, "paths", [(1, 10.0, 1.0)])
+    for side in (parent, change):
+        (side / "result-custom-seed1-trace1.json").write_text(json.dumps(
+            {"attempted": 1, "failed": 0,
+             "metrics": {"cli.tails.ms": {"value": 10.0}}}))
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps({"end_to_end": METRICS, "per_layer": [
+        {"name": "cli.tails.ms", "better": "lower"}]}))
+    out = tmp_path / "pairs.json"
+    code = bench_compare.main([str(parent), str(change), "--benchmark",
+                               str(bench), "--json", str(out)])
+    printed = capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert code == 1 and isinstance(doc["cpu_count"], int)
+    rows = {(r["table"], r["workload"], r["metric"]): r for r in doc["rows"]}
+    assert set(rows) == {("end_to_end", "custom", "work_per_s"),
+                         ("end_to_end", "custom", "op_p50_ms"),
+                         ("end_to_end", "paths", None),
+                         ("per_layer", None, "cli.tails.ms")}
+    rate = rows[("end_to_end", "custom", "work_per_s")]
+    assert (rate["pairs"], rate["won"], rate["flag"]) == (10, 10, "gain")
+    assert rate["parent"] == {"q1": 152.25, "median": 154.5, "q3": 156.75}
+    assert rate["failed_share"]["parent"] == 0.0
+    assert abs(rate["failed_share"]["change"] - 0.01) < 1e-15
+    assert "154.5 [152.2, 156.8]" in printed
+    assert rows[("end_to_end", "custom", "op_p50_ms")]["flag"] == "WORSE"
+    assert rows[("end_to_end", "paths", None)]["flag"] == "no pairs"
+    layer = rows[("per_layer", None, "cli.tails.ms")]
+    assert layer["pairs"] == 1 and layer["change"]["median"] == 10.0

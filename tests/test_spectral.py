@@ -666,6 +666,25 @@ def test_custom_spectral_values_pinned(expressions):
         assert (got[0].hex(), float(got[1]).hex()) == (value, error), (fn, t)
 
 
+# the knots branch: (value, error) hex of the custom Brownian twin against
+# the killed Brownian density tabulated on geomspace(1e-14, 20, 400)
+_PINNED_KNOTS = (
+    ("hitting_tail", 4.0, "0x1.881d73748e1a0p-2", "0x1.82b03495288e6p-24"),
+    ("hitting_tail", 2.0, "0x1.0a7ef36115af9p-1", "0x1.82af8535a6f8cp-24"),
+    ("hitting_density", 4.0, "0x1.6883d1011969fp-5", "0x1.dd33cb91fae8fp-41"),
+    ("hitting_density", 2.0, "0x1.c1efcb600a464p-4", "0x1.2c0e4b0ebbb4ep-43"),
+)
+
+
+def test_custom_table_values_pinned():
+    custom = spec_from_expressions("x", "2")
+    g = np.geomspace(1e-14, 20.0, 400)
+    tab = sp.measure_from_table(g, M_KILL_BM.density(g), kind="killed")
+    for fn, t, value, error in _PINNED_KNOTS:
+        got = getattr(sp, fn)(custom, 1.0, t, measure=tab, with_error=True)
+        assert (got[0].hex(), float(got[1]).hex()) == (value, error), (fn, t)
+
+
 def test_ladder_dies_with_its_spec():
     custom = spec_from_expressions("x", "2")
     sp.eigen_coefficients(custom, 0.5, "C", n_terms=2)
@@ -828,15 +847,15 @@ GAMMAS = st.one_of(st.just(0.0), st.just(math.nan), st.floats(0.0, 1e3),
 
 
 @st.composite
-def gamma_arguments(draw):
+def gamma_arguments(draw, elements=GAMMAS):
     form = draw(st.sampled_from(["float", "0-d", "1-d", "2-d"]))
     if form == "float":
-        return draw(GAMMAS)
+        return draw(elements)
     if form == "0-d":
-        return np.array(draw(GAMMAS))
+        return np.array(draw(elements))
     rows = draw(st.integers(1, 3)) if form == "2-d" else 1
     cols = draw(st.integers(1, 4))
-    g = np.array(draw(st.lists(GAMMAS, min_size=rows * cols,
+    g = np.array(draw(st.lists(elements, min_size=rows * cols,
                                max_size=rows * cols)))
     return g.reshape(rows, cols) if form == "2-d" else g
 
@@ -853,6 +872,107 @@ def test_series_evaluator_matches_reference_bits(c, gamma):
     got, ref = np.asarray(got), np.asarray(ref)
     assert np.all(np.isnan(got[nan])), (got, gamma)
     assert got[~nan].tobytes() == ref[~nan].tobytes(), (got, ref)
+
+
+def _matrix_series_eval(series, gamma, terms=None):
+    """The evaluator ``EigenSeries.value`` had before it worked in place:
+    a sign matrix, a matrix-wide NaN repair and fresh temporaries.  Kept as
+    the reference its bits must match."""
+    g = np.asarray(gamma, dtype=float)
+    shape, g = g.shape, g.ravel()
+    logc, n = series._logc[:terms], series._n[:terms]
+    logs = logc[None, :] + n[None, :] * np.log(np.abs(g))[:, None]
+    logs = np.where(np.isnan(logs), -np.inf, logs)
+    signs = np.where(g[:, None] < 0.0, 1.0, series._alternating[:terms])
+    m = logs.max(axis=1)
+    m = np.where(np.isfinite(m), m, 0.0)
+    sums = np.einsum("ij,ij->i", np.exp(logs - m[:, None]), signs) \
+        * np.exp(m)
+    vals = np.where(g == 0.0, series.coefficients[0], sums)
+    vals = np.where(np.isnan(g), np.nan, vals)
+    return vals[0] if not shape else vals.reshape(shape)
+
+
+EXTREME_GAMMAS = st.one_of(
+    GAMMAS, st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, math.inf, -math.inf, 5e-324, 1e-300, 1e300,
+                     -1e300, 1.7e308, -1e-8]))
+
+
+# the in-place evaluator, with its alternating-row contraction when no
+# gamma is negative, keeps every bit of the matrix one, NaNs included
+@settings(max_examples=400, deadline=None)
+@given(c=factorial_coefficients(),
+       gamma=gamma_arguments(elements=EXTREME_GAMMAS),
+       data=st.data())
+def test_in_place_evaluator_matches_matrix_evaluator_bits(c, gamma, data):
+    series = sp.EigenSeries(1.0, "A", c, 50.0, 1.0)
+    terms = data.draw(st.one_of(st.none(), st.integers(0, c.size + 3)))
+    with np.errstate(all="ignore"):
+        try:
+            ref = _matrix_series_eval(series, gamma, terms)
+        except ValueError:            # no terms: an empty row has no max
+            with pytest.raises(ValueError):
+                series.value(gamma, terms)
+            return
+        got = series.value(gamma, terms)
+    assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
+    assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), \
+        (got, ref, terms)
+
+
+def _terms_needed_full_scan(front, z, tol):
+    """``_terms_needed`` as one scan of every ``n`` up to the cap."""
+    if z <= 0.0:
+        return 1
+    ns = np.arange(1, sp._SERIES_CAP + 1)
+    hit = np.flatnonzero(gammainc(ns, z) < tol * np.exp(-z) / front)
+    return int(ns[hit[0]]) if hit.size else None
+
+
+@settings(max_examples=500, deadline=None)
+@given(front=st.floats(1e-300, 1e6), z=st.one_of(
+    st.floats(-1.0, 2000.0), st.floats(0.0, 1e-3), st.floats(50.0, 400.0)),
+    tol=st.floats(1e-300, 10.0))
+def test_windowed_terms_scan_matches_full_scan(front, z, tol):
+    with np.errstate(all="ignore"):
+        assert sp._terms_needed(front, z, tol) \
+            == _terms_needed_full_scan(front, z, tol)
+
+
+def test_eigen_series_equality_is_identity():
+    c = np.array([1.0, 0.5, 0.1])
+    series, twin = (sp.EigenSeries(1.0, "A", c, 1.0, 1.0) for _ in range(2))
+    assert hash(series) == hash(series)
+    assert series == series and series != twin
+    assert len({series, twin, series}) == 2
+
+
+def test_underflowing_gamma_nodes_contribute_zero():
+    seen = []
+
+    def f(g):
+        seen.append(g.copy())
+        return np.ones_like(g)
+
+    # gamma = v^4 / 2 underflows at the panel's smallest nodes only
+    val, err = sp._integrate_gamma(f, 1e-320)
+    assert all(np.all(g > 0.0) for g in seen)
+    assert sum(g.size for g in seen) < 21 * len(seen)
+    assert 0.0 < val <= 1e-320 and math.isfinite(err)
+
+
+def test_nonpositive_tol_is_a_domain_error():
+    with pytest.raises(DomainError, match="tol"):
+        sp.levy_tail(BM, 1.0, tol=0)
+    g = np.geomspace(1e-14, 20.0, 400)
+    tab = sp.measure_from_table(g, M_KILL_BM.density(g), kind="killed")
+    for tol in (-1.0, 0.0, math.nan):
+        with pytest.raises(DomainError, match="tol"):
+            sp.levy_tail(BM, 1.0, measure=tab, tol=tol)
+    custom = spec_from_expressions("x", "2")
+    with pytest.raises(DomainError, match="tol"):
+        sp.hitting_tail(custom, 1.0, 4.0, measure=M_KILL_BM, tol=-1e-9)
 
 
 def test_domain_errors():

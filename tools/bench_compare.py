@@ -1,6 +1,7 @@
 """Compare benchmark runs of a parent checkout and a changed checkout.
 
     python3 tools/bench_compare.py PARENT_OUT CHANGE_OUT [--benchmark FILE]
+                                   [--json PATH]
 
 ``PARENT_OUT`` and ``CHANGE_OUT`` are directories holding the
 ``result-<workload>-seed<N>-trace<0|1>.json`` files that ``bench/run.py``
@@ -26,17 +27,22 @@ workload), with ``WORSE`` at 10% of the parent's median.  It locates where
 a change saves or costs time; a per-layer value comes from one traced pass
 and has no bound in ``BENCHMARK.json``, so it does not gate.  The exit code
 is 1 when an end-to-end row reads ``WORSE`` or the change fails a larger
-share of calls, else 0.  Standard library only.
+share of calls, else 0.  With ``--json PATH`` every compared row of both
+tables is also written to ``PATH``, with ``os.cpu_count()``, so a change can
+keep its pairs next to the code (``BENCH_<n>.json``).  Standard library
+only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import sys
 from pathlib import Path
+from typing import Optional
 
 RESULT = re.compile(r"result-(?P<workload>.+)-seed(?P<seed>\d+)"
                     r"-trace(?P<trace>[01])\.json")
@@ -98,8 +104,20 @@ def _summary(row: dict) -> str:
             f"| {ratio:.3f} | {row['won']}/{row['pairs']} | {row['flag']}")
 
 
-def report(parent_runs: dict, change_runs: dict, metrics: list) -> bool:
-    """Print the table; True when nothing is flagged worse."""
+def _record(row: dict, **keys) -> dict:
+    """A compared row as a JSON document: ``keys``, the pairs, each side's
+    quartiles, the pairs won and the flag."""
+    sides = {side: dict(zip(("q1", "median", "q3"), row[side]))
+             for side in ("parent", "change")}
+    return {**keys, "pairs": row["pairs"], **sides, "won": row["won"],
+            "flag": row["flag"]}
+
+
+def report(parent_runs: dict, change_runs: dict, metrics: list,
+           rows: Optional[list] = None) -> bool:
+    """Print the table; True when nothing is flagged worse.  Each row is
+    also appended to ``rows``, if given, as a JSON document."""
+    rows = [] if rows is None else rows
     ok = True
     print("| workload | metric | pairs | parent median [q1, q3] "
           "| change median [q1, q3] | change/parent | change won | flag "
@@ -112,6 +130,8 @@ def report(parent_runs: dict, change_runs: dict, metrics: list) -> bool:
                        if w == workload and (w, s) in change_runs)
         if not seeds:
             print(f"| {workload} | - | 0 | | | | | no pairs | |")
+            rows.append({"table": "end_to_end", "workload": workload,
+                         "metric": None, "pairs": 0, "flag": "no pairs"})
             continue
         docs = [(parent_runs[(workload, s)], change_runs[(workload, s)])
                 for s in seeds]
@@ -127,13 +147,18 @@ def report(parent_runs: dict, change_runs: dict, metrics: list) -> bool:
             ok = ok and row["flag"] != "WORSE"
             print(f"| {workload} | {name} | {row['pairs']} | {_summary(row)} "
                   f"| {fails[0]:.3g}/{fails[1]:.3g} |")
+            rows.append(_record(
+                row, table="end_to_end", workload=workload, metric=name,
+                failed_share={"parent": fails[0], "change": fails[1]}))
     return ok
 
 
-def report_layers(parent_runs: dict, change_runs: dict,
-                  metrics: list) -> None:
+def report_layers(parent_runs: dict, change_runs: dict, metrics: list,
+                  rows: Optional[list] = None) -> None:
     """Print the per-layer table over every traced pair, if there is one;
-    a metric that either side lacks is skipped."""
+    a metric that either side lacks is skipped.  Each row is also appended
+    to ``rows``, if given."""
+    rows = [] if rows is None else rows
     keys = sorted(set(parent_runs) & set(change_runs))
     if not keys:
         return
@@ -151,6 +176,8 @@ def report_layers(parent_runs: dict, change_runs: dict,
         if pairs:
             row = compare_metric(pairs, metric["better"], LAYER_BOUND)
             print(f"| {name} | {row['pairs']} | {_summary(row)} |")
+            rows.append(_record(row, table="per_layer", workload=None,
+                                metric=name))
 
 
 def main(argv=None) -> int:
@@ -164,13 +191,20 @@ def main(argv=None) -> int:
                         default=ROOT / "BENCHMARK.json",
                         help="benchmark declaration with the metric bounds "
                              "(default: BENCHMARK.json at the repo root)")
+    parser.add_argument("--json", type=Path, metavar="PATH",
+                        help="also write every compared row to PATH")
     args = parser.parse_args(argv)
     metrics = json.loads(args.benchmark.read_text(encoding="utf-8"))
+    rows = []
     ok = report(load_runs(args.parent), load_runs(args.change),
-                metrics["end_to_end"])
+                metrics["end_to_end"], rows)
     report_layers(load_runs(args.parent, trace=1),
                   load_runs(args.change, trace=1),
-                  metrics.get("per_layer", []))
+                  metrics.get("per_layer", []), rows)
+    if args.json is not None:
+        doc = {"cpu_count": os.cpu_count(), "rows": rows}
+        args.json.write_text(json.dumps(doc, indent=1) + "\n",
+                             encoding="utf-8")
     return 0 if ok else 1
 
 

@@ -4,7 +4,12 @@ Two layers live here.  The exact layer draws hitting times, inverse
 local times (via Kanter's representation of the positive stable law), and
 the Brownian last-zero/meander decomposition directly from their known
 laws — no time discretization at all, so tail probabilities at horizons
-like ``t = 1e4`` cost the same as ``t = 1``.  The grid layer streams
+like ``t = 1e4`` cost the same as ``t = 1``.  None of these draws
+rejects: a meander of length ``r`` ends at a Rayleigh(sqrt(r)) point
+``z``, and given that end it is a three-dimensional Bessel bridge from 0
+to ``z`` (Imhof 1984, *Density factorizations for Brownian motion,
+meander and the three-dimensional Bessel process*), so its position at
+any time is the norm of a Gaussian vector.  The grid layer streams
 reflected-Brownian or squared-Bessel paths step by step, carrying only
 the current state and a handful of accumulators, so ``1e5`` paths with
 ``2e4`` steps never materialize as a matrix.
@@ -32,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .diffusions import (DiffusionSpec, band_occupancy_probability,
                          bessel_exponent_constant, cumulative_speed)
@@ -292,15 +296,35 @@ def _require_rng(rng) -> None:
         raise DomainError("rng is required: pass a numpy Generator")
 
 
+def _meander_pair(r, v: float, rng) -> tuple:
+    """Positions ``(X_v, X_r)`` of Brownian meanders of lengths ``r`` (an
+    array, all ``>= v``) at time ``v`` and at their end, with no rejection.
+
+    The end is Rayleigh(sqrt(r)); given it, the meander is a BES(3)
+    bridge from 0 to ``X_r`` (Imhof 1984), the norm of a 3-d Brownian
+    bridge from 0 to ``X_r e_1``.  At time ``v`` that bridge is Gaussian
+    with mean ``(v/r) X_r e_1`` and variance ``s2 = v (r - v) / r`` per
+    axis, and the two axes off ``e_1`` add ``s2 chi2(2) = 2 s2 E``.  At
+    ``r == v``, ``s2 = 0`` and ``X_v`` is ``sqrt(X_r^2) = X_r`` exactly.
+    """
+    xr = rng.rayleigh(scale=np.sqrt(r))
+    s2 = v * (r - v) / r
+    along = v / r * xr + np.sqrt(s2) * rng.standard_normal(r.size)
+    xv = np.sqrt(along * along + 2.0 * s2 * rng.standard_exponential(r.size))
+    return xv, xr
+
+
 def sample_meander_position(r, v: float, n: Optional[int] = None,
                             rng=None) -> np.ndarray:
     """Position at time ``v`` of a Brownian meander of length ``r``.
 
     ``r`` may be a scalar (with ``n`` draws) or an array of per-sample
-    lengths, all ``>= v``.  Rejection from the Rayleigh(sqrt(v)) proposal
-    with acceptance ``2 Phi(y / sqrt(r - v)) - 1`` (the probability a
-    Brownian bridge stays positive past ``y``); at ``r == v`` this is the
-    meander endpoint, plain Rayleigh(sqrt(v)).  ``rng`` is required.
+    lengths, all ``>= v``; ``r`` and ``v`` must be finite.  Drawn with no
+    rejection (Imhof 1984): the meander's end is Rayleigh(sqrt(r)), and
+    given that end ``z`` the meander is a three-dimensional Bessel bridge
+    from 0 to ``z``, whose position at ``v`` is the norm of a Gaussian
+    vector.  At ``r == v`` this is the meander endpoint, plain
+    Rayleigh(sqrt(v)).  ``rng`` is required.
     """
     _require_rng(rng)
     r = np.asarray(r, dtype=float)
@@ -310,19 +334,9 @@ def sample_meander_position(r, v: float, n: Optional[int] = None,
         r = np.full(int(n), float(r))
     if v <= 0 or np.any(r < v):
         raise DomainError("need 0 < v <= r")
-    out = np.empty(r.size)
-    todo = np.arange(r.size)
-    sv = math.sqrt(v)
-    while todo.size:
-        y = rng.rayleigh(scale=sv, size=todo.size)
-        gap = r[todo] - v
-        with np.errstate(divide="ignore"):
-            p_ok = np.where(gap > 0.0, 2.0 * ndtr(y / np.sqrt(gap)) - 1.0,
-                            1.0)
-        accept = rng.random(todo.size) < p_ok
-        out[todo[accept]] = y[accept]
-        todo = todo[~accept]
-    return out
+    if not (math.isfinite(v) and np.all(np.isfinite(r))):
+        raise DomainError("r and v must be finite")
+    return _meander_pair(r.ravel(), float(v), rng)[0]
 
 
 def sample_positive_step(y, w, rng) -> np.ndarray:
@@ -340,6 +354,8 @@ def sample_positive_step(y, w, rng) -> np.ndarray:
         raise DomainError("start values must be positive")
     if np.any(w < 0):
         raise DomainError("w must be nonnegative")
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(w))):
+        raise DomainError("start values and w must be finite")
     out = np.where(w == 0.0, y, np.nan)
     todo = np.flatnonzero(w > 0.0)
     while todo.size:

@@ -398,6 +398,15 @@ def post_lastzero_marginal_check(weight: WeightFunction, v: float = 1.0,
     ``X_{g+v}`` is zero within error (standard error of the means of 20
     batches).  Tuples whose post-zero window is shorter than ``v`` are
     dropped; their weighted mass vanishes as ``u`` grows.
+
+    Nothing is rejected, so each batch costs the same whatever the
+    draws: ``g`` is ``u`` Beta(1/2, 1/2) and the local time
+    Rayleigh(sqrt(g)); after ``g`` the path is a meander of length
+    ``r = u - g``, whose end ``X_u`` is Rayleigh(sqrt(r)) and which,
+    given that end, is a three-dimensional Bessel bridge from 0 to
+    ``X_u`` (Imhof 1984, *Density factorizations for Brownian motion,
+    meander and the three-dimensional Bessel process*).  ``X_{g+v}`` is
+    then the norm of a Gaussian vector.
     """
     from .diffusions import brownian_spec
     spec = brownian_spec()
@@ -423,8 +432,7 @@ def post_lastzero_marginal_check(weight: WeightFunction, v: float = 1.0,
         loc = rng.rayleigh(scale=np.sqrt(g))
         ok = g <= u - v
         r = u - g[ok]
-        xv = mc.sample_meander_position(r, v, rng=rng)
-        xu = mc.sample_positive_step(xv, r - v, rng)
+        xv, xu = mc._meander_pair(r, v, rng)
         w = martingale_value(spec, weight, xu, loc[ok])
         dropped_weight += float(np.sum(
             martingale_value(spec, weight, 0.0, loc[~ok])))

@@ -131,8 +131,11 @@ class EigenSeries:
         terms ``c_n gamma^n`` do (the coefficients decay factorially), so
         the terms are assembled from ``log c_n + n log|gamma|`` under a
         shared shift: each row's largest log, or 0 if it is infinite.  The
-        term matrix is built, shifted and exponentiated in place.
+        term matrix is built, shifted and exponentiated in place.  A
+        ``terms`` below 1 raises :class:`DomainError`.
         """
+        if terms is not None and terms < 1:
+            raise DomainError(f"terms must be at least 1, got {terms}")
         g = np.asarray(gamma, dtype=float)
         shape, g = g.shape, g.ravel()
         logc, n = self._logc[:terms], self._n[:terms]

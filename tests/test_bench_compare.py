@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_compare.py"
@@ -170,3 +171,38 @@ def test_json_keeps_every_compared_row(tmp_path, capsys):
     assert rows[("end_to_end", "paths", None)]["flag"] == "no pairs"
     layer = rows[("per_layer", None, "cli.tails.ms")]
     assert layer["pairs"] == 1 and layer["change"]["median"] == 10.0
+
+
+def test_json_records_commits_and_pair_seeds(tmp_path, capsys, monkeypatch):
+    # git looks for no checkout above tmp_path
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    parent, change = tmp_path / "parent" / "out", tmp_path / "change"
+    parent.parent.mkdir()
+    git = ["git", "-C", str(parent.parent), "-c", "user.name=bench",
+           "-c", "user.email=bench@example.org"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "runs"],
+                   check=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+    write_runs(parent, "exact", [(s, 10.0, 1.0) for s in (3, 1, 7)])
+    write_runs(change, "exact", [(s, 12.0, 1.0) for s in (1, 3, 8)])
+    for side in (parent, change):
+        for workload, seed in (("exact", 2), ("paths", 2)):
+            (side / f"result-{workload}-seed{seed}-trace1.json").write_text(
+                json.dumps({"attempted": 1, "failed": 0, "metrics": {
+                    "cli.tails.ms": {"value": 10.0}}}))
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps({"end_to_end": METRICS, "per_layer": [
+        {"name": "cli.tails.ms", "better": "lower"}]}))
+    out = tmp_path / "pairs.json"
+    bench_compare.main([str(parent), str(change), "--benchmark", str(bench),
+                        "--json", str(out)])
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    # the change side sits in no git checkout
+    assert doc["commit"] == {"parent": head, "change": None}
+    rows = {(r["table"], r["metric"]): r for r in doc["rows"]}
+    assert rows[("end_to_end", "work_per_s")]["seeds"] == [1, 3]
+    assert rows[("per_layer", "cli.tails.ms")]["seeds"] \
+        == [["exact", 2], ["paths", 2]]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammainc
+from scipy.special import gammainc, ndtr
 from scipy.stats import kstest, ncx2
 
 from levykit import montecarlo as mc
@@ -17,6 +17,7 @@ from levykit.diffusions import (bessel_spec, brownian_spec, levy_exponent,
                                 spec_from_expressions)
 from levykit.errors import (DomainError, ResolutionError,
                             UnsupportedSpecError)
+from levykit.quadrature import integrate
 
 BM = brownian_spec()
 B15 = bessel_spec(1.5)
@@ -112,6 +113,89 @@ def test_meander_needs_rng():
 def test_positive_step_needs_rng():
     with pytest.raises(DomainError, match="rng"):
         mc.sample_positive_step(np.ones(10), 0.5, None)
+
+
+# each of these used to loop forever or return a draw
+@pytest.mark.parametrize("draw", [
+    lambda rng: mc.sample_positive_step(np.array([math.nan]), 1.0, rng),
+    lambda rng: mc.sample_positive_step(np.array([1.0]), math.nan, rng),
+    lambda rng: mc.sample_positive_step(np.array([1.0]), math.inf, rng),
+    lambda rng: mc.sample_meander_position(np.array([math.inf]), 1.0,
+                                           rng=rng),
+    lambda rng: mc.sample_meander_position(math.nan, 1.0, n=3, rng=rng),
+    lambda rng: mc.sample_meander_position(np.array([2.0]), math.nan,
+                                           rng=rng),
+], ids=["positive-step-nan-y", "positive-step-nan-w", "positive-step-inf-w",
+        "meander-inf-r", "meander-nan-r", "meander-nan-v"])
+def test_non_finite_sampler_inputs_are_domain_errors(draw):
+    with pytest.raises(DomainError, match="finite"):
+        draw(np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# the rejection-free meander pair against its exact law
+# ---------------------------------------------------------------------------
+
+MEANDER_CASES = [(1.0, 1.0), (2.0, 1.0), (5.0, 1.0), (50.0, 1.0), (3.0, 0.2)]
+
+
+def _meander_draws(r, v, n, seed):
+    return mc._meander_pair(np.full(n, r), v, np.random.default_rng(seed))
+
+
+def _meander_cdf_at_sorted(r, v, xs):
+    """CDF of the meander marginal at the sorted points ``xs``: its
+    density ``sqrt(r/v) (y/v) exp(-y^2/2v) (2 Phi(y/sqrt(r-v)) - 1)``
+    integrated from one point to the next and summed."""
+    gap = math.sqrt(r - v)
+
+    def density(y):
+        stay = 2.0 * ndtr(y / gap) - 1.0 if gap > 0 else 1.0
+        return math.sqrt(r / v) * (y / v) * np.exp(-y * y / (2 * v)) * stay
+
+    assert abs(integrate(density, 0.0, np.inf)[0] - 1.0) < 1e-9
+    return np.cumsum([integrate(density, a, b)[0]
+                      for a, b in zip(np.r_[0.0, xs[:-1]], xs)])
+
+
+@pytest.mark.parametrize("r,v", MEANDER_CASES)
+def test_meander_pair_marginals_by_ks(r, v):
+    xv, xr = _meander_draws(r, v, 10_000, seed=int(10 * r + 100 * v))
+    assert kstest(xr, lambda x: -np.expm1(-x * x / (2 * r))).pvalue > 0.01
+    xs = np.sort(xv)
+    cdf = _meander_cdf_at_sorted(r, v, xs)
+    # interpolating at its own knots reads the quadrature CDF exactly
+    assert kstest(xv, lambda x: np.interp(x, xs, cdf)).pvalue > 0.01
+
+
+@pytest.mark.parametrize("r,v", MEANDER_CASES)
+def test_meander_pair_cross_moment(r, v):
+    # E_y[X_w; no zero by w] = y makes E[X_v X_r] = E[X_v^2 / P(no zero)]
+    # = 2 sqrt(r v)
+    xv, xr = _meander_draws(r, v, 200_000, seed=int(10 * r + 100 * v) + 1)
+    prod = xv * xr
+    se = float(np.std(prod, ddof=1)) / math.sqrt(prod.size)
+    assert abs(float(prod.mean()) - 2.0 * math.sqrt(r * v)) < 4 * se
+
+
+def test_meander_pair_at_its_end_is_the_end():
+    xv, xr = _meander_draws(2.5, 2.5, 10_000, seed=5)
+    assert xv.tobytes() == xr.tobytes()
+
+
+# v is r or at most 0.99 r: nearer r, c r - c v cancels and moves the
+# bridge variance by more than the rounding this property allows
+@settings(max_examples=100, deadline=None)
+@given(r=st.floats(1e-3, 1e3), frac=st.one_of(st.just(1.0),
+                                               st.floats(0.01, 0.99)),
+       c=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_meander_pair_brownian_scaling(r, frac, c, seed):
+    v = r * frac
+    base = _meander_draws(r, v, 50, seed)
+    scaled = _meander_draws(c * r, c * v, 50, seed)
+    for b, s in zip(base, scaled):
+        assert np.max(np.abs(s - math.sqrt(c) * b)) \
+            <= 1e-13 * math.sqrt(c * r)
 
 
 # ---------------------------------------------------------------------------

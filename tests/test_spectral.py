@@ -948,6 +948,15 @@ def test_eigen_series_equality_is_identity():
     assert len({series, twin, series}) == 2
 
 
+@pytest.mark.parametrize("terms", [0, -1, -3])
+def test_series_value_needs_at_least_one_term(terms):
+    series = sp.EigenSeries(1.0, "A", np.array([1.0, 0.5, 0.1]), 1.0, 1.0)
+    with pytest.raises(DomainError, match="at least 1"):
+        series.value(np.array([0.5, 2.0]), terms)
+    assert series.value(2.0, 1) == 1.0
+    assert series.value(2.0, 3) == series.value(2.0)
+
+
 def test_underflowing_gamma_nodes_contribute_zero():
     seen = []
 

@@ -28,9 +28,12 @@ a change saves or costs time; a per-layer value comes from one traced pass
 and has no bound in ``BENCHMARK.json``, so it does not gate.  The exit code
 is 1 when an end-to-end row reads ``WORSE`` or the change fails a larger
 share of calls, else 0.  With ``--json PATH`` every compared row of both
-tables is also written to ``PATH``, with ``os.cpu_count()``, so a change can
-keep its pairs next to the code (``BENCH_<n>.json``).  Standard library
-only.
+tables is also written to ``PATH``, with the seeds of its pairs (``[workload,
+seed]`` pairs in the per-layer table, which pools workloads), with
+``os.cpu_count()`` and with each side's commit: ``git rev-parse HEAD`` of
+the checkout that holds its results directory, or null outside a git
+checkout.  So a change can keep its pairs, and where they came from, next
+to the code (``BENCH_<n>.json``).  Standard library only.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import json
 import os
 import re
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 from typing import Optional
@@ -62,6 +66,18 @@ def load_runs(directory: Path, trace: int = 0) -> dict:
             if doc.get("metrics"):
                 runs[(match["workload"], int(match["seed"]))] = doc
     return runs
+
+
+def checkout_commit(directory: Path) -> Optional[str]:
+    """``HEAD`` of the git checkout holding ``directory``, or None when
+    there is none (or no ``git``)."""
+    try:
+        done = subprocess.run(["git", "-C", str(directory), "rev-parse",
+                               "HEAD"], capture_output=True, text=True,
+                              check=False)
+    except OSError:
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
 
 
 def quartiles(values: list) -> tuple[float, float, float]:
@@ -149,6 +165,7 @@ def report(parent_runs: dict, change_runs: dict, metrics: list,
                   f"| {fails[0]:.3g}/{fails[1]:.3g} |")
             rows.append(_record(
                 row, table="end_to_end", workload=workload, metric=name,
+                seeds=seeds,
                 failed_share={"parent": fails[0], "change": fails[1]}))
     return ok
 
@@ -169,15 +186,15 @@ def report_layers(parent_runs: dict, change_runs: dict, metrics: list,
     print("|---|---|---|---|---|---|---|")
     for metric in metrics:
         name = metric["name"]
+        both = [k for k in keys if name in parent_runs[k]["metrics"]
+                and name in change_runs[k]["metrics"]]
         pairs = [(parent_runs[k]["metrics"][name]["value"],
-                  change_runs[k]["metrics"][name]["value"]) for k in keys
-                 if name in parent_runs[k]["metrics"]
-                 and name in change_runs[k]["metrics"]]
+                  change_runs[k]["metrics"][name]["value"]) for k in both]
         if pairs:
             row = compare_metric(pairs, metric["better"], LAYER_BOUND)
             print(f"| {name} | {row['pairs']} | {_summary(row)} |")
             rows.append(_record(row, table="per_layer", workload=None,
-                                metric=name))
+                                metric=name, seeds=[list(k) for k in both]))
 
 
 def main(argv=None) -> int:
@@ -202,7 +219,10 @@ def main(argv=None) -> int:
                   load_runs(args.change, trace=1),
                   metrics.get("per_layer", []), rows)
     if args.json is not None:
-        doc = {"cpu_count": os.cpu_count(), "rows": rows}
+        doc = {"cpu_count": os.cpu_count(),
+               "commit": {"parent": checkout_commit(args.parent),
+                          "change": checkout_commit(args.change)},
+               "rows": rows}
         args.json.write_text(json.dumps(doc, indent=1) + "\n",
                              encoding="utf-8")
     return 0 if ok else 1

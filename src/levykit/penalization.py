@@ -416,6 +416,8 @@ def post_lastzero_marginal_check(weight: WeightFunction, v: float = 1.0,
         u = penalization_horizon(spec, weight, 0.01, seed=seed)
     if u <= v:
         raise DomainError("u must exceed v")
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise DomainError("u and v must be finite")
     bins, batches = 10, 20
     rng = np.random.default_rng(seed)
     # Maxwell(sqrt(v)) quantiles as scipy.stats.maxwell.ppf forms them

@@ -115,7 +115,8 @@ def test_positive_step_needs_rng():
         mc.sample_positive_step(np.ones(10), 0.5, None)
 
 
-# each of these used to loop forever or return a draw
+# non-finite inputs are refused before any draw: the rejection loop of
+# sample_positive_step never accepts a NaN proposal
 @pytest.mark.parametrize("draw", [
     lambda rng: mc.sample_positive_step(np.array([math.nan]), 1.0, rng),
     lambda rng: mc.sample_positive_step(np.array([1.0]), math.nan, rng),

@@ -185,6 +185,14 @@ def test_post_lastzero_marginal_and_independence():
     assert abs(sum(res["bin_probs"]) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("v,u", [(math.nan, 10.0), (1.0, math.nan),
+                                 (1.0, math.inf)])
+def test_post_lastzero_needs_finite_times(v, u):
+    with pytest.raises(DomainError, match="finite"):
+        pz.post_lastzero_marginal_check(pz.indicator_weight(1.0), v=v, u=u,
+                                        n=200, seed=0)
+
+
 @pytest.mark.parametrize("v", [0.5, 1.0, 2.0, 3.7])
 def test_post_lastzero_bins_are_scipy_maxwell_quantiles(monkeypatch, v):
     from scipy.stats import maxwell

@@ -24,8 +24,9 @@ tri = lk.triangular_weight(2.0)   # h = triangular density on [0, 2]
 # --- unit mean of the penalization martingale -------------------------------
 
 # The exact joint sampler for (X_u, L_u) is Brownian-only; other specs
-# go through the discretized pathwise route (see doob_meyer_check for
-# the linear identity, which is debiased for every preset).
+# check the unit mean on grid paths with martingale_property_mc (see
+# doob_meyer_check for the linear identity, which is debiased for every
+# preset).
 print("E[M_u] (exact local-time sampling, n=200000)")
 for w, u in [(ind, 0.5), (ind, 2.0), (tri, 1.0)]:
     est = pz.martingale_mean_mc(bm, w, u, n=200_000, seed=SEED)

@@ -162,8 +162,9 @@ def _command(name, summary, columns, *arguments, note=None, after=()):
     """Declare subcommand ``name`` (``"mc tau"`` inside a group).
 
     ``arguments`` come before the shared ``--spec``, ``--format`` and
-    ``--out`` in ``--help``, and ``after`` (:data:`_TOL` or
-    :data:`_MONTE_CARLO`) after them.  The decorated row function
+    ``--out`` in ``--help``, and ``after`` (:data:`_TOL`,
+    :data:`_MONTE_CARLO`, or :data:`_GRID` for the commands that read
+    ``--dt``) after them.  The decorated row function
     ``rows(args, spec, meta)`` yields one tuple per output row in the order
     of ``columns`` (a comma list, also listed in ``--help``) and may fill
     ``meta`` with summary fields.
@@ -183,18 +184,20 @@ _FORMAT = _arg("--format", choices=("csv", "json"), default="csv",
 _OUT = _arg("--out", default=None, help="output file (default stdout)")
 _TOL = (_arg("--tol", type=float, default=1e-9,
              help="numerical tolerance (default 1e-9)"),)
-_MONTE_CARLO = (
-    _arg("--seed", type=int, default=DEFAULT_SEED,
-         help=f"RNG seed (fixed default {DEFAULT_SEED}, never time-based)"),
-    _arg("--n", type=int, default=100_000,
-         help="number of Monte Carlo paths (default 100000)"),
-    _arg("--dt", type=float, default=1e-3,
-         help="grid step for pathwise methods (default 1e-3)"),
-    _arg("--threads", type=int, default=None,
-         help="worker threads (default LEVYKIT_THREADS, else every CPU "
-              "this process may run on; results do not depend on the "
-              "thread count)"),
-)
+_SEED = _arg("--seed", type=int, default=DEFAULT_SEED,
+             help=f"RNG seed (fixed default {DEFAULT_SEED}, never "
+                  "time-based)")
+_N = _arg("--n", type=int, default=100_000,
+          help="number of Monte Carlo paths (default 100000)")
+_THREADS = _arg("--threads", type=int, default=None,
+                help="worker threads (default LEVYKIT_THREADS, else every "
+                     "CPU this process may run on; results do not depend "
+                     "on the thread count)")
+_MONTE_CARLO = (_SEED, _N, _THREADS)
+_GRID = (_SEED, _N,
+         _arg("--dt", type=float, default=1e-3,
+              help="grid step for pathwise methods (default 1e-3)"),
+         _THREADS)
 _T = _arg("--t", required=True, help="time points, comma list")
 _ELL = _arg("--ell", type=float, default=1.0)
 _HOW = _arg("--how", choices=("exact", "pathwise"), default="exact",
@@ -293,7 +296,7 @@ def _subexp(args, spec, meta):
 @_command("mc hitting-tail", "P_x(H_0 > t) vs the closed form",
           "x,t,method,n,seed,estimate,std_error,exact,z",
           _arg("--x", type=float, required=True), _T, _HOW,
-          after=_MONTE_CARLO)
+          after=_GRID)
 def _mc_hitting_tail(args, spec, meta):
     for t in _floats(args.t):
         est = mc.estimate_hitting_tail(spec, args.x, t, args.n,
@@ -308,7 +311,7 @@ def _mc_hitting_tail(args, spec, meta):
           "x,ell,t,method,n,seed,estimate,std_error,asymptote,ratio",
           _arg("--x", type=float, default=0.0), _ELL, _T, _HOW,
           note="asymptote = (S(x)+ell) nu((t,inf)); ratio -> 1 as t grows",
-          after=_MONTE_CARLO)
+          after=_GRID)
 def _mc_localtime_tail(args, spec, meta):
     for t in _floats(args.t):
         est = mc.estimate_localtime_tail(spec, args.x, t, args.ell, args.n,
@@ -359,7 +362,7 @@ def _mc_tau(args, spec, meta):
           "t,n,seed,scale_mean,local_mean,gap,std_error,bias_correction,z",
           _arg("--t", required=True, help="checkpoint times, comma list"),
           note="local_mean includes the closed-form band correction",
-          after=_MONTE_CARLO)
+          after=_GRID)
 def _mc_doob_meyer(args, spec, meta):
     for r in mc.doob_meyer_check(spec, _floats(args.t), n_paths=args.n,
                                  dt=args.dt, seed=args.seed,
@@ -375,7 +378,7 @@ def _mc_doob_meyer(args, spec, meta):
                help="indicator:<ell0>, triangular:<K>, inline JSON or a "
                     "JSON path; repeat for several (default indicator:1.0)"),
           _arg("--u", default="1.0", help="horizons, comma list"),
-          after=_MONTE_CARLO)
+          after=_GRID)
 def _penalize_martingale(args, spec, meta):
     weights = [_parse_weight(w) for w in args.weight or ["indicator:1.0"]]
     for r in pz.martingale_property_mc(spec, weights, _floats(args.u),

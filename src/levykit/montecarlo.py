@@ -50,8 +50,6 @@ __all__ = [
     "sample_tau",
     "sample_local_time",
     "sample_brownian_state",
-    "sample_meander_position",
-    "sample_positive_step",
     "estimate_hitting_tail",
     "estimate_localtime_tail",
     "levy_exponent_mc",
@@ -291,11 +289,6 @@ def sample_brownian_state(u: float, n: int, rng=None, seed=None) -> dict:
     return {"last_zero": g, "local_time": loc, "position": pos}
 
 
-def _require_rng(rng) -> None:
-    if rng is None:
-        raise DomainError("rng is required: pass a numpy Generator")
-
-
 def _meander_pair(r, v: float, rng) -> tuple:
     """Positions ``(X_v, X_r)`` of Brownian meanders of lengths ``r`` (an
     array, all ``>= v``) at time ``v`` and at their end, with no rejection.
@@ -312,60 +305,6 @@ def _meander_pair(r, v: float, rng) -> tuple:
     along = v / r * xr + np.sqrt(s2) * rng.standard_normal(r.size)
     xv = np.sqrt(along * along + 2.0 * s2 * rng.standard_exponential(r.size))
     return xv, xr
-
-
-def sample_meander_position(r, v: float, n: Optional[int] = None,
-                            rng=None) -> np.ndarray:
-    """Position at time ``v`` of a Brownian meander of length ``r``.
-
-    ``r`` may be a scalar (with ``n`` draws) or an array of per-sample
-    lengths, all ``>= v``; ``r`` and ``v`` must be finite.  Drawn with no
-    rejection (Imhof 1984): the meander's end is Rayleigh(sqrt(r)), and
-    given that end ``z`` the meander is a three-dimensional Bessel bridge
-    from 0 to ``z``, whose position at ``v`` is the norm of a Gaussian
-    vector.  At ``r == v`` this is the meander endpoint, plain
-    Rayleigh(sqrt(v)).  ``rng`` is required.
-    """
-    _require_rng(rng)
-    r = np.asarray(r, dtype=float)
-    if r.ndim == 0:
-        if n is None:
-            raise DomainError("a scalar r needs n, the number of draws")
-        r = np.full(int(n), float(r))
-    if v <= 0 or np.any(r < v):
-        raise DomainError("need 0 < v <= r")
-    if not (math.isfinite(v) and np.all(np.isfinite(r))):
-        raise DomainError("r and v must be finite")
-    return _meander_pair(r.ravel(), float(v), rng)[0]
-
-
-def sample_positive_step(y, w, rng) -> np.ndarray:
-    """Endpoint after time ``w`` of Brownian motion from ``y > 0``
-    conditioned to stay positive on the way (``w`` scalar or per-sample).
-
-    Rejection from the free Gaussian step: discard nonpositive
-    proposals, accept ``z`` with probability ``1 - exp(-2 y z / w)``.
-    ``rng`` is required.
-    """
-    _require_rng(rng)
-    y = np.asarray(y, dtype=float)
-    w = np.broadcast_to(np.asarray(w, dtype=float), y.shape).copy()
-    if np.any(y <= 0):
-        raise DomainError("start values must be positive")
-    if np.any(w < 0):
-        raise DomainError("w must be nonnegative")
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(w))):
-        raise DomainError("start values and w must be finite")
-    out = np.where(w == 0.0, y, np.nan)
-    todo = np.flatnonzero(w > 0.0)
-    while todo.size:
-        z = y[todo] + np.sqrt(w[todo]) * rng.standard_normal(todo.size)
-        ok = z > 0.0
-        accept = ok & (rng.random(todo.size)
-                       < -np.expm1(-2.0 * y[todo] * z / w[todo]))
-        out[todo[accept]] = z[accept]
-        todo = todo[~accept]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -212,37 +212,19 @@ def martingale_value(spec: DiffusionSpec, weight: WeightFunction, x, ell):
 
 def martingale_mean_mc(spec: DiffusionSpec, weight: WeightFunction,
                        u: float, n: int = 100_000, seed=None,
-                       method: str = "exact", dt: float = 1e-4,
                        threads=None) -> mc.McEstimate:
     """Monte Carlo ``E_0[M_u]`` (should be exactly 1).
 
-    ``method="exact"`` is :func:`penalized_expectation` with ``F = 1``
-    (the Brownian last-zero construction, no time grid); ``"pathwise"``
-    streams grid paths for any preset, shifting the raw band local time
-    by the closed-form mean occupation bias before evaluating the weight.
-
-    The pathwise route is only trustworthy near ``alpha = 1/2``: the
-    correction debiases the band local time itself, but its per-path
-    noise enters the weight *nonlinearly*, and for small ``alpha`` that
-    noise stays order-one at any practical ``dt`` (the unit mean drifts
-    several percent low for ``alpha = 0.25`` even at ``dt = 1e-4``).
-    Linear diagnostics (:func:`~levykit.montecarlo.doob_meyer_check`)
-    remain exactly debiased for every preset.
+    This is :func:`penalized_expectation` with ``F = 1``: the Brownian
+    last-zero construction, with no time grid.  For grid paths of any
+    preset use :func:`martingale_property_mc`.
     """
     if u < 0:
         raise DomainError("u must be nonnegative")
     if u == 0.0:
         return mc.McEstimate(mean=1.0, std_error=0.0, n_paths=n, seed=seed)
-    if method == "exact":
-        return penalized_expectation(spec, weight, u, lambda x, ell: 1.0,
-                                     n=n, seed=seed, threads=threads)
-    if method != "pathwise":
-        raise DomainError(f"unknown method {method!r}")
-    rows = martingale_property_mc(spec, [weight], [u], n_paths=n, dt=dt,
-                                  seed=seed, threads=threads)
-    r = rows[0]
-    return mc.McEstimate(mean=r["mean"], std_error=r["std_error"],
-                         n_paths=n, seed=seed)
+    return penalized_expectation(spec, weight, u, lambda x, ell: 1.0,
+                                 n=n, seed=seed, threads=threads)
 
 
 def martingale_property_mc(spec: DiffusionSpec,
@@ -260,6 +242,14 @@ def martingale_property_mc(spec: DiffusionSpec,
     first-order bias of the smooth functional).  Returns one row per
     (weight, u) with the mean, its standard error, and the distance from
     1 in standard errors.
+
+    The check is only trustworthy near ``alpha = 1/2``: the shift
+    debiases the band local time itself, but its per-path noise enters
+    the weight *nonlinearly*, and for small ``alpha`` that noise stays
+    order-one at any practical ``dt`` (the unit mean drifts several
+    percent low for ``alpha = 0.25`` even at ``dt = 1e-4``).  Linear
+    diagnostics (:func:`~levykit.montecarlo.doob_meyer_check`) remain
+    exactly debiased for every preset.
     """
     u_values, idx, n_steps, eps = mc._grid_checkpoints(u_values, dt)
     m_eps = cumulative_speed(spec, eps)

@@ -225,7 +225,7 @@ def conv_tail(F: TailDistribution, G: TailDistribution, x: float,
     Splitting at ``x/2`` keeps each integrand on the flat far side of the
     other tail, so the trapezoid correction never straddles the steep
     region near the origin.  The result is clipped into its structural
-    bracket ``[max(Fbar, Gbar)(x), 1]``.
+    bracket ``[max(Fbar, Gbar)(x), 1]``, and the error counts that move.
     """
     if x > F.x_max or x > G.x_max:
         raise RangeError("x beyond the covered range of the two tails")
@@ -238,7 +238,7 @@ def conv_tail(F: TailDistribution, G: TailDistribution, x: float,
     lo = max(float(F.value(x)), float(G.value(x)))
     clipped = min(max(val, lo), 1.0)
     if with_error:
-        return clipped, e1 + e2
+        return clipped, e1 + e2 + abs(clipped - val)
     return clipped
 
 

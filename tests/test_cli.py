@@ -215,20 +215,20 @@ def test_version_flag():
 # sha256 of stdout, recorded before the command table replaced the
 # per-command row building; seeded Monte Carlo bytes must not move
 SEEDED_STDOUT_SHA256 = {
-    "mc tau --n 2000 --dt 0.01":
+    "mc tau --n 2000":
         "bad8ea7d4e111c13745c0f744bd44b62957f919d875511071b7ea2310f2d3163",
-    "mc exponent --spec bessel:1.5 --lam 0.5,2 --n 2000 --dt 0.01":
+    "mc exponent --spec bessel:1.5 --lam 0.5,2 --n 2000":
         "c2625ee7684d63d2185c7127a900a4946595f6c961ffe7b4fce23207c71a4ae3",
     "mc doob-meyer --t 0.1,0.2 --n 500 --dt 0.01":
         "fa5c3c4d4b6aeea3c3cc69966b7f27d385e0c14cb86d7b1962fe6ba46b848ea8",
     "penalize martingale --weight indicator:1 --weight triangular:2 "
     "--u 0.1,0.2 --n 500 --dt 0.01":
         "35832ce4a3dbb2990d07ccd70e555cc7ce06db75705c3dae4c273fdd01c38062",
-    "penalize horizon --n 2000 --dt 0.01":
+    "penalize horizon --n 2000":
         "995a4d6fee2255300a7238c65492bc3ddff3c48bbbea2937464c9f8825c24563",
-    "penalize lawcheck --u 16 --n 2000 --dt 0.01":
+    "penalize lawcheck --u 16 --n 2000":
         "bdc3af8ba0bf1bf81c1746419ff017bedfb0fc9641c18cabf55d9e2800f51922",
-    "penalize lawcheck --u 16 --n 2000 --dt 0.01 --format json":
+    "penalize lawcheck --u 16 --n 2000 --format json":
         "a35890d54f057764df769398688cfc7f59995ebd7e9cad22a7a49fbe23bb6363",
 }
 
@@ -327,9 +327,45 @@ def help_text(capsys, command):
 def test_monte_carlo_commands_take_no_tol(capsys, command):
     text = help_text(capsys, command)
     assert "--tol" not in text
-    assert "--dt DT" in text
     assert ("--threads THREADS worker threads (default LEVYKIT_THREADS, "
             "else every CPU this process may run on;") in text
+
+
+# every seeded command, with the argv it needs; --dt only where a row
+# function reads it
+SEEDED_COMMANDS = {
+    "mc hitting-tail": ("--x 1 --t 0.5", True),
+    "mc localtime-tail": ("--t 0.5", True),
+    "mc doob-meyer": ("--t 0.1", True),
+    "penalize martingale": ("--u 0.1", True),
+    "mc exponent": ("--lam 1", False),
+    "mc tau": ("", False),
+    "penalize horizon": ("", False),
+    "penalize lawcheck": ("--u 16", False),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
+def test_grid_step_only_where_it_is_read(capsys, command):
+    assert ("--dt DT" in help_text(capsys, command)) \
+        == SEEDED_COMMANDS[command][1]
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
+def test_every_seeded_command_takes_threads(capsys, command):
+    argv = f"{command} {SEEDED_COMMANDS[command][0]} --n 200".split()
+    outs = [run_cli(capsys, *argv, "--threads", n) for n in ("1", "2")]
+    assert outs[0][0] == 0 and outs[0][1] and outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command", sorted(
+    c for c, (_, grid) in SEEDED_COMMANDS.items() if not grid))
+def test_dt_is_refused_where_nothing_reads_it(capsys, command):
+    argv = f"{command} {SEEDED_COMMANDS[command][0]} --dt 0.01"
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dt 0.01" in capsys.readouterr().err
 
 
 def test_horizon_tol_is_the_leftover_threshold(capsys):

@@ -90,49 +90,6 @@ def test_brownian_state_second_moments():
     assert abs(float(g.mean()) - 1.0) < 4 * se  # arcsine mean u/2
 
 
-def test_meander_and_positive_step_supports():
-    rng = np.random.default_rng(3)
-    pos = mc.sample_meander_position(np.full(1000, 2.0), 1.0, rng=rng)
-    assert np.all(pos > 0)
-    stepped = mc.sample_positive_step(pos, np.full(1000, 0.5), rng)
-    assert np.all(stepped > 0)
-    same = mc.sample_positive_step(pos, np.zeros(1000), rng)
-    assert np.array_equal(same, pos)
-
-
-def test_meander_scalar_length_needs_n():
-    with pytest.raises(DomainError, match="needs n"):
-        mc.sample_meander_position(2.0, 1.0, rng=np.random.default_rng(0))
-
-
-def test_meander_needs_rng():
-    with pytest.raises(DomainError, match="rng"):
-        mc.sample_meander_position(np.full(10, 2.0), 1.0)
-
-
-def test_positive_step_needs_rng():
-    with pytest.raises(DomainError, match="rng"):
-        mc.sample_positive_step(np.ones(10), 0.5, None)
-
-
-# non-finite inputs are refused before any draw: the rejection loop of
-# sample_positive_step never accepts a NaN proposal
-@pytest.mark.parametrize("draw", [
-    lambda rng: mc.sample_positive_step(np.array([math.nan]), 1.0, rng),
-    lambda rng: mc.sample_positive_step(np.array([1.0]), math.nan, rng),
-    lambda rng: mc.sample_positive_step(np.array([1.0]), math.inf, rng),
-    lambda rng: mc.sample_meander_position(np.array([math.inf]), 1.0,
-                                           rng=rng),
-    lambda rng: mc.sample_meander_position(math.nan, 1.0, n=3, rng=rng),
-    lambda rng: mc.sample_meander_position(np.array([2.0]), math.nan,
-                                           rng=rng),
-], ids=["positive-step-nan-y", "positive-step-nan-w", "positive-step-inf-w",
-        "meander-inf-r", "meander-nan-r", "meander-nan-v"])
-def test_non_finite_sampler_inputs_are_domain_errors(draw):
-    with pytest.raises(DomainError, match="finite"):
-        draw(np.random.default_rng(0))
-
-
 # ---------------------------------------------------------------------------
 # the rejection-free meander pair against its exact law
 # ---------------------------------------------------------------------------

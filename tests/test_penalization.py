@@ -118,10 +118,9 @@ def test_unit_mean_exact_route():
 
 
 def test_unit_mean_pathwise_route_brownian():
-    est = pz.martingale_mean_mc(BM, pz.indicator_weight(1.0), 0.5,
-                                n=20_000, seed=0, method="pathwise",
-                                dt=1e-3)
-    assert abs(est.mean - 1.0) < 4 * est.std_error
+    row, = pz.martingale_property_mc(BM, [pz.indicator_weight(1.0)], [0.5],
+                                     n_paths=20_000, dt=1e-3, seed=0)
+    assert abs(row["mean"] - 1.0) < 4 * row["std_error"]
 
 
 def test_exact_route_is_brownian_only():

@@ -112,6 +112,19 @@ def test_conv_tail_structural_bounds():
     assert sx.conv_tail(P, P, 0.0) == 1.0
 
 
+def test_conv_tail_error_counts_the_clip():
+    # on a coarse table the Richardson step overshoots 1 at x = 2.2; the
+    # value is clipped to 1 and the error covers the unclipped sum too
+    F = sx.tail_from_table([1.6, 2.0, 2.2, 6.0, 7.0, 8.0, 9.5, 9.75],
+                           [0.99, 0.9, 0.56, 0.56, 0.49, 0.25, 0.25, 0.19])
+    x = 2.2
+    half, half_err = sx._half_stieltjes(F, F, x)
+    raw = float(F.value(x / 2)) ** 2 + half + half
+    val, err = sx.conv_tail(F, F, x, with_error=True)
+    assert raw > 1.0 + 1e-5 and val == 1.0
+    assert err == half_err + half_err + (raw - 1.0)
+
+
 def test_subexp_ratio_pareto_frozen():
     P = sx.pareto_tail(0.5)
     assert sx.subexp_ratio(P, 1e4) == 1.9998999974998815

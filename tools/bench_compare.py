@@ -15,8 +15,11 @@ pairs the change won (ties count for neither side).  The flag column reads
 
 * ``WORSE`` when the change's median is worse than the parent's by more
   than the metric's ``bound``, as a share of the parent's median;
-* ``gain`` when the change won at least nine tenths of the pairs and its
-  median leads the parent's by more than the parent's interquartile range.
+* ``gain`` when there are at least ``GAIN_MIN_PAIRS`` (10) pairs, the
+  change won at least nine tenths of them and its median leads the
+  parent's by more than the parent's interquartile range.  Fewer pairs
+  never read as a gain: three pairs all won happen one time in eight by
+  chance alone.
 
 A last column gives the failed share of calls on each side.
 
@@ -52,6 +55,7 @@ RESULT = re.compile(r"result-(?P<workload>.+)-seed(?P<seed>\d+)"
                     r"-trace(?P<trace>[01])\.json")
 ROOT = Path(__file__).resolve().parent.parent
 LAYER_BOUND = 0.10
+GAIN_MIN_PAIRS = 10
 
 
 def load_runs(directory: Path, trace: int = 0) -> dict:
@@ -97,7 +101,8 @@ def compare_metric(pairs: list, better: str, bound: float) -> dict:
     flag = ""
     if lead < -bound * abs(parent[1]):
         flag = "WORSE"
-    elif won >= 0.9 * len(pairs) and lead > parent[2] - parent[0]:
+    elif (len(pairs) >= GAIN_MIN_PAIRS and won >= 0.9 * len(pairs)
+          and lead > parent[2] - parent[0]):
         flag = "gain"
     return {"parent": parent, "change": change, "won": won,
             "pairs": len(pairs), "flag": flag}

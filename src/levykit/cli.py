@@ -16,6 +16,7 @@ function that yields tuples in the declared column order.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -428,6 +429,7 @@ def _penalize_lawcheck(args, spec, meta):
 # parser and entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="levykit",

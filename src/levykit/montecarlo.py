@@ -210,8 +210,8 @@ def sample_hitting_time(spec: DiffusionSpec, x: float, n: int,
     Uses ``H_0 = x^2 / (2 G)`` with ``G ~ Gamma(alpha, 1)``.
     """
     alpha = _require_preset(spec, "exact hitting-time sampling")
-    if x < 0:
-        raise DomainError("x must be nonnegative")
+    if not 0 <= x < math.inf:
+        raise DomainError("x must be nonnegative and finite")
     if rng is None:
         rng = np.random.default_rng(seed)
     if x == 0.0:
@@ -238,8 +238,8 @@ def sample_tau(spec: DiffusionSpec, ell: float, n: int,
     for a standard positive stable ``S``.
     """
     alpha = _require_preset(spec, "exact inverse-local-time sampling")
-    if ell < 0:
-        raise DomainError("ell must be nonnegative")
+    if not 0 <= ell < math.inf:
+        raise DomainError("ell must be nonnegative and finite")
     if rng is None:
         rng = np.random.default_rng(seed)
     if ell == 0.0:
@@ -262,8 +262,8 @@ def sample_local_time(spec: DiffusionSpec, x: float, t: float, n: int,
     inverse-local-time subordinator.
     """
     alpha = _require_preset(spec, "exact local-time sampling")
-    if t <= 0:
-        raise DomainError("t must be positive")
+    if not 0 < t < math.inf:
+        raise DomainError("t must be positive and finite")
     if rng is None:
         rng = np.random.default_rng(seed)
     h = sample_hitting_time(spec, x, n, rng=rng)
@@ -279,8 +279,8 @@ def sample_brownian_state(u: float, n: int, rng=None, seed=None) -> dict:
     then is Rayleigh(sqrt(g)); the position is an independent meander
     endpoint, Rayleigh(sqrt(u - g)).
     """
-    if u <= 0:
-        raise DomainError("u must be positive")
+    if not 0 < u < math.inf:
+        raise DomainError("u must be positive and finite")
     if rng is None:
         rng = np.random.default_rng(seed)
     g = u * rng.beta(0.5, 0.5, size=n)
@@ -474,8 +474,9 @@ def estimate_hitting_tail(spec: DiffusionSpec, x: float, t: float, n: int,
     that avoid the band ``[0, sqrt(dt))`` — biased low by band-vs-point
     hitting, shrinking as ``dt`` does.
     """
-    if x <= 0:
-        raise DomainError("x must be positive (from 0 the tail is 0)")
+    if not (0 < x < math.inf and math.isfinite(t)):
+        raise DomainError("x must be positive and finite (from 0 the tail "
+                          "is 0), and t finite")
     if method == "exact":
         def event(rng, m):
             return sample_hitting_time(spec, x, m, rng=rng) > t
@@ -500,8 +501,9 @@ def estimate_localtime_tail(spec: DiffusionSpec, x: float, t: float,
     independent, both drawn from their exact laws.  The pathwise route
     compares raw band local time against ``ell`` on grid paths.
     """
-    if x < 0 or ell < 0:
-        raise DomainError("x and ell must be nonnegative")
+    if not (0 <= x < math.inf and 0 <= ell < math.inf and math.isfinite(t)):
+        raise DomainError("x and ell must be nonnegative and finite, and t "
+                          "finite")
     if method == "exact":
         def event(rng, m):
             h = sample_hitting_time(spec, x, m, rng=rng)
@@ -522,10 +524,10 @@ def levy_exponent_mc(spec: DiffusionSpec, lam: float, ell: float = 1.0,
                      threads=None) -> McEstimate:
     """Laplace exponent of the inverse local time by simulation:
     ``-log E[exp(-lam tau_ell)] / ell``, with a delta-method error bar."""
-    if lam < 0:
-        raise DomainError("lam must be nonnegative")
-    if ell <= 0:
-        raise DomainError("ell must be positive")
+    if not 0 <= lam < math.inf:
+        raise DomainError("lam must be nonnegative and finite")
+    if not 0 < ell < math.inf:
+        raise DomainError("ell must be positive and finite")
     if lam == 0.0:
         return McEstimate(mean=0.0, std_error=0.0, n_paths=n, seed=seed)
 

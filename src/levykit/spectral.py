@@ -16,10 +16,10 @@ everything generated by hitting the boundary) they give
 Every functional is one quadrature in ``v`` with ``gamma = v^4 / 2``, cut
 where an envelope of the integrand falls below ``tol / 10``; the reported
 error is the quadrature estimate plus that envelope at the cutoff.  The
-eigenfunctions come from one of two evaluators: the closed Bessel-J forms
-for the presets, or, for a general scale/speed pair, the power series
-``sum (-gamma)^n c_n(x)`` whose coefficients obey the nested recursion
-``c_{n+1}(x) = int_0^x dS(y) int_0^y c_n dm``; the factorial bound
+eigenfunctions come from one of two evaluators: the closed ``0F1`` forms
+for the presets (DLMF 10.16.9), or, for a general scale/speed pair, the
+power series ``sum (-gamma)^n c_n(x)`` whose coefficients obey the nested
+recursion ``c_{n+1}(x) = int_0^x dS(y) int_0^y c_n dm``; the factorial bound
 ``c_n(x) <= front * B(x)^n / n!`` with ``B(x) = int_0^x m((0,y)) dS(y)``
 makes the truncation error certifiable.  One ``_Ladder`` per ``(spec, x,
 kind)`` owns a custom series: it keeps the recursion, ``B(x)``, the front
@@ -43,9 +43,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.special import gamma as gamma_fn
-from scipy.special import gammainc, gammaln, jv
+from scipy.special import gammainc, gammaln, hyp0f1
 
 from .diffusions import DiffusionSpec, series_bound_base
 from .errors import (ConsistencyError, DomainError, IntegrabilityError,
@@ -222,7 +221,9 @@ def _cumulative_integral(z: np.ndarray, h: np.ndarray,
 
 def _spline_slopes(x: np.ndarray, dx: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Node slopes of the not-a-knot cubic spline through ``(x, y)``, for at
-    least four nodes: the tridiagonal system ``CubicSpline`` solves."""
+    least four nodes: the tridiagonal system ``CubicSpline`` solves.  Only
+    the eigen recursion needs ``scipy.linalg``, so it loads here."""
+    from scipy.linalg import solve_banded
     slope = np.diff(y) / dx
     ab = np.zeros((3, x.size))          # upper, main and lower diagonals
     b = np.empty(x.size)
@@ -447,44 +448,39 @@ def eigen_value(series: EigenSeries, gamma: float, tol: float = 1e-10) -> float:
 
 # Bessel closed forms --------------------------------------------------------
 
-def _bessel_eigen(alpha: float, kind: str, x: float) -> Callable:
-    """Closed-form ``A(x; .)`` or ``C(x; .)`` of a Bessel preset, as a
-    function of ``gamma > 0`` (a float or an array).  It takes the
-    ``terms`` argument of :meth:`EigenSeries.value` and ignores it.
-
-    With ``s = sqrt(2 gamma)``: ``A = Gamma(1-a) 2^{-a} (x s)^a J_{-a}(x s)``
-    and ``C = Gamma(a) 2^{a-1} x^a s^{-a} J_a(x s)``.  At ``x = 0`` they are
-    the boundary values ``A = 1`` and ``C = S(0) = 0``.
+def _bessel_eigen(spec: DiffusionSpec, kind: str, x: float) -> Callable:
+    """Closed-form ``A(x; .)`` or ``C(x; .)`` of a Bessel preset at a float
+    or an array of ``gamma >= 0``; the ``terms`` argument is ignored.  Both
+    are entire ``0F1`` functions of ``q = x^2 gamma / 2`` (DLMF 10.16.9),
+    ``A = 0F1(; 1-a; -q)`` and ``C = S(x) 0F1(; 1+a; -q)``, so exactly 1
+    and ``S(x)`` at ``q = 0``.  scipy's ``hyp0f1`` loses digits at a
+    parameter below 1, so ``A`` takes the Bessel recurrence (DLMF 10.6.1)
+    in ``0F1`` form, ``0F1(; b-1; z) = 0F1(; b; z) + z/(b(b-1)) 0F1(; b+1;
+    z)`` at ``b = 2-a``.
     """
-    if x == 0.0:
-        edge = 1.0 if kind == "A" else 0.0
-        return lambda g, terms=None: edge
-    if kind == "A":
-        order, power = -alpha, 0.5 * alpha
-        c = gamma_fn(1.0 - alpha) * 2.0 ** (-alpha) * x ** alpha
-    else:
-        order, power = alpha, -0.5 * alpha
-        c = gamma_fn(alpha) * 2.0 ** (alpha - 1.0) * x ** alpha
-    return lambda g, terms=None: c * (2.0 * g) ** power \
-        * jv(order, x * (2.0 * g) ** 0.5)
+    a, h = spec.alpha, 0.5 * x * x
+    if kind == "C":
+        front = float(spec.scale(x))
+        return lambda g, terms=None: front * hyp0f1(1.0 + a, -h * g)
+    c = h / ((1.0 - a) * (2.0 - a))
+    return lambda g, terms=None: hyp0f1(2.0 - a, -h * g) \
+        - c * g * hyp0f1(3.0 - a, -h * g)
 
 
 def eigenfunction(spec: DiffusionSpec, x: float, gamma: float,
                   kind: str = "A", tol: float = 1e-10) -> float:
     """``A(x; gamma)`` or ``C(x; gamma)``.
 
-    Presets use the closed Bessel-J forms; custom specs sum the recursion
-    series with a certified truncation (the series length is chosen from the
-    factorial bound, capped at 400 terms).
+    Presets use the closed ``0F1`` forms of :func:`_bessel_eigen`; custom
+    specs sum the recursion series with a certified truncation (the series
+    length is chosen from the factorial bound, capped at 400 terms).
     """
     if kind not in ("A", "C"):
         raise DomainError("kind must be 'A' or 'C'")
-    if x < 0 or gamma < 0:
-        raise DomainError("x and gamma must be nonnegative")
+    if not (0 <= x < math.inf and 0 <= gamma < math.inf):
+        raise DomainError("x and gamma must be nonnegative and finite")
     if spec.is_preset:
-        if gamma == 0.0:
-            return 1.0 if kind == "A" else float(spec.scale(x))
-        return float(_bessel_eigen(spec.alpha, kind, x)(gamma))
+        return float(_bessel_eigen(spec, kind, x)(gamma))
     return eigen_value(_ladder(spec, x, kind).certified(spec, gamma, tol),
                        gamma, tol)
 
@@ -757,8 +753,8 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
     with an error covering the quadrature, the cutoff and, for a table,
     the mass below its first knot.  A preset without a measure takes its
     closed-form one."""
-    if t <= 0:
-        raise DomainError("t must be positive")
+    if not 0 < t < math.inf:
+        raise DomainError("t must be positive and finite")
     if not tol > 0:
         raise DomainError("tol must be positive")
     if t < T_MIN:
@@ -780,7 +776,7 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
         # 2 (1+g)^{1/2} stands in for a bound on the Bessel product
         g_max, tail = _gamma_max(measure, t, tol,
                                  lambda g: 2.0 * (1.0 + g) ** 0.5)
-        evals = [_bessel_eigen(spec.alpha, eig_kind, x) for x in xs]
+        evals = [_bessel_eigen(spec, eig_kind, x) for x in xs]
     else:
         ladders = [_ladder(spec, x, eig_kind) for x in xs]
         consts = [ladder.constants(spec) for ladder in ladders]
@@ -872,8 +868,8 @@ def transition_density(spec: DiffusionSpec, x: float, y: float, t: float,
                        tol: float = 1e-9, with_error: bool = False):
     """Spectral-quadrature transition density ``p`` (or ``p_hat``) at
     ``(t; x, y)``, a density in ``y`` with respect to the speed measure."""
-    if x < 0 or y < 0:
-        raise DomainError("x and y must be nonnegative")
+    if not (0 <= x < math.inf and 0 <= y < math.inf):
+        raise DomainError("x and y must be nonnegative and finite")
     val, err = _spectral_integral(spec, t, tol,
                                   eig_kind="C" if killed else "A", xs=(x, y),
                                   inverse_gamma=False, measure=measure)
@@ -884,8 +880,8 @@ def hitting_density(spec: DiffusionSpec, x: float, t: float,
                     measure: Optional[SpectralMeasure] = None,
                     tol: float = 1e-9, with_error: bool = False):
     """Density of the first boundary-hitting time from ``x > 0``."""
-    if x <= 0:
-        raise DomainError("x must be positive")
+    if not 0 < x < math.inf:
+        raise DomainError("x must be positive and finite")
     val, err = _spectral_integral(spec, t, tol, eig_kind="C", xs=(x,),
                                   inverse_gamma=False, measure=measure)
     return (val, err) if with_error else val
@@ -913,8 +909,8 @@ def hitting_tail(spec: DiffusionSpec, x: float, t: float,
                  measure: Optional[SpectralMeasure] = None,
                  tol: float = 1e-9, with_error: bool = False):
     """``P_x(H_0 > t)``, the boundary-hitting survival function."""
-    if x <= 0:
-        raise DomainError("x must be positive")
+    if not 0 < x < math.inf:
+        raise DomainError("x must be positive and finite")
     val, err = _spectral_integral(spec, t, tol, eig_kind="C", xs=(x,),
                                   inverse_gamma=True, measure=measure)
     slack = max(tol, 10.0 * err, 1e-7)

@@ -158,6 +158,18 @@ def test_invalid_domain_exits_2(capsys):
     assert "invalid input" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("tails", "--t", "nan"),
+    ("density", "--t", "1", "--x", "inf"),
+    ("eigen", "--x", "1", "--gamma", "nan"),
+    ("mc", "hitting-tail", "--x", "1", "--t", "nan", "--n", "10"),
+])
+def test_non_finite_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
 def test_constant_division_by_zero_exits_2(capsys):
     code, out, err = run_cli(
         capsys, "eigen", "--spec",
@@ -239,6 +251,20 @@ def test_seeded_stdout_pinned(capsys, command):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == SEEDED_STDOUT_SHA256[command]
+
+
+def test_one_parser_serves_commands_back_to_back(capsys):
+    # the parser is built once per process; each command, run after the
+    # others and twice over, still prints its pinned bytes, so no parse
+    # state (the --weight append lists, say) carries from one to the next
+    from levykit.cli import build_parser
+    assert build_parser() is build_parser()
+    commands = sorted(SEEDED_STDOUT_SHA256)
+    for command in commands + commands[::-1]:
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            SEEDED_STDOUT_SHA256[command], command
 
 
 def assert_cells(out, expected_rows):

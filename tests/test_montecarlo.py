@@ -322,6 +322,28 @@ def test_estimator_input_validation():
         mc.sample_tau(spec_from_expressions("x", "2"), 1.0, 10, seed=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda v: mc.sample_hitting_time(BM, v, 10, seed=0),
+    lambda v: mc.sample_tau(B15, v, 10, seed=0),
+    lambda v: mc.sample_local_time(BM, v, 1.0, 10, seed=0),
+    lambda v: mc.sample_local_time(BM, 1.0, v, 10, seed=0),
+    lambda v: mc.sample_brownian_state(v, 10, seed=0),
+    lambda v: mc.estimate_hitting_tail(BM, v, 1.0, 10, seed=0),
+    lambda v: mc.estimate_hitting_tail(BM, 1.0, v, 10, seed=0),
+    lambda v: mc.estimate_localtime_tail(BM, v, 1.0, 1.0, 10, seed=0),
+    lambda v: mc.estimate_localtime_tail(BM, 1.0, v, 1.0, 10, seed=0),
+    lambda v: mc.estimate_localtime_tail(BM, 1.0, 1.0, v, 10, seed=0),
+    lambda v: mc.levy_exponent_mc(BM, v, n=10, seed=0),
+    lambda v: mc.levy_exponent_mc(BM, 1.0, v, n=10, seed=0),
+])
+def test_non_finite_sampler_inputs_are_domain_errors(call, bad):
+    # NaN passed every sign check: a NaN time gave NaN draws, and the
+    # hitting-tail estimate at t = NaN read 0 +- 0
+    with pytest.raises(DomainError, match="finite"):
+        call(bad)
+
+
 def test_doob_meyer_check_starts_at_the_boundary():
     # the identity and the occupation bias hold only from 0
     with pytest.raises(TypeError):

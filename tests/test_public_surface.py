@@ -44,7 +44,9 @@ def test_package_imports_only_exported_names():
 def test_import_leaves_heavy_scipy_modules_out():
     # scipy.interpolate would bring in optimize, sparse and spatial: about
     # a third of the import time and resident memory of the package; the
-    # post-last-zero check draws its Maxwell quantiles without scipy.stats
+    # post-last-zero check draws its Maxwell quantiles without scipy.stats;
+    # scipy.linalg (about 6 MB resident) waits for the eigen recursion, its
+    # only user, which a preset never runs
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.resolve().parent))
     code = ("import sys, levykit, levykit.cli; print(sorted({m for m in "
             "sys.modules if m.split('.')[:2] in (['scipy', 'interpolate'], "
@@ -52,7 +54,11 @@ def test_import_leaves_heavy_scipy_modules_out():
             "['scipy', 'spatial'])})); from levykit import penalization "
             "as pz; pz.post_lastzero_marginal_check(pz.indicator_weight("
             "1.0), u=5.0, n=200, seed=0); print('scipy.stats' in "
-            "sys.modules)")
+            "sys.modules); from levykit import spectral as sp; "
+            "sp.transition_density(levykit.bessel_spec(1.5), 1.0, 0.5, 1.0); "
+            "print('scipy.linalg' in sys.modules); sp.eigen_coefficients("
+            "levykit.spec_from_expressions('x', '2'), 1.0, 'C', 4); "
+            "print('scipy.linalg' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["[]", "False"]
+    assert out.stdout.split() == ["[]", "False", "False", "True"]

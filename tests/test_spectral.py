@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline, PchipInterpolator
-from scipy.special import erf, gammainc, gammaln
+from scipy.special import erf, gammainc, gammaln, jv
+from scipy.special import gamma as gamma_fn
 
 from levykit import spectral as sp
 from levykit.diffusions import bessel_exponent_constant, bessel_spec, \
@@ -317,6 +318,90 @@ def test_custom_series_matches_preset_eigenfunction():
             a = sp.eigenfunction(custom, 1.0, gamma, kind=kind, tol=1e-10)
             b = sp.eigenfunction(B15, 1.0, gamma, kind=kind)
             assert abs(a - b) < 1e-8, (gamma, kind)
+
+
+EPS = float(np.finfo(float).eps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(0.01, 4.0), gamma=st.floats(0.0, 200.0))
+def test_brownian_kernel_is_trigonometric(x, gamma):
+    # at alpha = 1/2, A = cos(z) and C = sin(z) / sqrt(2 gamma) with
+    # z = x sqrt(2 gamma); rounding z alone moves either by eps z
+    s = math.sqrt(2.0 * gamma)
+    z = x * s
+    ulps = 16.0 * EPS * max(1.0, z)
+    assert abs(sp.eigenfunction(BM, x, gamma, "A") - math.cos(z)) <= ulps
+    c = math.sin(z) / s if gamma > 0.0 else x
+    assert abs(sp.eigenfunction(BM, x, gamma, "C") - c) <= ulps * x
+
+
+def _jv_eigen(alpha, kind, x, gamma):
+    """The Bessel-J forms the 0F1 kernel replaced: with s = sqrt(2 gamma),
+    A = Gamma(1-a) 2^-a (xs)^a J_-a(xs), C = Gamma(a) 2^(a-1) x^a s^-a
+    J_a(xs)."""
+    s = np.sqrt(2.0 * gamma)
+    if kind == "A":
+        return gamma_fn(1.0 - alpha) * 2.0 ** -alpha * (x * s) ** alpha \
+            * jv(-alpha, x * s)
+    return gamma_fn(alpha) * 2.0 ** (alpha - 1.0) * x ** alpha \
+        * s ** -alpha * jv(alpha, x * s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.floats(0.02, 0.98), x=st.floats(0.05, 5.0),
+       q=st.one_of(st.floats(1e-12, 1.0), st.floats(1.0, 1e4)))
+def test_preset_kernel_matches_bessel_j_forms(alpha, x, q):
+    # the two agree to the rounding of the jv route, measured against the
+    # envelope max(1, q)^(+-a/2 - 1/4) of A and C / S(x) at q = x^2 g / 2
+    spec = bessel_spec(2.0 - 2.0 * alpha)
+    a, gamma = spec.alpha, 2.0 * q / (x * x)
+    for kind, tol, power in (("A", 1e-11, a / 2.0 - 0.25),
+                             ("C", 1e-13, -a / 2.0 - 0.25)):
+        front = 1.0 if kind == "A" else float(spec.scale(x))
+        got = sp._bessel_eigen(spec, kind, x)(np.array([gamma]))[0]
+        want = _jv_eigen(a, kind, x, gamma)
+        assert abs(got - want) <= tol * front * max(1.0, q) ** power, kind
+
+
+@pytest.mark.parametrize("spec", [BM, B15, bessel_spec(0.1),
+                                  bessel_spec(1.9)])
+def test_preset_kernel_exact_at_zero(spec):
+    # q = 0 at gamma = 0 or x = 0: A = 1 and C = S(x), to the bit
+    for x in (0.3, 1.0, 2.5):
+        assert sp.eigenfunction(spec, x, 0.0, "A") == 1.0
+        assert sp.eigenfunction(spec, x, 0.0, "C") == float(spec.scale(x))
+    g = np.array([0.0, 1e-3, 1.0, 1e3])
+    for gamma in g:
+        assert sp.eigenfunction(spec, 0.0, gamma, "A") == 1.0
+        assert sp.eigenfunction(spec, 0.0, gamma, "C") == 0.0
+    assert sp._bessel_eigen(spec, "A", 0.0)(g).tolist() == [1.0] * 4
+    assert sp._bessel_eigen(spec, "C", 0.0)(g).tolist() == [0.0] * 4
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("call", [
+    lambda v: sp.transition_density(BM, v, 1.0, 1.0),
+    lambda v: sp.transition_density(BM, 1.0, v, 1.0),
+    lambda v: sp.transition_density(BM, 1.0, 1.0, v, killed=True),
+    lambda v: sp.hitting_density(BM, v, 1.0),
+    lambda v: sp.hitting_density(B15, 1.0, v),
+    lambda v: sp.levy_density(BM, v),
+    lambda v: sp.levy_tail(B15, v),
+    lambda v: sp.hitting_tail(BM, v, 1.0),
+    lambda v: sp.hitting_tail(BM, 1.0, v),
+    lambda v: sp.eigenfunction(BM, v, 1.0),
+    lambda v: sp.eigenfunction(B15, 1.0, v, "C"),
+    lambda v: sp.eigenfunction(spec_from_expressions("x", "2"), 1.0, v),
+])
+def test_non_finite_spectral_inputs_are_domain_errors(call, bad):
+    # NaN passed the sign checks: a NaN t ran the quadrature into a
+    # roundoff ToleranceError, a NaN gamma returned NaN
+    with pytest.raises(DomainError, match="finite"):
+        call(bad)
 
 
 def test_truncation_error_carries_minimal_terms():

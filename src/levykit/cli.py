@@ -346,8 +346,8 @@ def _mc_exponent(args, spec, meta):
                "intervals",
           after=_MONTE_CARLO)
 def _mc_tau(args, spec, meta):
-    values = np.sort(mc.sample_tau(spec, args.ell, args.n,
-                                   seed=args.seed).values)
+    values = np.sort(mc.sample_tau(spec, args.ell, args.n, seed=args.seed,
+                                   threads=args.threads).values)
     n = values.size
     for q in _floats(args.q):
         if not 0.0 < q < 1.0:
@@ -399,7 +399,8 @@ def _penalize_martingale(args, spec, meta):
 def _penalize_horizon(args, spec, meta):
     weight = _first_weight(args)
     res = pz.penalization_horizon(spec, weight, tol=args.tol, n=args.n,
-                                  seed=args.seed, full=True)
+                                  seed=args.seed, full=True,
+                                  threads=args.threads)
     yield (weight.name, args.tol, res["u"], res["leftover"],
            res["leftover_se"], res["n_paths"], args.seed)
 

@@ -302,8 +302,8 @@ def cumulative_speed(spec: DiffusionSpec, x: float) -> float:
     Presets use the exact power-law form; custom specs integrate the
     density with :func:`_origin_integral`.
     """
-    if x < 0:
-        raise DomainError("x must be nonnegative")
+    if not 0 <= x < np.inf:
+        raise DomainError("x must be nonnegative and finite")
     if x == 0:
         return 0.0
     if spec.is_preset:
@@ -345,8 +345,8 @@ def levy_exponent(spec: DiffusionSpec, lam: float) -> float:
     presets is ``kappa * lam^alpha`` with ``kappa`` from
     :func:`bessel_exponent_constant`.  ``Phi(0) = 0``.
     """
-    if lam < 0:
-        raise DomainError("lambda must be nonnegative")
+    if not 0 <= lam < np.inf:
+        raise DomainError("lambda must be nonnegative and finite")
     if lam == 0.0:
         return 0.0
     if not spec.is_preset:

@@ -25,7 +25,9 @@ Reproducibility contract: every public entry point takes a ``seed``;
 work is split into fixed-size chunks whose generators come from
 ``SeedSequence(seed).spawn``, and partial results are reduced in chunk
 order — so results are bit-identical for a given seed regardless of the
-thread count.
+thread count.  A single-stream ``sample_tau`` draws from its one stream
+in order and runs only Kanter's elementwise transform in chunk-sized
+slices on the pool, so it too is bit-identical at any thread count.
 """
 
 from __future__ import annotations
@@ -119,6 +121,17 @@ def _chunk_sizes(n: int) -> list:
     return sizes
 
 
+def _pool_map(fn: Callable, jobs: Sequence, threads: Optional[int]) -> list:
+    """``[fn(*job) for job in jobs]``, in order, on a pool of at most
+    ``min(threads, len(jobs))`` threads; serial when that is 1."""
+    nthreads = min(resolve_threads(threads), len(jobs))
+    if nthreads <= 1:
+        return [fn(*job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=nthreads) as pool:
+        futures = [pool.submit(fn, *job) for job in jobs]
+        return [f.result() for f in futures]
+
+
 def _run_chunked(n: int, seed, worker: Callable,
                  threads: Optional[int]) -> list:
     """Run ``worker(rng, size)`` over fixed-size chunks; results in order.
@@ -129,14 +142,8 @@ def _run_chunked(n: int, seed, worker: Callable,
     """
     sizes = _chunk_sizes(n)
     streams = np.random.SeedSequence(seed).spawn(len(sizes))
-    nthreads = min(resolve_threads(threads), len(sizes))
-    if nthreads == 1:
-        return [worker(np.random.default_rng(s), m)
-                for s, m in zip(streams, sizes)]
-    with ThreadPoolExecutor(max_workers=nthreads) as pool:
-        futures = [pool.submit(worker, np.random.default_rng(s), m)
-                   for s, m in zip(streams, sizes)]
-        return [f.result() for f in futures]
+    return _pool_map(worker, [(np.random.default_rng(s), m)
+                              for s, m in zip(streams, sizes)], threads)
 
 
 def _chunk_totals(n: int, seed, worker: Callable,
@@ -219,23 +226,42 @@ def sample_hitting_time(spec: DiffusionSpec, x: float, n: int,
     return x * x / (2.0 * rng.gamma(alpha, 1.0, size=n))
 
 
-def _standard_positive_stable(alpha: float, n: int, rng) -> np.ndarray:
-    # Kanter's representation: S with E exp(-lam S) = exp(-lam^alpha)
+def _standard_positive_stable(alpha: float, n: int, rng,
+                              threads: Optional[int] = None) -> np.ndarray:
+    """``n`` draws of ``S`` with ``E exp(-lam S) = exp(-lam^alpha)``, by
+    Kanter's representation (Kanter 1975).
+
+    ``theta`` and ``w`` are drawn whole from ``rng``; the transform, which
+    is elementwise, runs on slices of ``DEFAULT_CHUNK`` (on the thread
+    pool when there are several), so the bits do not depend on the
+    slicing or the thread count.  At ``alpha = 1/2`` the two sines are of
+    the same double and are computed once.
+    """
     theta = rng.uniform(0.0, math.pi, size=n)
     w = rng.standard_exponential(size=n)
-    log_a = (alpha * np.log(np.sin(alpha * theta))
-             + (1.0 - alpha) * np.log(np.sin((1.0 - alpha) * theta))
-             - np.log(np.sin(theta))) / (1.0 - alpha)
-    return np.exp((1.0 - alpha) / alpha * (log_a - np.log(w)))
+    out = np.empty(n)
+    beta = 1.0 - alpha
+
+    def kanter(lo, hi):
+        th = theta[lo:hi]
+        log_sa = np.log(np.sin(alpha * th))
+        log_sb = log_sa if beta == alpha else np.log(np.sin(beta * th))
+        log_a = (alpha * log_sa + beta * log_sb - np.log(np.sin(th))) / beta
+        np.exp(beta / alpha * (log_a - np.log(w[lo:hi])), out=out[lo:hi])
+
+    _pool_map(kanter, [(lo, lo + DEFAULT_CHUNK)
+                       for lo in range(0, n, DEFAULT_CHUNK)], threads)
+    return out
 
 
 def sample_tau(spec: DiffusionSpec, ell: float, n: int,
-               rng=None, seed=None) -> SubordinatorSample:
+               rng=None, seed=None, threads=None) -> SubordinatorSample:
     """Exact draws of the inverse local time ``tau_ell``.
 
     ``tau_ell`` is positive stable with Laplace exponent
     ``ell * kappa * lam^alpha``, so ``tau_ell = (ell kappa)^{1/alpha} S``
-    for a standard positive stable ``S``.
+    for a standard positive stable ``S``.  ``threads`` runs the transform
+    of the draws, never the draws themselves, so it does not change them.
     """
     alpha = _require_preset(spec, "exact inverse-local-time sampling")
     if not 0 <= ell < math.inf:
@@ -247,13 +273,13 @@ def sample_tau(spec: DiffusionSpec, ell: float, n: int,
     else:
         kappa = bessel_exponent_constant(alpha)
         scale = (ell * kappa) ** (1.0 / alpha)
-        vals = scale * _standard_positive_stable(alpha, n, rng)
+        vals = scale * _standard_positive_stable(alpha, n, rng, threads)
     return SubordinatorSample(values=vals, ell=float(ell), alpha=alpha,
                               seed=seed)
 
 
 def sample_local_time(spec: DiffusionSpec, x: float, t: float, n: int,
-                      rng=None, seed=None) -> np.ndarray:
+                      rng=None, seed=None, threads=None) -> np.ndarray:
     """Exact draws of the marginal law of ``L_t`` from ``x``.
 
     Uses the first-passage inversion ``L_t = ((t - H_0)^+ / tau_1)^alpha``
@@ -267,7 +293,7 @@ def sample_local_time(spec: DiffusionSpec, x: float, t: float, n: int,
     if rng is None:
         rng = np.random.default_rng(seed)
     h = sample_hitting_time(spec, x, n, rng=rng)
-    tau1 = sample_tau(spec, 1.0, n, rng=rng).values
+    tau1 = sample_tau(spec, 1.0, n, rng=rng, threads=threads).values
     return (np.maximum(t - h, 0.0) / tau1) ** alpha
 
 

@@ -202,8 +202,9 @@ def martingale_value(spec: DiffusionSpec, weight: WeightFunction, x, ell):
     while the path sits at the boundary."""
     x = np.asarray(x, dtype=float)
     ell = np.asarray(ell, dtype=float)
-    if np.any(x < 0) or np.any(ell < 0):
-        raise DomainError("x and ell must be nonnegative")
+    if not (np.all((0 <= x) & (x < np.inf))
+            and np.all((0 <= ell) & (ell < np.inf))):
+        raise DomainError("x and ell must be nonnegative and finite")
     s = np.asarray(spec.scale(x), dtype=float)
     val = s * np.asarray(weight.h(ell), dtype=float) \
         + 1.0 - np.asarray(weight.cdf(ell), dtype=float)
@@ -302,7 +303,7 @@ def penalized_expectation(spec: DiffusionSpec, weight: WeightFunction,
 
 def penalization_horizon(spec: DiffusionSpec, weight: WeightFunction,
                          tol: float = 0.01, n: int = 200_000,
-                         seed=None, full: bool = False):
+                         seed=None, full: bool = False, threads=None):
     """Horizon ``u`` with ``E_0[1 - H(L_u)] < tol``: the first of
     ``1, 2, 4, ...`` below ``1e12`` that reaches it.
 
@@ -315,11 +316,11 @@ def penalization_horizon(spec: DiffusionSpec, weight: WeightFunction,
         raise DomainError("tol must be in (0, 1)")
     rng = np.random.default_rng(seed)
     y = weight.sample(n, rng)
-    tau1 = mc.sample_tau(spec, 1.0, n, rng=rng).values
+    tau1 = mc.sample_tau(spec, 1.0, n, rng=rng, threads=threads).values
     tau_y = y ** (1.0 / alpha) * tau1
     u = 1.0
     while u < 1e12:
-        leftover = float(np.mean(tau_y > u))
+        leftover = int(np.count_nonzero(tau_y > u)) / n
         if leftover < tol:
             if not full:
                 return u
@@ -347,7 +348,8 @@ def linfty_law_check(spec: DiffusionSpec, weight: WeightFunction,
         raise UnsupportedSpecError("the exact state sampler is "
                                    "Brownian-only")
     if u is None:
-        u = penalization_horizon(spec, weight, 0.01, seed=seed)
+        u = penalization_horizon(spec, weight, 0.01, seed=seed,
+                                 threads=threads)
     grid = np.linspace(0.0, weight.support_end, grid_points)
 
     def worker(rng, m):
@@ -462,8 +464,8 @@ def uparrow_density(spec: DiffusionSpec, x: float, y: float, t: float,
     """Transition density of the upward-conditioned diffusion wrt its
     own speed measure ``S^2 m``: ``phat(t; x, y) / (S(x) S(y))``, with
     the ``x = 0`` limit ``(hitting density from y) / S(y)``."""
-    if x < 0 or y <= 0:
-        raise DomainError("need x >= 0 and y > 0")
+    if not (0 <= x < math.inf and 0 < y < math.inf and 0 < t < math.inf):
+        raise DomainError("need finite x >= 0, y > 0 and t > 0")
     sy = float(spec.scale(y))
     if x == 0.0:
         if spec.is_preset and measure is None:
@@ -488,8 +490,8 @@ def uparrow_mass(spec: DiffusionSpec, t: float) -> float:
     Presets only: a custom spec would need its spectral hitting density
     far past the ``y`` of order ``sqrt(t)`` where it stops certifying.
     """
-    if t <= 0:
-        raise DomainError("t must be positive")
+    if not 0 < t < math.inf:
+        raise DomainError("t must be positive and finite")
     if not spec.is_preset:
         raise UnsupportedSpecError("uparrow_mass is preset-only: the "
                                    "spectral hitting density of a custom "

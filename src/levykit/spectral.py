@@ -933,8 +933,8 @@ def levy_exponent_from_measure(measure: SpectralMeasure, lam: float,
     """
     if measure.kind != "killed":
         raise DomainError("the exponent integral needs a 'killed' measure")
-    if lam < 0:
-        raise DomainError("lambda must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise DomainError("lambda must be nonnegative and finite")
     end = measure.support_end
 
     def f(g):

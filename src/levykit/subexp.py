@@ -168,6 +168,8 @@ def hitting_tail_distribution(spec, x: float, grid=None,
     """
     from scipy.special import gammainc
 
+    if not 0 <= x < math.inf:
+        raise DomainError("x must be nonnegative and finite")
     g = _with_grid(grid)
     if spec.is_preset:
         a = spec.alpha
@@ -227,6 +229,8 @@ def conv_tail(F: TailDistribution, G: TailDistribution, x: float,
     region near the origin.  The result is clipped into its structural
     bracket ``[max(Fbar, Gbar)(x), 1]``, and the error counts that move.
     """
+    if not x < math.inf:
+        raise DomainError("x must be below +inf, and not NaN")
     if x > F.x_max or x > G.x_max:
         raise RangeError("x beyond the covered range of the two tails")
     if x <= 0.0:

@@ -238,6 +238,11 @@ SEEDED_STDOUT_SHA256 = {
         "35832ce4a3dbb2990d07ccd70e555cc7ce06db75705c3dae4c273fdd01c38062",
     "penalize horizon --n 2000":
         "995a4d6fee2255300a7238c65492bc3ddff3c48bbbea2937464c9f8825c24563",
+    # three slices of the stable transform, so the pool runs them
+    "mc tau --n 60000":
+        "134ca180828a2a18ca974b2dbeae551525298047ae0124aa8d7e600acb615459",
+    "penalize horizon --n 60000":
+        "92f8f24f60cac9eb5670b9d1e0ef322b0fd0ebcc745310adaf06a64633ed00ed",
     "penalize lawcheck --u 16 --n 2000":
         "bdc3af8ba0bf1bf81c1746419ff017bedfb0fc9641c18cabf55d9e2800f51922",
     "penalize lawcheck --u 16 --n 2000 --format json":
@@ -248,6 +253,17 @@ SEEDED_STDOUT_SHA256 = {
 @pytest.mark.parametrize("command", sorted(SEEDED_STDOUT_SHA256))
 def test_seeded_stdout_pinned(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == SEEDED_STDOUT_SHA256[command]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command", ["mc tau --n 60000",
+                                     "penalize horizon --n 60000"])
+def test_sliced_stable_draws_pinned_at_any_thread_count(capsys, command,
+                                                        threads):
+    code, out, _ = run_cli(capsys, *command.split(), "--threads", threads)
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == SEEDED_STDOUT_SHA256[command]

@@ -60,6 +60,38 @@ def test_tau_brownian_is_squared_reciprocal_gaussian():
     assert abs(med / exact - 1.0) < 0.02
 
 
+def _kanter_whole_array(alpha, n, rng):
+    """The transform on the whole array at once, as it was before it ran
+    in slices: the reference the sliced one must equal bit for bit."""
+    theta = rng.uniform(0.0, math.pi, size=n)
+    w = rng.standard_exponential(size=n)
+    log_a = (alpha * np.log(np.sin(alpha * theta))
+             + (1.0 - alpha) * np.log(np.sin((1.0 - alpha) * theta))
+             - np.log(np.sin(theta))) / (1.0 - alpha)
+    return np.exp((1.0 - alpha) / alpha * (log_a - np.log(w)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(alpha=st.one_of(st.just(0.5), st.floats(0.02, 0.98)),
+       n=st.sampled_from([1, 24_999, 25_000, 25_001, 60_001]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sliced_stable_draws_equal_the_whole_array_formula(alpha, n, seed):
+    want = _kanter_whole_array(alpha, n, np.random.default_rng(seed))
+    for threads in (1, 2, 3):
+        got = mc._standard_positive_stable(alpha, n,
+                                           np.random.default_rng(seed),
+                                           threads)
+        assert got.tobytes() == want.tobytes(), threads
+
+
+def test_no_stable_draws_is_an_empty_array():
+    for threads in (1, 2):
+        out = mc._standard_positive_stable(0.5, 0, np.random.default_rng(0),
+                                           threads)
+        assert out.shape == (0,) and out.dtype == np.float64
+    assert mc.sample_tau(BM, 1.0, 0, seed=0, threads=2).values.size == 0
+
+
 def test_local_time_marginal_mean():
     # E_0 L_t = sqrt(2 t / pi) for Brownian motion
     lt = mc.sample_local_time(BM, 0.0, 2.0, 200_000, seed=31)
@@ -311,6 +343,23 @@ def test_pool_is_no_larger_than_the_chunk_count(monkeypatch):
     mc.estimate_hitting_tail(B15, 1.0, 2.0, 2 * mc.DEFAULT_CHUNK, seed=1,
                              threads=8)
     assert workers == [2]
+
+
+def test_chunk_workers_start_no_pool_of_their_own(monkeypatch):
+    # a chunk is one slice of the stable transform, so only the chunk
+    # pool starts; one stream of three slices starts one pool of three
+    workers = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", Recording)
+    mc.estimate_localtime_tail(B15, 1.0, 100.0, 1.0, 2 * mc.DEFAULT_CHUNK,
+                               seed=1, threads=8)
+    mc.sample_tau(BM, 1.0, 2 * mc.DEFAULT_CHUNK + 1, seed=1, threads=8)
+    assert workers == [2, 3]
 
 
 def test_estimator_input_validation():

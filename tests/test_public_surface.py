@@ -62,3 +62,35 @@ def test_import_leaves_heavy_scipy_modules_out():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["[]", "False", "False", "True"]
+
+
+def _nan_calls():
+    from levykit import penalization as pz
+    from levykit import spectral as sp
+    from levykit import subexp as sx
+    bm = levykit.brownian_spec()
+    ind = pz.indicator_weight(1.0)
+    tail = sx.pareto_tail(0.5)
+    killed = sp.bessel_killed_measure(0.5)
+    return {
+        "levy_exponent": lambda v: levykit.levy_exponent(bm, v),
+        "cumulative_speed": lambda v: levykit.cumulative_speed(bm, v),
+        "uparrow_density": lambda v: pz.uparrow_density(bm, 1.0, 1.0, v),
+        "martingale_value": lambda v: pz.martingale_value(bm, ind, 1.0, v),
+        "conv_tail": lambda v: sx.conv_tail(tail, tail, v),
+        "subexp_ratio": lambda v: sx.subexp_ratio(tail, v),
+        "hitting_tail_distribution":
+            lambda v: sx.hitting_tail_distribution(bm, v),
+        "levy_exponent_from_measure":
+            lambda v: sp.levy_exponent_from_measure(killed, v),
+        "uparrow_mass": lambda v: pz.uparrow_mass(bm, v),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_nan_calls()))
+def test_nan_inputs_are_domain_errors(name):
+    # a NaN passed every sign check: these returned NaN, a table of NaNs,
+    # or raised ToleranceError from the quadrature
+    from levykit.errors import DomainError
+    with pytest.raises(DomainError):
+        _nan_calls()[name](float("nan"))

@@ -123,9 +123,11 @@ def _chunk_sizes(n: int) -> list:
 
 def _pool_map(fn: Callable, jobs: Sequence, threads: Optional[int]) -> list:
     """``[fn(*job) for job in jobs]``, in order, on a pool of at most
-    ``min(threads, len(jobs))`` threads; serial when that is 1."""
-    nthreads = min(resolve_threads(threads), len(jobs))
-    if nthreads <= 1:
+    ``min(threads, len(jobs))`` threads; serial when that is 1.  One job
+    or none runs serially without reading ``threads``."""
+    nthreads = min(resolve_threads(threads), len(jobs)) if len(jobs) > 1 \
+        else 1
+    if nthreads == 1:
         return [fn(*job) for job in jobs]
     with ThreadPoolExecutor(max_workers=nthreads) as pool:
         futures = [pool.submit(fn, *job) for job in jobs]
@@ -279,7 +281,7 @@ def sample_tau(spec: DiffusionSpec, ell: float, n: int,
 
 
 def sample_local_time(spec: DiffusionSpec, x: float, t: float, n: int,
-                      rng=None, seed=None, threads=None) -> np.ndarray:
+                      rng=None, seed=None) -> np.ndarray:
     """Exact draws of the marginal law of ``L_t`` from ``x``.
 
     Uses the first-passage inversion ``L_t = ((t - H_0)^+ / tau_1)^alpha``
@@ -293,7 +295,7 @@ def sample_local_time(spec: DiffusionSpec, x: float, t: float, n: int,
     if rng is None:
         rng = np.random.default_rng(seed)
     h = sample_hitting_time(spec, x, n, rng=rng)
-    tau1 = sample_tau(spec, 1.0, n, rng=rng, threads=threads).values
+    tau1 = sample_tau(spec, 1.0, n, rng=rng).values
     return (np.maximum(t - h, 0.0) / tau1) ** alpha
 
 

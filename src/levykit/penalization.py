@@ -314,6 +314,8 @@ def penalization_horizon(spec: DiffusionSpec, weight: WeightFunction,
     alpha = mc._require_preset(spec, "horizon estimation")
     if not 0 < tol < 1:
         raise DomainError("tol must be in (0, 1)")
+    if n < 1:
+        raise DomainError("need at least one path")
     rng = np.random.default_rng(seed)
     y = weight.sample(n, rng)
     tau1 = mc.sample_tau(spec, 1.0, n, rng=rng, threads=threads).values
@@ -399,6 +401,10 @@ def post_lastzero_marginal_check(weight: WeightFunction, v: float = 1.0,
     ``X_u`` (Imhof 1984, *Density factorizations for Brownian motion,
     meander and the three-dimensional Bessel process*).  ``X_{g+v}`` is
     then the norm of a Gaussian vector.
+
+    The default horizon's :func:`penalization_horizon` runs its stable
+    transform on the default thread count (``LEVYKIT_THREADS``, else
+    every CPU); the draws are the same at any count.
     """
     from .diffusions import brownian_spec
     spec = brownian_spec()
@@ -518,7 +524,9 @@ def numerator_asymptotics_check(spec: DiffusionSpec,
     ``E_a[h(L_t)] / nu((t, inf)) -> S(a) h(0) + 1``: the boundary atom of
     ``L_t`` contributes ``S(a) h(0)`` and the bulk contributes the unit
     mass of ``h``.  Sampled with the exact marginal local-time draw; the
-    excursion tail comes from the spectral route.
+    excursion tail comes from the spectral route.  The stable transform
+    of the draws runs on the default thread count (``LEVYKIT_THREADS``,
+    else every CPU); the draws are the same at any count.
     """
     rng = np.random.default_rng(seed)
     lt = mc.sample_local_time(spec, a, t, n, rng=rng)

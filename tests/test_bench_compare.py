@@ -217,42 +217,3 @@ def test_json_records_commits_and_pair_seeds(tmp_path, capsys, monkeypatch):
     assert rows[("end_to_end", "work_per_s")]["seeds"] == [1, 3]
     assert rows[("per_layer", "cli.tails.ms")]["seeds"] \
         == [["exact", 2], ["paths", 2]]
-
-
-def test_json_records_passes_and_per_call_times(tmp_path, capsys):
-    parent, change = tmp_path / "parent", tmp_path / "change"
-    # (seed, passes, seconds of each call over the run)
-    sides = {parent: [(1, 10, 2.0, 1.0), (2, 12, 2.4, 1.2), (3, 8, 1.6, 0.8)],
-             change: [(1, 20, 2.0, 2.0), (2, 24, 2.4, 2.4), (3, 16, 1.6, 1.6)]}
-    for side, runs in sides.items():
-        write_runs(side, "exact", [(s, 10.0, 1.0) for s, *_ in runs])
-        for seed, passes, tau, law in runs:
-            path = side / f"result-exact-seed{seed}-trace0.json"
-            doc = json.loads(path.read_text())
-            doc["counters"] = {"passes": passes}
-            doc["seconds_by_call"] = {"montecarlo.sample_tau": tau,
-                                      "penalization.linfty_law_check": law}
-            if side is parent:
-                doc["seconds_by_call"]["cli.tails"] = 0.1
-            path.write_text(json.dumps(doc))
-    out = tmp_path / "pairs.json"
-    code = bench_compare.main([str(parent), str(change), "--benchmark",
-                               str(write_benchmark(tmp_path)), "--json",
-                               str(out)])
-    rows = table(capsys)
-    assert code == 0
-    # twice the passes in the same time: sample_tau costs half as much per
-    # pass, linfty_law_check the same, and a call one side lacks is skipped
-    tau = rows[("exact", "montecarlo.sample_tau")]
-    assert tau[2:3] == ["3"] and tau[3].startswith("200 [")
-    assert tau[5:8] == ["0.500", "3/3", ""]
-    assert rows[("exact", "penalization.linfty_law_check")][5:7] \
-        == ["1.000", "0/3"]
-    assert ("exact", "cli.tails") not in rows
-    doc = json.loads(out.read_text())
-    got = {(r["table"], r["metric"]): r for r in doc["rows"]}
-    assert got[("end_to_end", "work_per_s")]["passes"] \
-        == {"parent": [10, 12, 8], "change": [20, 24, 16]}
-    per_call = got[("per_call", "montecarlo.sample_tau")]
-    assert per_call["workload"] == "exact" and per_call["seeds"] == [1, 2, 3]
-    assert per_call["change"]["median"] == 100.0

@@ -158,6 +158,12 @@ def test_invalid_domain_exits_2(capsys):
     assert "invalid input" in err
 
 
+def test_horizon_without_paths_exits_2(capsys):
+    code, out, err = run_cli(capsys, "penalize", "horizon", "--n", "0")
+    assert code == 2 and out == ""
+    assert "at least one path" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("tails", "--t", "nan"),
     ("density", "--t", "1", "--x", "inf"),

@@ -321,6 +321,16 @@ def test_bad_threads_env_is_a_domain_error(monkeypatch, value):
         mc.resolve_threads(None)
 
 
+def test_one_slice_does_not_read_the_threads_env(monkeypatch):
+    # a draw of one slice runs serially, so a malformed LEVYKIT_THREADS
+    # only matters where a pool could start
+    monkeypatch.setenv("LEVYKIT_THREADS", "two")
+    assert mc.sample_tau(BM, 1.0, mc.DEFAULT_CHUNK, seed=1).values.size \
+        == mc.DEFAULT_CHUNK
+    with pytest.raises(DomainError, match="LEVYKIT_THREADS"):
+        mc.sample_tau(BM, 1.0, mc.DEFAULT_CHUNK + 1, seed=1)
+
+
 def test_threads_env_one_runs_serially(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started at LEVYKIT_THREADS=1")

@@ -157,6 +157,12 @@ def test_horizon_full_reports_leftover():
     assert res["leftover_se"] > 0.0
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_horizon_without_paths_is_a_domain_error(n):
+    with pytest.raises(DomainError, match="at least one path"):
+        pz.penalization_horizon(BM, pz.indicator_weight(1.0), n=n, seed=4)
+
+
 def test_linfty_law_check_converges():
     res = pz.linfty_law_check(BM, pz.indicator_weight(1.0), n=20_000,
                               seed=0)

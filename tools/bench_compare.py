@@ -23,24 +23,16 @@ pairs the change won (ties count for neither side).  The flag column reads
 
 A last column gives the failed share of calls on each side.
 
-A second table, over the same untraced pairs, gives each call's time per
-pass (``seconds_by_call`` over ``counters.passes`` of each result) for
-every call name that every run of the workload recorded, with ``WORSE`` at
-10% of the parent's median.  It locates a saving or a cost on the runs the
-end-to-end rows come from, where the traced table moves on code a change
-does not run.
-
-When both sides have traced (``trace1``) runs, a last table does the
+When both sides have traced (``trace1``) runs, a second table does the
 same for every per-layer metric of ``BENCHMARK.json``, over all traced
 pairs at once (each traced run measures every layer, whatever its
 workload), with ``WORSE`` at 10% of the parent's median.  It locates where
 a change saves or costs time; a per-layer value comes from one traced pass
 and has no bound in ``BENCHMARK.json``, so it does not gate.  The exit code
 is 1 when an end-to-end row reads ``WORSE`` or the change fails a larger
-share of calls, else 0.  With ``--json PATH`` every compared row of every
-table is also written to ``PATH``, with the seeds of its pairs (``[workload,
-seed]`` pairs in the per-layer table, which pools workloads), each side's
-passes per run in seed order (end-to-end rows), with
+share of calls, else 0.  With ``--json PATH`` every compared row of both
+tables is also written to ``PATH``, with the seeds of its pairs (``[workload,
+seed]`` pairs in the per-layer table, which pools workloads), with
 ``os.cpu_count()`` and with each side's commit: ``git rev-parse HEAD`` of
 the checkout that holds its results directory, or null outside a git
 checkout.  So a change can keep its pairs, and where they came from, next
@@ -164,8 +156,6 @@ def report(parent_runs: dict, change_runs: dict, metrics: list,
             continue
         docs = [(parent_runs[(workload, s)], change_runs[(workload, s)])
                 for s in seeds]
-        passes = {"parent": [passes_of(p) for p, _ in docs],
-                  "change": [passes_of(c) for _, c in docs]}
         fails = [sum(map(failed_share, side)) / len(docs)
                  for side in zip(*docs)]
         if fails[1] > fails[0]:
@@ -180,45 +170,9 @@ def report(parent_runs: dict, change_runs: dict, metrics: list,
                   f"| {fails[0]:.3g}/{fails[1]:.3g} |")
             rows.append(_record(
                 row, table="end_to_end", workload=workload, metric=name,
-                seeds=seeds, passes=passes,
+                seeds=seeds,
                 failed_share={"parent": fails[0], "change": fails[1]}))
     return ok
-
-
-def passes_of(doc: dict) -> Optional[int]:
-    return doc.get("counters", {}).get("passes")
-
-
-def report_calls(parent_runs: dict, change_runs: dict,
-                 rows: Optional[list] = None) -> None:
-    """Print each call's milliseconds per pass over the untraced pairs of
-    every workload, for the call names all its runs recorded; a run
-    without a pass count is left out.  Each row is also appended to
-    ``rows``, if given."""
-    rows = [] if rows is None else rows
-    keys = sorted(k for k in set(parent_runs) & set(change_runs)
-                  if passes_of(parent_runs[k]) and passes_of(change_runs[k]))
-    if not keys:
-        return
-    print()
-    print("| workload | call (ms per pass) | pairs | parent median [q1, q3] "
-          "| change median [q1, q3] | change/parent | change won "
-          f"| flag (worse at {LAYER_BOUND:.0%}) |")
-    print("|---|---|---|---|---|---|---|---|")
-    for workload in sorted({w for w, _ in keys}):
-        seeds = [s for w, s in keys if w == workload]
-        docs = [(parent_runs[(workload, s)], change_runs[(workload, s)])
-                for s in seeds]
-        names = set.intersection(*(set(d.get("seconds_by_call", {}))
-                                   for pair in docs for d in pair))
-        for name in sorted(names):
-            pairs = [tuple(1e3 * d["seconds_by_call"][name] / passes_of(d)
-                           for d in pair) for pair in docs]
-            row = compare_metric(pairs, "lower", LAYER_BOUND)
-            print(f"| {workload} | {name} | {row['pairs']} "
-                  f"| {_summary(row)} |")
-            rows.append(_record(row, table="per_call", workload=workload,
-                                metric=name, seeds=seeds))
 
 
 def report_layers(parent_runs: dict, change_runs: dict, metrics: list,
@@ -264,9 +218,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     metrics = json.loads(args.benchmark.read_text(encoding="utf-8"))
     rows = []
-    parent_runs, change_runs = load_runs(args.parent), load_runs(args.change)
-    ok = report(parent_runs, change_runs, metrics["end_to_end"], rows)
-    report_calls(parent_runs, change_runs, rows)
+    ok = report(load_runs(args.parent), load_runs(args.change),
+                metrics["end_to_end"], rows)
     report_layers(load_runs(args.parent, trace=1),
                   load_runs(args.change, trace=1),
                   metrics.get("per_layer", []), rows)

@@ -299,10 +299,11 @@ def _subexp(args, spec, meta):
           _arg("--x", type=float, required=True), _T, _HOW,
           after=_GRID)
 def _mc_hitting_tail(args, spec, meta):
-    for t in _floats(args.t):
-        est = mc.estimate_hitting_tail(spec, args.x, t, args.n,
-                                       seed=args.seed, method=args.how,
-                                       dt=args.dt, threads=args.threads)
+    ts = _floats(args.t)
+    estimates = mc.estimate_hitting_tail(spec, args.x, ts, args.n,
+                                         seed=args.seed, method=args.how,
+                                         dt=args.dt, threads=args.threads)
+    for t, est in zip(ts, estimates):
         exact = float(spectral.hitting_tail(spec, args.x, t))
         yield (args.x, t, args.how, est.n_paths, args.seed, est.mean,
                est.std_error, exact, _z(est.mean - exact, est.std_error))
@@ -314,10 +315,11 @@ def _mc_hitting_tail(args, spec, meta):
           note="asymptote = (S(x)+ell) nu((t,inf)); ratio -> 1 as t grows",
           after=_GRID)
 def _mc_localtime_tail(args, spec, meta):
-    for t in _floats(args.t):
-        est = mc.estimate_localtime_tail(spec, args.x, t, args.ell, args.n,
-                                         seed=args.seed, method=args.how,
-                                         dt=args.dt, threads=args.threads)
+    ts = _floats(args.t)
+    estimates = mc.estimate_localtime_tail(
+        spec, args.x, ts, args.ell, args.n, seed=args.seed, method=args.how,
+        dt=args.dt, threads=args.threads)
+    for t, est in zip(ts, estimates):
         asym = (float(spec.scale(args.x)) + args.ell) \
             * float(spectral.levy_tail(spec, t))
         yield (args.x, args.ell, t, args.how, est.n_paths, args.seed,
@@ -329,9 +331,10 @@ def _mc_localtime_tail(args, spec, meta):
           _arg("--lam", required=True, help="Laplace arguments, comma list"),
           _ELL, after=_MONTE_CARLO)
 def _mc_exponent(args, spec, meta):
-    for lam in _floats(args.lam):
-        est = mc.levy_exponent_mc(spec, lam, ell=args.ell, n=args.n,
-                                  seed=args.seed, threads=args.threads)
+    lams = _floats(args.lam)
+    estimates = mc.levy_exponent_mc(spec, lams, ell=args.ell, n=args.n,
+                                    seed=args.seed, threads=args.threads)
+    for lam, est in zip(lams, estimates):
         exact = float(levy_exponent(spec, lam))
         yield (lam, args.ell, est.n_paths, args.seed, est.mean,
                est.std_error, exact, _z(est.mean - exact, est.std_error))

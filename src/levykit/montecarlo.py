@@ -188,16 +188,28 @@ def _bernoulli_se(p: float, n: int) -> float:
     return math.sqrt(max(p * (1 - p), 0.0) / n)
 
 
-def _indicator_estimate(n: int, seed, event: Callable,
-                        threads: Optional[int]) -> McEstimate:
-    """Frequency of ``event(rng, size)`` (a boolean array per chunk) over
-    ``n`` paths, with its binomial standard error."""
-    hits, = _chunk_totals(n, seed,
-                          lambda rng, m: (int(np.sum(event(rng, m))),),
-                          threads)
-    p = hits / n
-    return McEstimate(mean=p, std_error=_bernoulli_se(p, n), n_paths=n,
-                      seed=seed)
+def _indicator_estimates(n: int, seed, events: Callable,
+                         threads: Optional[int]) -> list:
+    """Frequency of each event over ``n`` paths, with its binomial
+    standard error.  ``events(rng, size)`` returns an iterable of boolean
+    arrays, one per event; a generator keeps one of them alive at a
+    time."""
+    hits = _chunk_totals(
+        n, seed,
+        lambda rng, m: [int(np.count_nonzero(e)) for e in events(rng, m)],
+        threads)
+    return [McEstimate(mean=h / n, std_error=_bernoulli_se(h / n, n),
+                       n_paths=n, seed=seed) for h in hits]
+
+
+def _as_list(values) -> tuple:
+    """``(entries, one)``: the floats of a number or of a 1-d sequence,
+    and whether ``values`` was a single number, whose caller returns one
+    result rather than a list."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim > 1:
+        raise DomainError("expected a number or a 1-d sequence")
+    return arr.reshape(-1).tolist(), arr.ndim == 0
 
 
 # ---------------------------------------------------------------------------
@@ -479,94 +491,162 @@ def occupation_bias(spec: DiffusionSpec, eps: float, dt: float,
 # estimators
 # ---------------------------------------------------------------------------
 
-def _occupation_at(spec: DiffusionSpec, x: float, t: float, dt: float):
-    """Sampler of the band-occupation step count at ``t`` of grid paths
-    from ``x`` (band ``[0, sqrt(dt))``), with that band's speed measure."""
-    n_steps, eps = _check_grid(t, dt, None)
+def _occupations(spec: DiffusionSpec, x: float, steps: Sequence[int],
+                 dt: float):
+    """Sampler of the band-occupation step counts of grid paths from ``x``
+    (band ``[0, sqrt(dt))``) after each of ``steps``, in the order given
+    and repeats allowed, with that band's speed measure.  One ensemble
+    streams to the largest count and is read at each distinct one: its
+    first ``k`` steps are the draws a stream of ``k`` steps makes."""
+    eps = math.sqrt(dt)
+    record = sorted(set(steps))
 
-    def occupation(rng, m):
-        (_, occ), = _stream_ensemble(spec, x, dt, n_steps, [n_steps],
-                                     rng, m, eps)
-        return occ
+    def occupations(rng, m):
+        snaps = _stream_ensemble(spec, x, dt, record[-1], record, rng, m,
+                                 eps)
+        at = {k: occ for k, (_, occ) in zip(record, snaps)}
+        return [at[k] for k in steps]
 
-    return occupation, cumulative_speed(spec, eps)
+    return occupations, cumulative_speed(spec, eps)
 
 
-def estimate_hitting_tail(spec: DiffusionSpec, x: float, t: float, n: int,
-                          seed=None, method: str = "exact",
-                          dt: float = 1e-3, threads=None) -> McEstimate:
+def _tail_estimates(spec: DiffusionSpec, x: float, t, check: Callable,
+                    method: str, dt: float, exact: Callable,
+                    band_event: Callable, n: int, seed,
+                    threads) -> McEstimate | list:
+    """Estimates of ``P(T > t)`` for a number ``t``, or a list of them for
+    each entry of a sequence, from one set of draws per chunk.
+
+    Each ``t`` is checked in order as a call with it alone would check it
+    (``check(t)``, the method, then the grid), before anything is drawn.
+    ``exact(rng, size)`` draws ``T``; the pathwise route instead streams
+    grid paths from ``x`` and applies ``band_event(occupation_steps,
+    band_speed_measure)`` at each ``t``.
+    """
+    ts, one = _as_list(t)
+    steps = []
+    for u in ts:
+        check(u)
+        if method == "pathwise":
+            steps.append(_check_grid(u, dt, None)[0])
+        elif method != "exact":
+            raise DomainError(f"unknown method {method!r}")
+    if not ts:
+        return []
+    if method == "exact":
+        def events(rng, m):
+            s = exact(rng, m)
+            return (s > u for u in ts)
+    else:
+        occupations, m_eps = _occupations(spec, x, steps, dt)
+
+        def events(rng, m):
+            return (band_event(occ, m_eps) for occ in occupations(rng, m))
+    estimates = _indicator_estimates(n, seed, events, threads)
+    return estimates[0] if one else estimates
+
+
+def estimate_hitting_tail(spec: DiffusionSpec, x: float,
+                          t: float | Sequence[float], n: int, seed=None,
+                          method: str = "exact", dt: float = 1e-3,
+                          threads=None) -> McEstimate | list:
     """Monte Carlo ``P_x(H_0 > t)``.
 
     ``method="exact"`` draws the hitting time from its gamma
     representation; ``"pathwise"`` streams grid paths and counts those
     that avoid the band ``[0, sqrt(dt))`` — biased low by band-vs-point
     hitting, shrinking as ``dt`` does.
+
+    ``t`` is a number, or a 1-d sequence for a list of estimates in its
+    order.  Every ``t`` reads the same draws (one ensemble streamed to the
+    largest ``t`` on the pathwise route), so each entry equals the call
+    with that ``t`` alone and the same seed, bit for bit, just as separate
+    calls with one seed always shared their draws.
     """
-    if not (0 < x < math.inf and math.isfinite(t)):
-        raise DomainError("x must be positive and finite (from 0 the tail "
-                          "is 0), and t finite")
-    if method == "exact":
-        def event(rng, m):
-            return sample_hitting_time(spec, x, m, rng=rng) > t
-    elif method == "pathwise":
-        occupation, _ = _occupation_at(spec, x, t, dt)
+    def check(t):
+        if not (0 < x < math.inf and math.isfinite(t)):
+            raise DomainError("x must be positive and finite (from 0 the "
+                              "tail is 0), and t finite")
 
-        def event(rng, m):
-            return occupation(rng, m) == 0
-    else:
-        raise DomainError(f"unknown method {method!r}")
-    return _indicator_estimate(n, seed, event, threads)
+    return _tail_estimates(
+        spec, x, t, check, method, dt,
+        lambda rng, m: sample_hitting_time(spec, x, m, rng=rng),
+        lambda occ, m_eps: occ == 0, n, seed, threads)
 
 
-def estimate_localtime_tail(spec: DiffusionSpec, x: float, t: float,
-                            ell: float, n: int, seed=None,
-                            method: str = "exact", dt: float = 1e-3,
-                            threads=None) -> McEstimate:
+def estimate_localtime_tail(spec: DiffusionSpec, x: float,
+                            t: float | Sequence[float], ell: float, n: int,
+                            seed=None, method: str = "exact",
+                            dt: float = 1e-3,
+                            threads=None) -> McEstimate | list:
     """Monte Carlo ``P_x(L_t <= ell)``.
 
     The exact route uses the renewal split at the first boundary visit:
     the event equals ``{H_0 + tau_ell > t}`` with the two pieces
     independent, both drawn from their exact laws.  The pathwise route
     compares raw band local time against ``ell`` on grid paths.
+
+    ``t`` is a number, or a 1-d sequence for a list of estimates in its
+    order.  Every ``t`` reads the same draws of ``H_0 + tau_ell`` (one
+    ensemble streamed to the largest ``t`` on the pathwise route), so each
+    entry equals the call with that ``t`` alone and the same seed, bit for
+    bit, just as separate calls with one seed always shared their draws.
     """
-    if not (0 <= x < math.inf and 0 <= ell < math.inf and math.isfinite(t)):
-        raise DomainError("x and ell must be nonnegative and finite, and t "
-                          "finite")
-    if method == "exact":
-        def event(rng, m):
-            h = sample_hitting_time(spec, x, m, rng=rng)
-            tau = sample_tau(spec, ell, m, rng=rng).values
-            return h + tau > t
-    elif method == "pathwise":
-        occupation, m_eps = _occupation_at(spec, x, t, dt)
+    def check(t):
+        if not (0 <= x < math.inf and 0 <= ell < math.inf
+                and math.isfinite(t)):
+            raise DomainError("x and ell must be nonnegative and finite, "
+                              "and t finite")
+        if t <= 0:
+            raise DomainError("t must be positive and finite")
 
-        def event(rng, m):
-            return occupation(rng, m) * dt / m_eps <= ell
-    else:
-        raise DomainError(f"unknown method {method!r}")
-    return _indicator_estimate(n, seed, event, threads)
+    def exact(rng, m):
+        s = sample_hitting_time(spec, x, m, rng=rng)
+        s += sample_tau(spec, ell, m, rng=rng).values
+        return s
+
+    return _tail_estimates(
+        spec, x, t, check, method, dt, exact,
+        lambda occ, m_eps: occ * dt / m_eps <= ell, n, seed, threads)
 
 
-def levy_exponent_mc(spec: DiffusionSpec, lam: float, ell: float = 1.0,
-                     n: int = 100_000, seed=None,
-                     threads=None) -> McEstimate:
+def levy_exponent_mc(spec: DiffusionSpec, lam: float | Sequence[float],
+                     ell: float = 1.0, n: int = 100_000, seed=None,
+                     threads=None) -> McEstimate | list:
     """Laplace exponent of the inverse local time by simulation:
-    ``-log E[exp(-lam tau_ell)] / ell``, with a delta-method error bar."""
-    if not 0 <= lam < math.inf:
-        raise DomainError("lam must be nonnegative and finite")
-    if not 0 < ell < math.inf:
-        raise DomainError("ell must be positive and finite")
-    if lam == 0.0:
-        return McEstimate(mean=0.0, std_error=0.0, n_paths=n, seed=seed)
+    ``-log E[exp(-lam tau_ell)] / ell``, with a delta-method error bar.
+
+    ``lam`` is a number, or a 1-d sequence for a list of estimates in its
+    order.  Every nonzero ``lam`` reads the same draws of ``tau_ell``, so
+    each entry equals the call with that ``lam`` alone and the same seed,
+    bit for bit; ``lam = 0`` is exactly 0 and draws nothing.
+    """
+    lams, one = _as_list(lam)
+    for v in lams:
+        if not 0 <= v < math.inf:
+            raise DomainError("lam must be nonnegative and finite")
+        if not 0 < ell < math.inf:
+            raise DomainError("ell must be positive and finite")
+    live = [v for v in lams if v != 0.0]
 
     def sample(rng, m):
-        return [np.exp(-lam * sample_tau(spec, ell, m, rng=rng).values)]
+        tau = sample_tau(spec, ell, m, rng=rng).values
+        return (np.exp(-v * tau) for v in live)
 
-    (mean, se), = _sample_means(n, seed, sample, threads)
-    if mean <= 0:
-        raise RangeError("all mass beyond machine range; lam too large")
-    return McEstimate(mean=-math.log(mean) / ell,
-                      std_error=se / (mean * ell), n_paths=n, seed=seed)
+    moments = iter(_sample_means(n, seed, sample, threads) if live else ())
+    estimates = []
+    for v in lams:
+        if v == 0.0:
+            estimates.append(McEstimate(mean=0.0, std_error=0.0, n_paths=n,
+                                        seed=seed))
+            continue
+        mean, se = next(moments)
+        if mean <= 0:
+            raise RangeError("all mass beyond machine range; lam too large")
+        estimates.append(McEstimate(mean=-math.log(mean) / ell,
+                                    std_error=se / (mean * ell), n_paths=n,
+                                    seed=seed))
+    return estimates[0] if one else estimates
 
 
 def doob_meyer_check(spec: DiffusionSpec, times: Sequence[float],

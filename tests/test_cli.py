@@ -230,6 +230,21 @@ def test_version_flag():
 # pinned output: seeded bytes, and cells that render the library's values
 # ---------------------------------------------------------------------------
 
+# sha256 of stdout for lists of t or lam, recorded while each entry was
+# still its own estimator call; one set of draws now serves every entry
+LIST_STDOUT_SHA256 = {
+    "mc localtime-tail --t 1,100,10000 --n 60000":
+        "b2e2566bfb455b3d6233df48aa5c4fb723091a29f43289c3a279c272be3a9bc1",
+    "mc hitting-tail --spec bessel:1.5 --x 1 --t 1,10,100 --n 60000":
+        "ce50fee41d97ee197e60bc1ef0a5752ac5bf1c8397bb1f5d81f03883e7c01b71",
+    "mc exponent --spec bessel:1.5 --lam 0,0.5,2 --n 60000":
+        "b62b80ab04d26690a1fec5e370c00a3d69553236acb50fb233ddad4595bc19d5",
+    # unsorted, with a repeat: one ensemble snapshots each distinct t
+    "mc localtime-tail --how pathwise --x 0.2 --ell 0.1 --t 0.2,0.1,0.2 "
+    "--dt 0.01 --n 3000":
+        "ba1c6cbe93f19bdecd11a49d339230b07c85c964f0d150b57a5b1c3a9a16acb2",
+}
+
 # sha256 of stdout, recorded before the command table replaced the
 # per-command row building; seeded Monte Carlo bytes must not move
 SEEDED_STDOUT_SHA256 = {
@@ -253,6 +268,7 @@ SEEDED_STDOUT_SHA256 = {
         "bdc3af8ba0bf1bf81c1746419ff017bedfb0fc9641c18cabf55d9e2800f51922",
     "penalize lawcheck --u 16 --n 2000 --format json":
         "a35890d54f057764df769398688cfc7f59995ebd7e9cad22a7a49fbe23bb6363",
+    **LIST_STDOUT_SHA256,
 }
 
 
@@ -273,6 +289,15 @@ def test_sliced_stable_draws_pinned_at_any_thread_count(capsys, command,
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == SEEDED_STDOUT_SHA256[command]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(LIST_STDOUT_SHA256))
+def test_list_commands_pinned_at_any_thread_count(capsys, command, threads):
+    code, out, _ = run_cli(capsys, *command.split(), "--threads", threads)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == LIST_STDOUT_SHA256[command]
 
 
 def test_one_parser_serves_commands_back_to_back(capsys):

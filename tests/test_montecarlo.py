@@ -403,6 +403,128 @@ def test_non_finite_sampler_inputs_are_domain_errors(call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("method", ["exact", "pathwise"])
+@pytest.mark.parametrize("t", [0.0, -0.5, [0.5, 0.0]])
+def test_nonpositive_localtime_horizon_is_a_domain_error(method, t):
+    # P(L_0 <= 0) = 1, but the exact route read 0 +- 0 at t = 0
+    with pytest.raises(DomainError, match="t must be positive and finite"):
+        mc.estimate_localtime_tail(BM, 0.0, t, 0.0, 10, seed=0,
+                                   method=method, dt=0.1)
+
+
+def test_a_list_is_checked_in_order_before_any_draw(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before the list was checked")
+
+    monkeypatch.setattr(mc, "sample_hitting_time", no_draws)
+    monkeypatch.setattr(mc, "sample_tau", no_draws)
+    # each entry raises what the call with it alone raises, first fault
+    # first: the off-grid 0.15 before the later nonpositive one
+    with pytest.raises(ResolutionError, match="integer multiple"):
+        mc.estimate_localtime_tail(BM, 0.0, [0.2, 0.15, 0.0], 1.0, 10,
+                                   method="pathwise", dt=0.1)
+    with pytest.raises(DomainError, match="finite"):
+        mc.estimate_hitting_tail(BM, 1.0, [1.0, math.nan], 10)
+    with pytest.raises(DomainError, match="unknown method"):
+        mc.estimate_hitting_tail(BM, 1.0, [1.0, math.nan], 10, method="x")
+    with pytest.raises(DomainError, match="ell must be positive"):
+        mc.levy_exponent_mc(BM, [1.0, -1.0], ell=0.0, n=10)
+    with pytest.raises(DomainError, match="lam must be nonnegative"):
+        mc.levy_exponent_mc(BM, [1.0, -1.0], n=10)
+    with pytest.raises(DomainError, match="1-d"):
+        mc.levy_exponent_mc(BM, [[1.0]], n=10)
+    # an empty list, or lam = 0 alone, draws nothing
+    assert mc.estimate_localtime_tail(BM, 0.0, [], 1.0, 10) == []
+    assert mc.levy_exponent_mc(BM, [0.0, 0.0], n=10) \
+        == [mc.McEstimate(0.0, 0.0, 10)] * 2
+
+
+# two chunks, the second a sliver: the pool runs them at two threads
+_TWO_CHUNKS = mc.DEFAULT_CHUNK + 7
+
+
+@settings(max_examples=15, deadline=None)
+@given(ts=st.lists(st.sampled_from([0.05, 0.3, 1.0, 2.0, 7.5, 40.0]),
+                   min_size=1, max_size=4),
+       spec=st.sampled_from([BM, B15]), seed=st.integers(0, 2**32 - 1),
+       threads=st.sampled_from([1, 2]))
+def test_exact_list_entries_equal_the_scalar_calls(ts, spec, seed, threads):
+    calls = [
+        lambda t: mc.estimate_hitting_tail(spec, 0.8, t, _TWO_CHUNKS,
+                                           seed=seed, threads=threads),
+        lambda t: mc.estimate_localtime_tail(spec, 0.3, t, 0.7, _TWO_CHUNKS,
+                                             seed=seed, threads=threads),
+    ]
+    for call in calls:
+        assert call(ts) == [call(t) for t in ts]
+        assert call(np.array(ts)) == call(ts)
+
+
+@settings(max_examples=15, deadline=None)
+@given(steps=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1), threads=st.sampled_from([1, 2]))
+def test_pathwise_list_entries_equal_the_scalar_calls(steps, seed, threads):
+    # unsorted and repeated times: one ensemble, read at each distinct one
+    ts = [k * 0.02 for k in steps]
+    calls = [
+        lambda t: mc.estimate_hitting_tail(
+            BM, 0.2, t, _TWO_CHUNKS, seed=seed, method="pathwise", dt=0.02,
+            threads=threads),
+        lambda t: mc.estimate_localtime_tail(
+            B15, 0.1, t, 0.05, _TWO_CHUNKS, seed=seed, method="pathwise",
+            dt=0.02, threads=threads),
+    ]
+    for call in calls:
+        assert call(ts) == [call(t) for t in ts]
+
+
+@settings(max_examples=15, deadline=None)
+@given(lams=st.lists(st.sampled_from([0.0, 0.1, 0.5, 2.0, 30.0]),
+                     min_size=1, max_size=4),
+       spec=st.sampled_from([BM, B15]), seed=st.integers(0, 2**32 - 1),
+       threads=st.sampled_from([1, 2]))
+def test_exponent_list_entries_equal_the_scalar_calls(lams, spec, seed,
+                                                      threads):
+    def call(lam):
+        return mc.levy_exponent_mc(spec, lam, ell=1.5, n=_TWO_CHUNKS,
+                                   seed=seed, threads=threads)
+
+    assert call(lams) == [call(lam) for lam in lams]
+
+
+@pytest.mark.parametrize("length", [1, 4])
+def test_a_list_draws_once_per_chunk(monkeypatch, length):
+    counts = {"sample_hitting_time": 0, "sample_tau": 0}
+    for name in counts:
+        def counting(*args, _draw=getattr(mc, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _draw(*args, **kwargs)
+        monkeypatch.setattr(mc, name, counting)
+    ts = [1.0, 3.0, 0.5, 1.0][:length]
+    n = 2 * mc.DEFAULT_CHUNK + 1  # three chunks
+    mc.estimate_hitting_tail(B15, 1.0, ts, n, seed=1)
+    assert counts == {"sample_hitting_time": 3, "sample_tau": 0}
+    mc.estimate_localtime_tail(B15, 1.0, ts, 1.0, n, seed=1)
+    assert counts == {"sample_hitting_time": 6, "sample_tau": 3}
+    mc.levy_exponent_mc(B15, ts, n=n, seed=1)
+    assert counts == {"sample_hitting_time": 6, "sample_tau": 6}
+
+
+def test_a_list_holds_one_boolean_array_at_a_time():
+    # one chunk of draws and one threshold's booleans, never len(t) x n
+    def peak(t):
+        tracemalloc.start()
+        try:
+            mc.estimate_localtime_tail(B15, 1.0, t, 1.0, mc.DEFAULT_CHUNK,
+                                       seed=1, threads=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    many = [float(t) for t in range(1, 129)]
+    assert peak(many) < peak(1.0) + 2 * mc.DEFAULT_CHUNK
+
+
 def test_doob_meyer_check_starts_at_the_boundary():
     # the identity and the occupation bias hold only from 0
     with pytest.raises(TypeError):

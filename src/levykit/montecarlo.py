@@ -228,7 +228,11 @@ def sample_hitting_time(spec: DiffusionSpec, x: float, n: int,
                         rng=None, seed=None) -> np.ndarray:
     """Exact draws of the first time the boundary is reached from ``x``.
 
-    Uses ``H_0 = x^2 / (2 G)`` with ``G ~ Gamma(alpha, 1)``.
+    Uses ``H_0 = x^2 / (2 G)`` with ``G ~ Gamma(alpha, 1)``.  For small
+    ``alpha`` a draw of ``G`` can underflow to 0, or be so small that the
+    quotient overflows; either gives ``H_0 = inf``, silently.  Such a ``G``
+    lies below the smallest subnormal, so the true ``H_0`` exceeds ``x^2
+    1e323`` and the event ``H_0 > t`` is right for every smaller ``t``.
     """
     alpha = _require_preset(spec, "exact hitting-time sampling")
     if not 0 <= x < math.inf:
@@ -237,7 +241,8 @@ def sample_hitting_time(spec: DiffusionSpec, x: float, n: int,
         rng = np.random.default_rng(seed)
     if x == 0.0:
         return np.zeros(n)
-    return x * x / (2.0 * rng.gamma(alpha, 1.0, size=n))
+    with np.errstate(divide="ignore", over="ignore"):
+        return x * x / (2.0 * rng.gamma(alpha, 1.0, size=n))
 
 
 def _standard_positive_stable(alpha: float, n: int, rng,
@@ -293,13 +298,14 @@ def sample_tau(spec: DiffusionSpec, ell: float, n: int,
 
 
 def sample_local_time(spec: DiffusionSpec, x: float, t: float, n: int,
-                      rng=None, seed=None) -> np.ndarray:
+                      rng=None, seed=None, threads=None) -> np.ndarray:
     """Exact draws of the marginal law of ``L_t`` from ``x``.
 
     Uses the first-passage inversion ``L_t = ((t - H_0)^+ / tau_1)^alpha``
     with independent exact draws of the hitting time and of ``tau_1`` —
     valid for the one-time marginal via the self-similarity of the
-    inverse-local-time subordinator.
+    inverse-local-time subordinator.  ``threads`` runs the stable
+    transform of :func:`sample_tau` and does not change the draws.
     """
     alpha = _require_preset(spec, "exact local-time sampling")
     if not 0 < t < math.inf:
@@ -307,7 +313,7 @@ def sample_local_time(spec: DiffusionSpec, x: float, t: float, n: int,
     if rng is None:
         rng = np.random.default_rng(seed)
     h = sample_hitting_time(spec, x, n, rng=rng)
-    tau1 = sample_tau(spec, 1.0, n, rng=rng).values
+    tau1 = sample_tau(spec, 1.0, n, rng=rng, threads=threads).values
     return (np.maximum(t - h, 0.0) / tau1) ** alpha
 
 
@@ -445,10 +451,12 @@ def _make_stepper(spec: DiffusionSpec, dt: float, m: int):
 
 def _stream_ensemble(spec: DiffusionSpec, x0: float, dt: float,
                      n_steps: int, record_idx: Sequence[int],
-                     rng, n_paths: int, eps: float):
+                     rng, n_paths: int, eps: float,
+                     positions: bool = False):
     """March ``n_paths`` states forward, returning snapshots at the
     requested step indices, in step order: (positions,
-    band_occupation_steps)."""
+    band_occupation_steps), where the positions are ``None`` unless
+    ``positions`` asks for them."""
     step = _make_stepper(spec, dt, n_paths)
     record = set(int(i) for i in record_idx)
     x = np.full(n_paths, float(x0))
@@ -461,7 +469,7 @@ def _stream_ensemble(spec: DiffusionSpec, x0: float, dt: float,
         occ += in_band
         step(x, rng)
         if k in record:     # x and occ are updated in place: copy them
-            out.append((x.copy(), occ.copy()))
+            out.append((x.copy() if positions else None, occ.copy()))
     return out
 
 
@@ -668,7 +676,7 @@ def doob_meyer_check(spec: DiffusionSpec, times: Sequence[float],
     def sample(rng, m):
         stats = []
         for x, occ in _stream_ensemble(spec, 0.0, dt, n_steps, idx, rng, m,
-                                       eps):
+                                       eps, positions=True):
             s_of_x = np.asarray(spec.scale(x), dtype=float)
             loc = occ * (dt / m_eps)
             stats += [s_of_x - loc, s_of_x, loc]

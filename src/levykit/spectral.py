@@ -71,6 +71,10 @@ __all__ = [
 
 T_MIN = 1.0e-6
 _SERIES_CAP = 400
+# EigenSeries.value sums by Horner's rule from this many nodes on, and from
+# shifted logs below it; the crossover measured at 40-110 terms (2 vCPUs):
+# the log route is faster up to 128 nodes, Horner from 192
+_HORNER_MIN_NODES = 160
 
 
 # ---------------------------------------------------------------------------
@@ -124,19 +128,34 @@ class EigenSeries:
     def value(self, gamma, terms: Optional[int] = None):
         """The sum of the first ``terms`` terms (None: all) at ``gamma``, a
         float or an array of any shape; at ``gamma = 0`` it is ``c_0``, and
-        a NaN ``gamma`` gives NaN.
+        a NaN ``gamma`` gives NaN.  A ``terms`` below 1 raises
+        :class:`DomainError`.
 
-        The separated powers ``gamma^n`` overflow long before the actual
-        terms ``c_n gamma^n`` do (the coefficients decay factorially), so
-        the terms are assembled from ``log c_n + n log|gamma|`` under a
-        shared shift: each row's largest log, or 0 if it is infinite.  The
-        term matrix is built, shifted and exponentiated in place.  A
-        ``terms`` below 1 raises :class:`DomainError`.
+        The route follows the node count alone:
+
+        * Below ``_HORNER_MIN_NODES`` nodes (QAGS panels of 21 or 42 nodes,
+          single nodes, ``eigen_value``) the terms are assembled from
+          ``log c_n + n log|gamma|`` under a shared shift: each row's
+          largest log, or 0 if it is infinite.  The separated powers
+          ``gamma^n`` overflow long before the actual terms ``c_n gamma^n``
+          do (the coefficients decay factorially).  The term matrix is
+          built, shifted and exponentiated in place.
+        * From ``_HORNER_MIN_NODES`` nodes on (the blocks of table cells)
+          Horner's rule ``b = b (-gamma) + c_n`` runs in place from the
+          last positive coefficient of the prefix down, one pass of two
+          vector operations per term instead of a (nodes x terms) matrix.
+
+        Both routes read a negative coefficient as 0.  Horner's rounding is
+        below ``gamma_2n sum |c_n| |gamma|^n`` with ``gamma_2n = 2n u / (1 -
+        2n u)``, ``u`` the unit roundoff (Higham, *Accuracy and Stability of
+        Numerical Algorithms*, 5.1).
         """
         if terms is not None and terms < 1:
             raise DomainError(f"terms must be at least 1, got {terms}")
         g = np.asarray(gamma, dtype=float)
         shape, g = g.shape, g.ravel()
+        if g.size >= _HORNER_MIN_NODES:
+            return self._horner(g, terms).reshape(shape)
         logc, n = self._logc[:terms], self._n[:terms]
         with np.errstate(divide="ignore", invalid="ignore"):
             lg = np.log(np.abs(g))
@@ -164,6 +183,25 @@ class EigenSeries:
             vals = np.where(g == 0.0, self.coefficients[0], vals)
             vals = np.where(np.isnan(g), np.nan, vals)
         return vals[0] if not shape else vals.reshape(shape)
+
+    def _horner(self, g: np.ndarray, terms: Optional[int]) -> np.ndarray:
+        """Horner's rule over the prefix at a 1-d array of ``gamma``.  The
+        stored coefficients end in exact zeros or negative subnormals (past
+        about n = 85-110 for the recursion series), which add nothing, so
+        the loop starts at the last positive one.  ``gamma = 0`` leaves
+        exactly ``c_0``."""
+        c = self.coefficients[:terms]
+        positive = np.flatnonzero(c > 0.0)
+        top = int(positive[-1]) if positive.size else 0
+        b = np.full(g.shape, max(c[top], 0.0))
+        if top == 0:                   # no power of gamma to carry a NaN
+            b[np.isnan(g)] = np.nan
+            return b
+        neg = -g
+        for cn in np.maximum(c[top - 1::-1], 0.0).tolist():
+            b *= neg
+            b += cn
+        return b
 
 
 def _terms_needed(front: float, z: float, tol: float) -> Optional[int]:
@@ -790,16 +828,18 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
         # needed + 1 coefficients, so its tail bound there, front e^z
         # P(needed + 1, z), is below the tol that P(needed, z) met, and
         # eigen_value would never raise on it
-        evals = [ladder.certified(spec, g_max, tol).value
-                 for ladder in ladders]
+        certified = [ladder.certified(spec, g_max, tol)
+                     for ladder in ladders]
+        evals = [series.value for series in certified]
 
     density = measure.density
 
-    def integrand(g, t=t, top=None):
+    def integrand(g, t=t, top=None, dens=None):
         """The integrand at an array of nodes (undamped at ``t = 0``).  With
         ``top``, the largest node, a series sums only the terms its tail
-        bound there needs (_PREFIX_TAIL)."""
-        vals = np.exp(-g * t) * density(g)
+        bound there needs (_PREFIX_TAIL).  ``dens`` is the density at the
+        nodes, if the caller has it already."""
+        vals = np.exp(-g * t) * (density(g) if dens is None else dens)
         for k, e in enumerate(evals):
             terms = None
             if top is not None and not spec.is_preset:
@@ -825,24 +865,46 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
         raise DomainError("degenerate table support")
     overlay = np.geomspace(lo, g_max, 257)
     cuts = np.unique(np.concatenate([knots, overlay]))
+    if spec.is_preset:
+        series_rounding = None
+    else:
+        # the series' rounding at gamma, by Horner's bound: delta_j =
+        # gamma_2n M_j for a series of n certified terms (not a block's
+        # prefix), where M_j = front_j e^{gamma B_j} (1 + 1e-6) is the
+        # factorial envelope EigenSeries enforces on sum |c_n| gamma^n; a
+        # product rounds by sum_j delta_j prod_{k != j} M_k, which is
+        # sum_j gamma_2n_j prod_k M_k, with e^{-gamma t} folded in
+        u = np.finfo(float).eps / 2.0
+        lengths = [series.coefficients.size for series in certified]
+        scale = sum(2 * n * u / (1.0 - 2 * n * u) for n in lengths) \
+            * math.prod(front * (1.0 + 1e-6) for _, front in consts)
+        t_eff = t - sum(base for base, _ in consts)
+
+        def series_rounding(g, dens):
+            r = scale * np.exp(-g * t_eff) * np.abs(dens)
+            return r / g if inverse_gamma else r
 
     def cell_sum(order):
-        """The cell sum and the sum of its terms' magnitudes."""
+        """The cell sum, the sum of its terms' magnitudes and the rounding
+        of its series (0 for presets and for the 4-point rule)."""
         nodes, wts = _GAUSS_LEGENDRE[order]
-        total = magnitude = 0.0
-        # blocks of cells bound the temporaries: a series evaluator holds a
-        # (nodes x terms) matrix; the block partial sums fix the rounding,
-        # so the blocks stay as they are
+        total = magnitude = rounding = 0.0
+        # blocks of cells bound the temporaries; each block fixes the prefix
+        # its series sum (certified at its largest gamma) and its partial
+        # sums, and so the rounding: the blocks stay as they are
         lefts, rights = cuts[:-1], cuts[1:]
         for i in range(0, lefts.size, _CELL_BLOCK):
             a, b = lefts[i:i + _CELL_BLOCK], rights[i:i + _CELL_BLOCK]
             half = 0.5 * (b - a)
             g = 0.5 * (a + b)[:, None] + half[:, None] * nodes[None, :]
-            terms = integrand(g, top=float(g.max())) \
-                * (half[:, None] * wts[None, :])
+            w = half[:, None] * wts[None, :]
+            dens = density(g)
+            terms = integrand(g, top=float(g.max()), dens=dens) * w
             total += float(np.sum(terms))
             magnitude += float(np.sum(np.abs(terms)))
-        return total, magnitude
+            if order == 8 and series_rounding is not None:
+                rounding += float(np.sum(series_rounding(g, dens) * w))
+        return total, magnitude, rounding
 
     # the head below lo, if the density continues as its table power law:
     # e^{-gamma t} <= 1 and the eigenfunctions are smooth at 0, so the
@@ -855,11 +917,11 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
             f"integrand behaves like gamma^{power:.3f} below the first "
             "table knot; its integral from 0 diverges")
     head = f0 * lo / (power + 1.0) if f0 > 0.0 else 0.0
-    (v8, m8), (v4, _) = cell_sum(8), cell_sum(4)
+    (v8, m8, series_err), (v4, _, _) = cell_sum(8), cell_sum(4)
     # |v8 - v4| reads 0 where both rules round alike, so the rounding of
-    # the n-term sum, n eps sum |w_i f_i|, is added
+    # the n-term sum, n eps sum |w_i f_i|, is added, and that of the series
     rounding = 8 * (cuts.size - 1) * np.finfo(float).eps * m8
-    return v8, abs(v8 - v4) + rounding + head + tail
+    return v8, abs(v8 - v4) + rounding + series_err + head + tail
 
 
 def transition_density(spec: DiffusionSpec, x: float, y: float, t: float,

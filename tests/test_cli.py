@@ -176,6 +176,17 @@ def test_non_finite_input_exits_2(capsys, argv):
     assert "finite" in err
 
 
+def test_underflowing_hitting_draws_leave_stderr_empty(capsys):
+    # alpha = 0.005: some Gamma(alpha) draws underflow to 0, so H_0 = inf,
+    # and numpy's divide and overflow warnings must not reach stderr
+    code, out, err = run_cli(capsys, "mc", "hitting-tail", "--x", "1",
+                             "--t", "1e-3", "--spec", "bessel:1.99",
+                             "--n", "100000")
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    assert rows[0]["estimate"] == "1.0"
+
+
 def test_constant_division_by_zero_exits_2(capsys):
     code, out, err = run_cli(
         capsys, "eigen", "--spec",

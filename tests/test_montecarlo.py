@@ -525,6 +525,21 @@ def test_a_list_holds_one_boolean_array_at_a_time():
     assert peak(many) < peak(1.0) + 2 * mc.DEFAULT_CHUNK
 
 
+def test_pathwise_list_snapshots_no_positions():
+    # one occupation array per t; the positions are never read
+    def peak(t):
+        tracemalloc.start()
+        try:
+            mc.estimate_hitting_tail(BM, 0.2, t, mc.DEFAULT_CHUNK, seed=1,
+                                     method="pathwise", dt=0.02, threads=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    many = [0.02 * i for i in range(1, 13)]
+    assert peak(many) < peak(0.02) + len(many) * 8 * mc.DEFAULT_CHUNK
+
+
 def test_doob_meyer_check_starts_at_the_boundary():
     # the identity and the occupation bias hold only from 0
     with pytest.raises(TypeError):

@@ -752,12 +752,13 @@ def test_custom_spectral_values_pinned(expressions):
 
 
 # the knots branch: (value, error) hex of the custom Brownian twin against
-# the killed Brownian density tabulated on geomspace(1e-14, 20, 400)
+# the killed Brownian density tabulated on geomspace(1e-14, 20, 400), with
+# Horner sums on the cell blocks and the series rounding in the errors
 _PINNED_KNOTS = (
-    ("hitting_tail", 4.0, "0x1.881d73748e1a0p-2", "0x1.82b03495288e6p-24"),
-    ("hitting_tail", 2.0, "0x1.0a7ef36115af9p-1", "0x1.82af8535a6f8cp-24"),
-    ("hitting_density", 4.0, "0x1.6883d1011969fp-5", "0x1.dd33cb91fae8fp-41"),
-    ("hitting_density", 2.0, "0x1.c1efcb600a464p-4", "0x1.2c0e4b0ebbb4ep-43"),
+    ("hitting_tail", 4.0, "0x1.881d73748e1a0p-2", "0x1.82b035e0d5451p-24"),
+    ("hitting_tail", 2.0, "0x1.0a7ef36115af9p-1", "0x1.82af88ccd0ebbp-24"),
+    ("hitting_density", 4.0, "0x1.6883d1011969fp-5", "0x1.dda25a7af5591p-41"),
+    ("hitting_density", 2.0, "0x1.c1efcb600a462p-4", "0x1.3a5af2f328bc7p-43"),
 )
 
 
@@ -1023,6 +1024,63 @@ def test_windowed_terms_scan_matches_full_scan(front, z, tol):
     with np.errstate(all="ignore"):
         assert sp._terms_needed(front, z, tol) \
             == _terms_needed_full_scan(front, z, tol)
+
+
+TWINS = (("x", "2"), ("x^0.5/0.5", "2*x^0.5"))
+
+
+# from _HORNER_MIN_NODES nodes on a series sums by Horner's rule; the same
+# nodes in slices below it take the log route, and the two agree within
+# Horner's bound gamma_2n sum c_n |gamma|^n wherever the series is certified
+@settings(max_examples=30, deadline=None)
+@given(twin=st.sampled_from(TWINS), kind=st.sampled_from("AC"),
+       x=st.sampled_from([0.5, 2.0]), z_top=st.floats(1e-3, 24.0),
+       extra=st.integers(0, 600), seed=st.integers(0, 2 ** 32 - 1),
+       prefix=st.sampled_from(["all", "library", "random"]))
+def test_horner_route_matches_log_route_within_its_rounding(
+        twin, kind, x, z_top, extra, seed, prefix):
+    custom = spec_from_expressions(*twin)
+    ladder = sp._ladder(custom, x, kind)
+    base, front = ladder.constants(custom)
+    top = z_top / base
+    series = ladder.certified(custom, top, 1e-9)
+    c = series.coefficients
+    # the prefix a table-cell block sums at its largest gamma, or longer
+    least = min(sp._terms_needed(front, z_top, sp._PREFIX_TAIL), c.size)
+    rng = np.random.default_rng(seed)
+    terms = {"all": None, "library": least,
+             "random": int(rng.integers(least, c.size + 1))}[prefix]
+    g = rng.uniform(-top, top, sp._HORNER_MIN_NODES + extra)
+    g[rng.integers(0, g.size, 3)] = 0.0
+    g[rng.integers(0, g.size, 2)] = math.nan
+    step = sp._HORNER_MIN_NODES - 1
+    horner = series.value(g, terms)
+    logs = np.concatenate([series.value(g[i:i + step], terms)
+                           for i in range(0, g.size, step)])
+    nan = np.isnan(g)
+    assert np.all(np.isnan(horner[nan])) and np.all(np.isnan(logs[nan]))
+    assert np.all(horner[g == 0.0] == c[0])
+    assert np.all(logs[g == 0.0] == c[0])
+    kept = c[:terms]
+    n = kept.size
+    u = np.finfo(float).eps / 2.0
+    magnitude = np.polynomial.polynomial.polyval(np.abs(g[~nan]),
+                                                 np.maximum(kept, 0.0))
+    bound = 2 * n * u / (1.0 - 2 * n * u) * magnitude
+    assert np.all(np.abs(horner[~nan] - logs[~nan]) <= bound), \
+        (twin, kind, x, top, terms)
+
+
+def test_horner_route_on_one_term_and_zero_series():
+    # nothing positive past c_0: the value is c_0, and NaN at a NaN gamma
+    c = np.array([0.7, 0.0, -1e-320])
+    series = sp.EigenSeries(1.0, "A", c, 1.0, 1.0)
+    g = np.linspace(-3.0, 3.0, sp._HORNER_MIN_NODES)
+    g[5] = math.nan
+    got = series.value(g)
+    assert np.isnan(got[5]) and np.all(np.delete(got, 5) == 0.7)
+    zero = sp.EigenSeries(0.0, "C", np.zeros(4), 0.0, 0.0)
+    assert np.all(zero.value(np.delete(g, 5)) == 0.0)
 
 
 def test_eigen_series_equality_is_identity():

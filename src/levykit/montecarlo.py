@@ -229,10 +229,10 @@ def sample_hitting_time(spec: DiffusionSpec, x: float, n: int,
     """Exact draws of the first time the boundary is reached from ``x``.
 
     Uses ``H_0 = x^2 / (2 G)`` with ``G ~ Gamma(alpha, 1)``.  For small
-    ``alpha`` a draw of ``G`` can underflow to 0, or be so small that the
-    quotient overflows; either gives ``H_0 = inf``, silently.  Such a ``G``
-    lies below the smallest subnormal, so the true ``H_0`` exceeds ``x^2
-    1e323`` and the event ``H_0 > t`` is right for every smaller ``t``.
+    ``alpha`` a draw of ``G`` can underflow to 0, which gives ``H_0 = inf``
+    without a warning: such a ``G`` is below the smallest subnormal, so the
+    true ``H_0`` exceeds ``x^2 1e323`` and the event ``H_0 > t`` is right
+    for every smaller ``t``.  A quotient that overflows is also ``inf``.
     """
     alpha = _require_preset(spec, "exact hitting-time sampling")
     if not 0 <= x < math.inf:

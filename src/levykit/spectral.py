@@ -822,8 +822,8 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
         # the damping passed to the cutoff search, so the envelope is just
         # the constant front factor
         front_prod = math.prod(front for _, front in consts)
-        g_max, tail = _gamma_max(measure, t - sum(base for base, _ in consts),
-                                 tol, lambda g: front_prod)
+        t_eff = t - sum(base for base, _ in consts)
+        g_max, tail = _gamma_max(measure, t_eff, tol, lambda g: front_prod)
         # a series certified at g_max is certified at every node; it keeps
         # needed + 1 coefficients, so its tail bound there, front e^z
         # P(needed + 1, z), is below the tol that P(needed, z) met, and
@@ -878,7 +878,6 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
         lengths = [series.coefficients.size for series in certified]
         scale = sum(2 * n * u / (1.0 - 2 * n * u) for n in lengths) \
             * math.prod(front * (1.0 + 1e-6) for _, front in consts)
-        t_eff = t - sum(base for base, _ in consts)
 
         def series_rounding(g, dens):
             r = scale * np.exp(-g * t_eff) * np.abs(dens)

@@ -298,14 +298,13 @@ def sample_tau(spec: DiffusionSpec, ell: float, n: int,
 
 
 def sample_local_time(spec: DiffusionSpec, x: float, t: float, n: int,
-                      rng=None, seed=None, threads=None) -> np.ndarray:
+                      rng=None, seed=None) -> np.ndarray:
     """Exact draws of the marginal law of ``L_t`` from ``x``.
 
     Uses the first-passage inversion ``L_t = ((t - H_0)^+ / tau_1)^alpha``
     with independent exact draws of the hitting time and of ``tau_1`` —
     valid for the one-time marginal via the self-similarity of the
-    inverse-local-time subordinator.  ``threads`` runs the stable
-    transform of :func:`sample_tau` and does not change the draws.
+    inverse-local-time subordinator.
     """
     alpha = _require_preset(spec, "exact local-time sampling")
     if not 0 < t < math.inf:
@@ -313,7 +312,7 @@ def sample_local_time(spec: DiffusionSpec, x: float, t: float, n: int,
     if rng is None:
         rng = np.random.default_rng(seed)
     h = sample_hitting_time(spec, x, n, rng=rng)
-    tau1 = sample_tau(spec, 1.0, n, rng=rng, threads=threads).values
+    tau1 = sample_tau(spec, 1.0, n, rng=rng).values
     return (np.maximum(t - h, 0.0) / tau1) ** alpha
 
 

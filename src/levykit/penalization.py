@@ -380,8 +380,7 @@ def linfty_law_check(spec: DiffusionSpec, weight: WeightFunction,
 
 def post_lastzero_marginal_check(weight: WeightFunction, v: float = 1.0,
                                  u: Optional[float] = None,
-                                 n: int = 100_000, seed=None,
-                                 threads=None) -> dict:
+                                 n: int = 100_000, seed=None) -> dict:
     """Maxwell marginal and independence after the Brownian last zero.
 
     Samples exact tuples (last zero ``g``, local time, positions at
@@ -404,16 +403,15 @@ def post_lastzero_marginal_check(weight: WeightFunction, v: float = 1.0,
     then the norm of a Gaussian vector.
 
     The default horizon's :func:`penalization_horizon` runs its stable
-    transform on ``threads`` threads (None: ``LEVYKIT_THREADS``, else every
-    CPU); the draws are the same at any count.
+    transform on the default thread count (``LEVYKIT_THREADS``, else
+    every CPU); the draws are the same at any count.
     """
     from .diffusions import brownian_spec
     spec = brownian_spec()
     if v <= 0:
         raise DomainError("v must be positive")
     if u is None:
-        u = penalization_horizon(spec, weight, 0.01, seed=seed,
-                                 threads=threads)
+        u = penalization_horizon(spec, weight, 0.01, seed=seed)
     if u <= v:
         raise DomainError("u must exceed v")
     if not (math.isfinite(u) and math.isfinite(v)):
@@ -520,18 +518,18 @@ def uparrow_mass(spec: DiffusionSpec, t: float) -> float:
 def numerator_asymptotics_check(spec: DiffusionSpec,
                                 weight: WeightFunction, a: float,
                                 t: float, n: int = 200_000,
-                                seed=None, threads=None) -> dict:
+                                seed=None) -> dict:
     """Large-``t`` weighted-local-time numerator against its limit.
 
     ``E_a[h(L_t)] / nu((t, inf)) -> S(a) h(0) + 1``: the boundary atom of
     ``L_t`` contributes ``S(a) h(0)`` and the bulk contributes the unit
     mass of ``h``.  Sampled with the exact marginal local-time draw; the
     excursion tail comes from the spectral route.  The stable transform
-    of the draws runs on ``threads`` threads (None: ``LEVYKIT_THREADS``,
+    of the draws runs on the default thread count (``LEVYKIT_THREADS``,
     else every CPU); the draws are the same at any count.
     """
     rng = np.random.default_rng(seed)
-    lt = mc.sample_local_time(spec, a, t, n, rng=rng, threads=threads)
+    lt = mc.sample_local_time(spec, a, t, n, rng=rng)
     vals = np.asarray(weight.h(lt), dtype=float)
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n))

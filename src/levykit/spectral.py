@@ -71,10 +71,6 @@ __all__ = [
 
 T_MIN = 1.0e-6
 _SERIES_CAP = 400
-# EigenSeries.value sums by Horner's rule from this many nodes on, and from
-# shifted logs below it; the crossover measured at 40-110 terms (2 vCPUs):
-# the log route is faster up to 128 nodes, Horner from 192
-_HORNER_MIN_NODES = 160
 
 
 # ---------------------------------------------------------------------------
@@ -128,34 +124,22 @@ class EigenSeries:
     def value(self, gamma, terms: Optional[int] = None):
         """The sum of the first ``terms`` terms (None: all) at ``gamma``, a
         float or an array of any shape; at ``gamma = 0`` it is ``c_0``, and
-        a NaN ``gamma`` gives NaN.  A ``terms`` below 1 raises
-        :class:`DomainError`.
+        a NaN ``gamma`` gives NaN.
 
-        The route follows the node count alone:
-
-        * Below ``_HORNER_MIN_NODES`` nodes (QAGS panels of 21 or 42 nodes,
-          single nodes, ``eigen_value``) the terms are assembled from
-          ``log c_n + n log|gamma|`` under a shared shift: each row's
-          largest log, or 0 if it is infinite.  The separated powers
-          ``gamma^n`` overflow long before the actual terms ``c_n gamma^n``
-          do (the coefficients decay factorially).  The term matrix is
-          built, shifted and exponentiated in place.
-        * From ``_HORNER_MIN_NODES`` nodes on (the blocks of table cells)
-          Horner's rule ``b = b (-gamma) + c_n`` runs in place from the
-          last positive coefficient of the prefix down, one pass of two
-          vector operations per term instead of a (nodes x terms) matrix.
-
-        Both routes read a negative coefficient as 0.  Horner's rounding is
-        below ``gamma_2n sum |c_n| |gamma|^n`` with ``gamma_2n = 2n u / (1 -
-        2n u)``, ``u`` the unit roundoff (Higham, *Accuracy and Stability of
-        Numerical Algorithms*, 5.1).
+        The separated powers ``gamma^n`` overflow long before the actual
+        terms ``c_n gamma^n`` do (the coefficients decay factorially), so
+        the terms are assembled from ``log c_n + n log|gamma|`` under a
+        shared shift: each row's largest log, or 0 if it is infinite.  The
+        term matrix is built, shifted and exponentiated in place.  A
+        ``terms`` below 1 raises :class:`DomainError`.  A negative
+        coefficient counts as 0.  This route serves QAGS panels, single
+        nodes and :func:`eigen_value`; the table cells sum by
+        :meth:`horner`.
         """
         if terms is not None and terms < 1:
             raise DomainError(f"terms must be at least 1, got {terms}")
         g = np.asarray(gamma, dtype=float)
         shape, g = g.shape, g.ravel()
-        if g.size >= _HORNER_MIN_NODES:
-            return self._horner(g, terms).reshape(shape)
         logc, n = self._logc[:terms], self._n[:terms]
         with np.errstate(divide="ignore", invalid="ignore"):
             lg = np.log(np.abs(g))
@@ -184,24 +168,36 @@ class EigenSeries:
             vals = np.where(np.isnan(g), np.nan, vals)
         return vals[0] if not shape else vals.reshape(shape)
 
-    def _horner(self, g: np.ndarray, terms: Optional[int]) -> np.ndarray:
-        """Horner's rule over the prefix at a 1-d array of ``gamma``.  The
-        stored coefficients end in exact zeros or negative subnormals (past
-        about n = 85-110 for the recursion series), which add nothing, so
-        the loop starts at the last positive one.  ``gamma = 0`` leaves
-        exactly ``c_0``."""
+    def horner(self, gamma, terms: Optional[int] = None):
+        """The same sum as :meth:`value` by Horner's rule, ``b = b (-gamma)
+        + c_n`` in place: one pass of two vector operations per term
+        instead of a (nodes x terms) matrix, which is 4-6x faster on the
+        blocks of table cells (1024-2048 nodes) and slower on QAGS panels.
+        Its rounding is below ``gamma_2n sum |c_n| |gamma|^n`` with
+        ``gamma_2n = 2n u / (1 - 2n u)``, ``u`` the unit roundoff (Higham,
+        *Accuracy and Stability of Numerical Algorithms*, 5.1), which the
+        knots branch of the spectral integral adds to its error.
+
+        A negative coefficient counts as 0.  The stored coefficients end in
+        exact zeros or negative subnormals (past about n = 85-110 for the
+        recursion series), which add nothing, so the loop starts at the
+        last positive one.  ``gamma = 0`` leaves exactly ``c_0``.
+        """
+        if terms is not None and terms < 1:
+            raise DomainError(f"terms must be at least 1, got {terms}")
+        g = np.asarray(gamma, dtype=float)
         c = self.coefficients[:terms]
         positive = np.flatnonzero(c > 0.0)
         top = int(positive[-1]) if positive.size else 0
         b = np.full(g.shape, max(c[top], 0.0))
         if top == 0:                   # no power of gamma to carry a NaN
             b[np.isnan(g)] = np.nan
-            return b
-        neg = -g
-        for cn in np.maximum(c[top - 1::-1], 0.0).tolist():
-            b *= neg
-            b += cn
-        return b
+        else:
+            neg = -g
+            for cn in np.maximum(c[top - 1::-1], 0.0).tolist():
+                b *= neg
+                b += cn
+        return b if b.shape else float(b)
 
 
 def _terms_needed(front: float, z: float, tol: float) -> Optional[int]:
@@ -814,7 +810,7 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
         # 2 (1+g)^{1/2} stands in for a bound on the Bessel product
         g_max, tail = _gamma_max(measure, t, tol,
                                  lambda g: 2.0 * (1.0 + g) ** 0.5)
-        evals = [_bessel_eigen(spec, eig_kind, x) for x in xs]
+        evals = cell_evals = [_bessel_eigen(spec, eig_kind, x) for x in xs]
     else:
         ladders = [_ladder(spec, x, eig_kind) for x in xs]
         consts = [ladder.constants(spec) for ladder in ladders]
@@ -831,14 +827,17 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
         certified = [ladder.certified(spec, g_max, tol)
                      for ladder in ladders]
         evals = [series.value for series in certified]
+        # the table cells sum by Horner's rule, whose rounding the knots
+        # branch bounds; QAGS panels and the head node keep the log route
+        cell_evals = [series.horner for series in certified]
 
     density = measure.density
 
-    def integrand(g, t=t, top=None, dens=None):
+    def integrand(g, t=t, top=None, dens=None, evals=evals):
         """The integrand at an array of nodes (undamped at ``t = 0``).  With
         ``top``, the largest node, a series sums only the terms its tail
         bound there needs (_PREFIX_TAIL).  ``dens`` is the density at the
-        nodes, if the caller has it already."""
+        nodes, if the caller has it already; ``evals`` sum the series."""
         vals = np.exp(-g * t) * (density(g) if dens is None else dens)
         for k, e in enumerate(evals):
             terms = None
@@ -898,7 +897,8 @@ def _spectral_integral(spec: DiffusionSpec, t: float, tol: float, *,
             g = 0.5 * (a + b)[:, None] + half[:, None] * nodes[None, :]
             w = half[:, None] * wts[None, :]
             dens = density(g)
-            terms = integrand(g, top=float(g.max()), dens=dens) * w
+            terms = integrand(g, top=float(g.max()), dens=dens,
+                              evals=cell_evals) * w
             total += float(np.sum(terms))
             magnitude += float(np.sum(np.abs(terms)))
             if order == 8 and series_rounding is not None:

@@ -258,34 +258,6 @@ def test_numerator_asymptotics_near_limit():
         assert res["target"] == pytest.approx(float(spec.scale(a)) + 1.0)
 
 
-def _pool_threads(monkeypatch):
-    """The ``threads`` argument of every pool the Monte Carlo layer opens."""
-    seen, real = [], mc._pool_map
-    monkeypatch.setattr(mc, "_pool_map", lambda fn, jobs, threads: (
-        seen.append(threads) or real(fn, jobs, threads)))
-    return seen
-
-
-def test_post_lastzero_check_threads_keep_the_bits(monkeypatch):
-    seen = _pool_threads(monkeypatch)
-    w = pz.indicator_weight(1.0)
-    one, two = (pz.post_lastzero_marginal_check(w, n=20_000, seed=4,
-                                                threads=k) for k in (1, 2))
-    assert set(seen) == {1, 2}
-    assert one["bin_probs"].tobytes() == two["bin_probs"].tobytes()
-    del one["bin_probs"], two["bin_probs"]
-    assert one == two
-
-
-def test_numerator_check_threads_keep_the_bits(monkeypatch):
-    seen = _pool_threads(monkeypatch)
-    w = pz.indicator_weight(1.0)
-    one, two = (pz.numerator_asymptotics_check(B15, w, 1.0, 1e4, n=60_000,
-                                               seed=7, threads=k)
-                for k in (1, 2))
-    assert set(seen) == {1, 2} and one == two
-
-
 def test_martingale_property_thread_invariance():
     w = pz.indicator_weight(1.0)
     rows1 = pz.martingale_property_mc(BM, [w], [0.5], n_paths=20_000,

@@ -1029,16 +1029,15 @@ def test_windowed_terms_scan_matches_full_scan(front, z, tol):
 TWINS = (("x", "2"), ("x^0.5/0.5", "2*x^0.5"))
 
 
-# from _HORNER_MIN_NODES nodes on a series sums by Horner's rule; the same
-# nodes in slices below it take the log route, and the two agree within
-# Horner's bound gamma_2n sum c_n |gamma|^n wherever the series is certified
+# Horner's rule and the log route agree within Horner's bound gamma_2n sum
+# c_n |gamma|^n wherever the series is certified
 @settings(max_examples=30, deadline=None)
 @given(twin=st.sampled_from(TWINS), kind=st.sampled_from("AC"),
        x=st.sampled_from([0.5, 2.0]), z_top=st.floats(1e-3, 24.0),
-       extra=st.integers(0, 600), seed=st.integers(0, 2 ** 32 - 1),
+       size=st.integers(1, 600), seed=st.integers(0, 2 ** 32 - 1),
        prefix=st.sampled_from(["all", "library", "random"]))
-def test_horner_route_matches_log_route_within_its_rounding(
-        twin, kind, x, z_top, extra, seed, prefix):
+def test_horner_matches_log_route_within_its_rounding(
+        twin, kind, x, z_top, size, seed, prefix):
     custom = spec_from_expressions(*twin)
     ladder = sp._ladder(custom, x, kind)
     base, front = ladder.constants(custom)
@@ -1050,13 +1049,10 @@ def test_horner_route_matches_log_route_within_its_rounding(
     rng = np.random.default_rng(seed)
     terms = {"all": None, "library": least,
              "random": int(rng.integers(least, c.size + 1))}[prefix]
-    g = rng.uniform(-top, top, sp._HORNER_MIN_NODES + extra)
+    g = rng.uniform(-top, top, size + 5)
     g[rng.integers(0, g.size, 3)] = 0.0
     g[rng.integers(0, g.size, 2)] = math.nan
-    step = sp._HORNER_MIN_NODES - 1
-    horner = series.value(g, terms)
-    logs = np.concatenate([series.value(g[i:i + step], terms)
-                           for i in range(0, g.size, step)])
+    horner, logs = series.horner(g, terms), series.value(g, terms)
     nan = np.isnan(g)
     assert np.all(np.isnan(horner[nan])) and np.all(np.isnan(logs[nan]))
     assert np.all(horner[g == 0.0] == c[0])
@@ -1071,16 +1067,50 @@ def test_horner_route_matches_log_route_within_its_rounding(
         (twin, kind, x, top, terms)
 
 
-def test_horner_route_on_one_term_and_zero_series():
+def test_horner_on_one_term_and_zero_series():
     # nothing positive past c_0: the value is c_0, and NaN at a NaN gamma
     c = np.array([0.7, 0.0, -1e-320])
     series = sp.EigenSeries(1.0, "A", c, 1.0, 1.0)
-    g = np.linspace(-3.0, 3.0, sp._HORNER_MIN_NODES)
+    g = np.linspace(-3.0, 3.0, 50)
     g[5] = math.nan
-    got = series.value(g)
+    got = series.horner(g)
     assert np.isnan(got[5]) and np.all(np.delete(got, 5) == 0.7)
+    assert series.horner(2.0) == 0.7 and math.isnan(series.horner(math.nan))
     zero = sp.EigenSeries(0.0, "C", np.zeros(4), 0.0, 0.0)
-    assert np.all(zero.value(np.delete(g, 5)) == 0.0)
+    assert np.all(zero.horner(np.delete(g, 5)) == 0.0)
+    with pytest.raises(DomainError):
+        series.horner(g, 0)
+
+
+def test_horner_scalar_matches_array():
+    custom = spec_from_expressions("x", "2")
+    series = sp._ladder(custom, 1.0, "C").certified(custom, 4.0, 1e-9)
+    g = np.array([0.0, 0.5, 4.0, -1.0])
+    assert [series.horner(float(v)) for v in g] == list(series.horner(g))
+
+
+def test_short_table_sums_every_cell_block_by_horner(monkeypatch):
+    # 10 knots: the last block holds a few cells, under 160 nodes, and must
+    # take Horner's rule like the full blocks, since the error bounds
+    # Horner's rounding; the log route sees only the head node
+    seen = {"value": [], "horner": []}
+    for name in seen:
+        real = getattr(sp.EigenSeries, name)
+
+        def spy(self, gamma, terms=None, real=real, log=seen[name]):
+            log.append(np.size(gamma))
+            return real(self, gamma, terms)
+        monkeypatch.setattr(sp.EigenSeries, name, spy)
+    custom = spec_from_expressions("x", "2")
+    g = np.geomspace(1e-14, 20.0, 10)
+    tab = sp.measure_from_table(g, M_KILL_BM.density(g), kind="killed")
+    val, err = sp.hitting_tail(custom, 1.0, 2.0, measure=tab,
+                               with_error=True)
+    assert math.isfinite(val) and err > 0.0
+    assert seen["value"] and set(seen["value"]) == {1}
+    assert min(seen["horner"]) < 160
+    cells = sum(seen["horner"]) // 12      # every cell at 8 + 4 nodes
+    assert sum(seen["horner"]) == 12 * cells and cells > 256
 
 
 def test_eigen_series_equality_is_identity():

@@ -69,6 +69,7 @@ from .penalization import (  # noqa: F401
     martingale_property_mc,
     penalized_expectation,
     penalization_horizon,
+    penalization_leftover,
     linfty_law_check,
     uparrow_density,
     uparrow_mass,

@@ -412,7 +412,8 @@ def _penalize_horizon(args, spec, meta):
           "ell,weighted_cdf,cdf_se,target_cdf,gap",
           _WEIGHT,
           _arg("--u", default=None,
-               help="horizon (default: adaptive via the horizon search)"),
+               help="horizon (default: the certified horizon, the first "
+                    "power of 2 whose leftover mass is under 1%%)"),
           note="summary metadata (weight, u, max_gap, n, seed) rides in\n"
                "CSV comments / JSON fields",
           after=_MONTE_CARLO)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaincinv
+from scipy.special import erf, gammaincinv
 
 from . import montecarlo as mc
 from . import spectral
@@ -49,6 +49,7 @@ __all__ = [
     "martingale_property_mc",
     "penalized_expectation",
     "penalization_horizon",
+    "penalization_leftover",
     "linfty_law_check",
     "post_lastzero_marginal_check",
     "uparrow_density",
@@ -62,10 +63,11 @@ class WeightFunction:
     """Probability density on the local-time axis, with its CDF.
 
     ``h`` and ``cdf`` map an array to an array of the same shape, and a
-    float to a float; ``quantile`` (inverse CDF) powers the exact horizon
-    estimates.  Construction verifies that ``h`` integrates to one and
-    that it is non-increasing with the stated compact support, the shape
-    the penalized-law identities require.
+    float to a float; ``quantile`` (inverse CDF) draws the weights of the
+    Monte Carlo horizon search :func:`penalization_horizon`.  Construction
+    verifies that ``h`` integrates to one and that it is non-increasing
+    with the stated compact support, the shape the penalized-law
+    identities require.
     """
 
     h: Callable
@@ -333,6 +335,43 @@ def penalization_horizon(spec: DiffusionSpec, weight: WeightFunction,
     raise ToleranceError(f"no horizon below 1e+12 reaches tol={tol:g}")
 
 
+def penalization_leftover(spec: DiffusionSpec, weight: WeightFunction,
+                          u: float, with_error: bool = False):
+    """Leftover mass ``E_0[1 - H(L_u)] = int h(y) P(tau_y > u) dy``: the
+    weight the penalization has not yet spent by the horizon ``u``.
+
+    Brownian only, where Levy's law gives ``P(tau_y > u) = P(L_u < y) =
+    erf(y / sqrt(2u))``, so the mass is one quadrature over the support
+    of ``h``.  Another preset needs the tail of the positive stable law,
+    which levykit does not have yet.  With ``with_error`` the result is
+    ``(value, error)``, the error being the quadrature's.
+    """
+    if not 0 < u < math.inf:
+        raise DomainError("u must be positive and finite")
+    if spec.delta != 1.0:
+        raise UnsupportedSpecError(
+            "the leftover mass is Brownian-only: other specs need the tail "
+            "of the positive stable law")
+    a = 1.0 / math.sqrt(2.0 * u)
+    val, err = integrate(lambda y: weight.h(y) * erf(a * y), 0.0,
+                         weight.support_end)
+    return (val, err) if with_error else val
+
+
+def _certified_horizon(spec: DiffusionSpec, weight: WeightFunction,
+                       tol: float) -> float:
+    """The first of ``1, 2, 4, ...`` below ``1e12`` whose leftover mass
+    plus its error is under ``tol``: the grid of
+    :func:`penalization_horizon`, with no draws."""
+    u = 1.0
+    while u < 1e12:
+        val, err = penalization_leftover(spec, weight, u, with_error=True)
+        if val + err < tol:
+            return u
+        u *= 2.0
+    raise ToleranceError(f"no horizon below 1e+12 certifies tol={tol:g}")
+
+
 def linfty_law_check(spec: DiffusionSpec, weight: WeightFunction,
                      n: int = 100_000, u: Optional[float] = None,
                      seed=None, grid_points: int = 201,
@@ -342,16 +381,18 @@ def linfty_law_check(spec: DiffusionSpec, weight: WeightFunction,
     Under the tilted law the terminal local time has density ``h``; at a
     finite horizon the self-normalized weighted empirical CDF of ``L_u``
     should match ``H`` up to the leftover mass ``E[1 - H(L_u)]``.  The
-    horizon defaults to :func:`penalization_horizon` at 1%.  Brownian
-    only (exact last-zero sampler).  Returns the grid, both CDFs, and
-    their maximum gap.
+    horizon defaults to the first of ``1, 2, 4, ...`` whose certified
+    :func:`penalization_leftover` is under 1%, which draws nothing.
+    Brownian only (exact last-zero sampler).  Returns the grid of
+    ``grid_points >= 2`` points, both CDFs, and their maximum gap.
     """
     if spec.delta != 1.0:
         raise UnsupportedSpecError("the exact state sampler is "
                                    "Brownian-only")
+    if grid_points < 2:
+        raise DomainError("grid_points must be at least 2")
     if u is None:
-        u = penalization_horizon(spec, weight, 0.01, seed=seed,
-                                 threads=threads)
+        u = _certified_horizon(spec, weight, 0.01)
     grid = np.linspace(0.0, weight.support_end, grid_points)
 
     def worker(rng, m):
@@ -390,8 +431,10 @@ def post_lastzero_marginal_check(weight: WeightFunction, v: float = 1.0,
     the Maxwell(sqrt(v)) distribution (total-variation distance
     reported), and the weighted correlation between the local time and
     ``X_{g+v}`` is zero within error (standard error of the means of 20
-    batches).  Tuples whose post-zero window is shorter than ``v`` are
-    dropped; their weighted mass vanishes as ``u`` grows.
+    batches, so ``n`` must be at least 20).  Tuples whose post-zero
+    window is shorter than ``v`` are dropped; their weighted mass vanishes
+    as ``u`` grows.  The horizon defaults to the certified one of
+    :func:`linfty_law_check`.
 
     Nothing is rejected, so each batch costs the same whatever the
     draws: ``g`` is ``u`` Beta(1/2, 1/2) and the local time
@@ -401,22 +444,20 @@ def post_lastzero_marginal_check(weight: WeightFunction, v: float = 1.0,
     ``X_u`` (Imhof 1984, *Density factorizations for Brownian motion,
     meander and the three-dimensional Bessel process*).  ``X_{g+v}`` is
     then the norm of a Gaussian vector.
-
-    The default horizon's :func:`penalization_horizon` runs its stable
-    transform on the default thread count (``LEVYKIT_THREADS``, else
-    every CPU); the draws are the same at any count.
     """
     from .diffusions import brownian_spec
     spec = brownian_spec()
+    bins, batches = 10, 20
     if v <= 0:
         raise DomainError("v must be positive")
+    if n < batches:
+        raise DomainError(f"need n >= {batches}, one path per batch")
     if u is None:
-        u = penalization_horizon(spec, weight, 0.01, seed=seed)
+        u = _certified_horizon(spec, weight, 0.01)
     if u <= v:
         raise DomainError("u must exceed v")
     if not (math.isfinite(u) and math.isfinite(v)):
         raise DomainError("u and v must be finite")
-    bins, batches = 10, 20
     rng = np.random.default_rng(seed)
     # Maxwell(sqrt(v)) quantiles as scipy.stats.maxwell.ppf forms them
     edges = np.sqrt(2.0 * gammaincinv(1.5, np.linspace(0.0, 1.0, bins + 1))) \
@@ -426,7 +467,7 @@ def post_lastzero_marginal_check(weight: WeightFunction, v: float = 1.0,
     kept = dropped_weight = 0.0
     counts = np.zeros(bins)
     batch_corr = []
-    per_batch = max(n // batches, 1)
+    per_batch = n // batches
     for _ in range(batches):
         g = u * rng.beta(0.5, 0.5, size=per_batch)
         loc = rng.rayleigh(scale=np.sqrt(g))

@@ -14,11 +14,13 @@ METRICS = [{"name": "work_per_s", "better": "higher", "bound": 0.25},
            {"name": "op_p50_ms", "better": "lower", "bound": 0.25}]
 
 
-def write_runs(directory, workload, rows, failed=0):
-    """One result file per ``(seed, work_per_s, op_p50_ms)`` row."""
+def write_runs(directory, workload, rows, failed=0, passes=4):
+    """One result file per ``(seed, work_per_s, op_p50_ms)`` row, each run
+    of ``passes`` passes of 25 calls."""
     directory.mkdir(exist_ok=True)
     for seed, rate, p50 in rows:
-        doc = {"correct": failed == 0, "attempted": 100, "failed": failed,
+        doc = {"correct": failed == 0, "attempted": 25 * passes,
+               "failed": failed, "counters": {"passes": passes},
                "metrics": {"work_per_s": {"value": rate, "unit": "1/s"},
                            "op_p50_ms": {"value": p50, "unit": "ms"}}}
         name = f"result-{workload}-seed{seed}-trace0.json"
@@ -80,7 +82,20 @@ def test_more_failures_fail_the_comparison(tmp_path, capsys):
     code = bench_compare.main([str(parent), str(change), "--benchmark",
                                str(write_benchmark(tmp_path))])
     assert code == 1
-    assert table(capsys)[("exact", "work_per_s")][8] == "0/0.02"
+    assert table(capsys)[("exact", "work_per_s")][8] == "0/0.5"
+
+
+@pytest.mark.parametrize("passes, code", [(3, 1), (4, 0), (5, 0)])
+def test_failures_compare_per_pass(tmp_path, capsys, passes, code):
+    # one failure in 2 passes against two in `passes`: a run that fits
+    # more passes may fail more calls at the same rate per pass
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_runs(parent, "exact", [(1, 10.0, 1.0)], failed=1, passes=2)
+    write_runs(change, "exact", [(1, 10.0, 1.0)], failed=2, passes=passes)
+    assert bench_compare.main([str(parent), str(change), "--benchmark",
+                               str(write_benchmark(tmp_path))]) == code
+    assert table(capsys)[("exact", "work_per_s")][8] \
+        == f"0.5/{2 / passes:.3g}"
 
 
 def test_workload_without_pairs_gets_one_row(tmp_path, capsys):
@@ -175,8 +190,7 @@ def test_json_keeps_every_compared_row(tmp_path, capsys):
     rate = rows[("end_to_end", "custom", "work_per_s")]
     assert (rate["pairs"], rate["won"], rate["flag"]) == (10, 10, "gain")
     assert rate["parent"] == {"q1": 152.25, "median": 154.5, "q3": 156.75}
-    assert rate["failed_share"]["parent"] == 0.0
-    assert abs(rate["failed_share"]["change"] - 0.01) < 1e-15
+    assert rate["failures_per_pass"] == {"parent": 0.0, "change": 0.25}
     assert "154.5 [152.2, 156.8]" in printed
     assert rows[("end_to_end", "custom", "op_p50_ms")]["flag"] == "WORSE"
     assert rows[("end_to_end", "paths", None)]["flag"] == "no pairs"

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from levykit import montecarlo as mc
@@ -163,6 +166,71 @@ def test_horizon_without_paths_is_a_domain_error(n):
         pz.penalization_horizon(BM, pz.indicator_weight(1.0), n=n, seed=4)
 
 
+@settings(max_examples=200, deadline=None)
+@given(ell0=st.floats(0.1, 10.0), log_u=st.floats(-2.0, 8.0))
+def test_leftover_error_brackets_the_indicator_closed_form(ell0, log_u):
+    # the mean of erf(a y) over uniform y on [0, ell0)
+    u = 10.0 ** log_u
+    a = 1.0 / math.sqrt(2.0 * u)
+    exact = (ell0 * math.erf(a * ell0) + math.expm1(-(a * ell0) ** 2)
+             / (a * math.sqrt(math.pi))) / ell0
+    val, err = pz.penalization_leftover(BM, pz.indicator_weight(ell0), u,
+                                        with_error=True)
+    assert abs(val - exact) <= err + 8 * math.ulp(exact)
+
+
+@pytest.mark.parametrize("weight, u", [(pz.indicator_weight(1.0), 2048.0),
+                                       (pz.triangular_weight(2.0), 4096.0)])
+def test_certified_horizon_is_the_frozen_monte_carlo_one(weight, u):
+    assert pz._certified_horizon(BM, weight, 0.01) == u
+    val, err = pz.penalization_leftover(BM, weight, u, with_error=True)
+    assert val + err < 0.01 <= pz.penalization_leftover(BM, weight, u / 2)
+
+
+def test_leftover_is_brownian_only():
+    for spec in (B15, spec_from_expressions("x", "2")):
+        with pytest.raises(UnsupportedSpecError, match="positive stable"):
+            pz.penalization_leftover(spec, pz.indicator_weight(1.0), 10.0)
+
+
+@pytest.mark.parametrize("u", [math.nan, 0.0, -1.0, math.inf])
+def test_leftover_needs_a_positive_finite_horizon(u):
+    with pytest.raises(DomainError, match="u must be positive"):
+        pz.penalization_leftover(BM, pz.indicator_weight(1.0), u)
+
+
+def test_law_checks_default_to_the_certified_horizon():
+    ind = pz.indicator_weight(1.0)
+    auto = pz.linfty_law_check(BM, ind, n=2000, seed=5)
+    fixed = pz.linfty_law_check(BM, ind, n=2000, u=2048.0, seed=5)
+    assert auto["u"] == 2048.0
+    for key in ("max_gap", "weighted_cdf", "target_cdf", "cdf_se"):
+        assert np.asarray(auto[key]).tobytes() \
+            == np.asarray(fixed[key]).tobytes()
+    auto = pz.post_lastzero_marginal_check(ind, n=2000, seed=5)
+    fixed = pz.post_lastzero_marginal_check(ind, u=2048.0, n=2000, seed=5)
+    assert auto["u"] == 2048.0
+    for key in ("tv_distance", "bin_probs", "corr", "corr_se"):
+        assert np.asarray(auto[key]).tobytes() \
+            == np.asarray(fixed[key]).tobytes()
+
+
+def test_weight_without_quantile_runs_both_checks():
+    bare = dataclasses.replace(pz.triangular_weight(2.0), quantile=None)
+    with pytest.raises(UnsupportedSpecError, match="no quantile"):
+        pz.penalization_horizon(BM, bare, n=100, seed=0)
+    assert pz.linfty_law_check(BM, bare, n=500, seed=0)["u"] == 4096.0
+    assert pz.post_lastzero_marginal_check(bare, n=500, seed=0)["u"] \
+        == 4096.0
+
+
+@pytest.mark.parametrize("grid_points", [0, 1])
+def test_linfty_law_check_needs_two_grid_points(grid_points):
+    with pytest.raises(DomainError, match="grid_points"):
+        pz.linfty_law_check(BM, pz.indicator_weight(1.0), n=100, u=4.0,
+                            seed=0, grid_points=grid_points)
+
+
 def test_linfty_law_check_converges():
     res = pz.linfty_law_check(BM, pz.indicator_weight(1.0), n=20_000,
                               seed=0)
@@ -188,6 +256,15 @@ def test_post_lastzero_marginal_and_independence():
     assert res["tv_distance"] < 0.05
     assert abs(res["corr"]) < 3 * res["corr_se"]
     assert abs(sum(res["bin_probs"]) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 19])
+def test_post_lastzero_needs_a_path_per_batch(n):
+    with pytest.raises(DomainError, match="n >= 20"):
+        pz.post_lastzero_marginal_check(pz.indicator_weight(1.0), v=1.0,
+                                        u=5.0, n=n, seed=0)
+    assert pz.post_lastzero_marginal_check(
+        pz.indicator_weight(1.0), v=1.0, u=5.0, n=20, seed=0)["n_paths"] == 20
 
 
 @pytest.mark.parametrize("v,u", [(math.nan, 10.0), (1.0, math.nan),

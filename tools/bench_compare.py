@@ -21,7 +21,10 @@ pairs the change won (ties count for neither side).  The flag column reads
   never read as a gain: three pairs all won happen one time in eight by
   chance alone.
 
-A last column gives the failed share of calls on each side.
+A last column gives the failed calls per pass on each side (a run's
+``failed`` over its ``counters.passes``): pass ``i`` runs the same seeded
+calls on both sides, while the number of passes a run fits grows with its
+speed.
 
 When both sides have traced (``trace1``) runs, a second table does the
 same for every per-layer metric of ``BENCHMARK.json``, over all traced
@@ -29,8 +32,8 @@ pairs at once (each traced run measures every layer, whatever its
 workload), with ``WORSE`` at 10% of the parent's median.  It locates where
 a change saves or costs time; a per-layer value comes from one traced pass
 and has no bound in ``BENCHMARK.json``, so it does not gate.  The exit code
-is 1 when an end-to-end row reads ``WORSE`` or the change fails a larger
-share of calls, else 0.  With ``--json PATH`` every compared row of both
+is 1 when an end-to-end row reads ``WORSE`` or the change fails more
+calls per pass, else 0.  With ``--json PATH`` every compared row of both
 tables is also written to ``PATH``, with the seeds of its pairs (``[workload,
 seed]`` pairs in the per-layer table, which pools workloads), with
 ``os.cpu_count()`` and with each side's commit: ``git rev-parse HEAD`` of
@@ -108,8 +111,8 @@ def compare_metric(pairs: list, better: str, bound: float) -> dict:
             "pairs": len(pairs), "flag": flag}
 
 
-def failed_share(doc: dict) -> float:
-    return doc["failed"] / doc["attempted"] if doc["attempted"] else 0.0
+def failures_per_pass(doc: dict) -> float:
+    return doc["failed"] / doc["counters"]["passes"]
 
 
 def _cell(q: tuple) -> str:
@@ -142,7 +145,7 @@ def report(parent_runs: dict, change_runs: dict, metrics: list,
     ok = True
     print("| workload | metric | pairs | parent median [q1, q3] "
           "| change median [q1, q3] | change/parent | change won | flag "
-          "| failed share parent/change |")
+          "| failures per pass parent/change |")
     print("|---|---|---|---|---|---|---|---|---|")
     workloads = sorted({w for w, _ in parent_runs}
                        | {w for w, _ in change_runs})
@@ -156,7 +159,7 @@ def report(parent_runs: dict, change_runs: dict, metrics: list,
             continue
         docs = [(parent_runs[(workload, s)], change_runs[(workload, s)])
                 for s in seeds]
-        fails = [sum(map(failed_share, side)) / len(docs)
+        fails = [sum(map(failures_per_pass, side)) / len(docs)
                  for side in zip(*docs)]
         if fails[1] > fails[0]:
             ok = False
@@ -171,7 +174,8 @@ def report(parent_runs: dict, change_runs: dict, metrics: list,
             rows.append(_record(
                 row, table="end_to_end", workload=workload, metric=name,
                 seeds=seeds,
-                failed_share={"parent": fails[0], "change": fails[1]}))
+                failures_per_pass={"parent": fails[0],
+                                   "change": fails[1]}))
     return ok
 
 

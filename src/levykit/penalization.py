@@ -433,8 +433,8 @@ def post_lastzero_marginal_check(weight: WeightFunction, v: float = 1.0,
     ``X_{g+v}`` is zero within error (standard error of the means of 20
     batches, so ``n`` must be at least 20).  Tuples whose post-zero
     window is shorter than ``v`` are dropped; their weighted mass vanishes
-    as ``u`` grows.  The horizon defaults to the certified one of
-    :func:`linfty_law_check`.
+    as ``u`` grows.  The horizon defaults to the first of ``1, 2, 4, ...``
+    whose certified :func:`penalization_leftover` is under 1%.
 
     Nothing is rejected, so each batch costs the same whatever the
     draws: ``g`` is ``u`` Beta(1/2, 1/2) and the local time

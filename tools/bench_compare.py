@@ -21,10 +21,8 @@ pairs the change won (ties count for neither side).  The flag column reads
   never read as a gain: three pairs all won happen one time in eight by
   chance alone.
 
-A last column gives the failed calls per pass on each side (a run's
-``failed`` over its ``counters.passes``): pass ``i`` runs the same seeded
-calls on both sides, while the number of passes a run fits grows with its
-speed.
+A last column gives the failed calls per pass on each side: a run's
+``failed`` over its ``counters.passes``, averaged over the pairs.
 
 When both sides have traced (``trace1``) runs, a second table does the
 same for every per-layer metric of ``BENCHMARK.json``, over all traced

@@ -29,7 +29,8 @@ tri = lk.triangular_weight(2.0)   # h = triangular density on [0, 2]
 # preset).
 print("E[M_u] (exact local-time sampling, n=200000)")
 for w, u in [(ind, 0.5), (ind, 2.0), (tri, 1.0)]:
-    est = pz.martingale_mean_mc(bm, w, u, n=200_000, seed=SEED)
+    est = pz.penalized_expectation(bm, w, u, lambda pos, loc: 1.0,
+                                   n=200_000, seed=SEED)
     z = (est.mean - 1.0) / est.std_error
     print(f"  {bm.name:>8} {w.name:>13} u={u:3.1f}  "
           f"mean={est.mean:.5f} (+-{est.std_error:.1e})  z={z:+.2f}")

@@ -41,7 +41,6 @@ from .subexp import (  # noqa: F401
     TailDistribution,
     pareto_tail,
     exponential_tail,
-    tail_from_table,
     hitting_tail_distribution,
     conv_tail,
     subexp_ratio,
@@ -65,7 +64,6 @@ from .penalization import (  # noqa: F401
     triangular_weight,
     weight_from_table,
     martingale_value,
-    martingale_mean_mc,
     martingale_property_mc,
     penalized_expectation,
     penalization_horizon,

@@ -364,9 +364,9 @@ def band_occupancy_probability(spec: DiffusionSpec, s, eps: float):
     """
     if not spec.is_preset:
         raise UnsupportedSpecError("band occupancy is preset-only")
-    s = np.atleast_1d(np.asarray(s, dtype=float))
+    s = np.asarray(s, dtype=float)
     shape = 1.0 - spec.alpha  # = delta / 2
     out = np.ones_like(s)
     pos = s > 0
     out[pos] = gammainc(shape, eps * eps / (2.0 * s[pos]))
-    return out if out.size > 1 else float(out[0])
+    return float(out) if out.ndim == 0 else out

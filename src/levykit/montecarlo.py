@@ -185,7 +185,14 @@ def _sample_means(n: int, seed, sample: Callable,
 
 
 def _bernoulli_se(p: float, n: int) -> float:
-    return math.sqrt(max(p * (1 - p), 0.0) / n)
+    """Binomial standard error of a frequency ``p`` over ``n`` paths.
+
+    A count of 0 or ``n`` would read ``0 +- 0``; there it is the Wilson
+    score half-width at ``z = 1``, ``1 / (2 (n + 1))``, instead.
+    """
+    if p == 0.0 or p == 1.0:
+        return 0.5 / (n + 1)
+    return math.sqrt(p * (1 - p) / n)
 
 
 def _indicator_estimates(n: int, seed, events: Callable,

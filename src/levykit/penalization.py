@@ -16,9 +16,8 @@ Everything here checks those statements against simulation: the unit-mean
 property on grid paths, penalized expectations against optional-stopping
 closed forms, the weighted terminal-local-time CDF against ``H``, the
 Maxwell marginal and independence after the last zero (via the exact
-Brownian samplers), the mass of the upward-conditioned transition
-density, and the large-``t`` numerator asymptotics that tie the weighted
-laws back to the excursion tail.
+Brownian samplers), and the mass of the upward-conditioned transition
+density.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ __all__ = [
     "weight_from_table",
     "weight_from_json",
     "martingale_value",
-    "martingale_mean_mc",
     "martingale_property_mc",
     "penalized_expectation",
     "penalization_horizon",
@@ -54,8 +52,10 @@ __all__ = [
     "post_lastzero_marginal_check",
     "uparrow_density",
     "uparrow_mass",
-    "numerator_asymptotics_check",
 ]
+
+# the candidate horizons 1, 2, 4, ... below 1e12 (2^39 < 1e12 < 2^40)
+_HORIZONS = [2.0 ** k for k in range(40)]
 
 
 @dataclass(frozen=True)
@@ -213,23 +213,6 @@ def martingale_value(spec: DiffusionSpec, weight: WeightFunction, x, ell):
     return val[()]
 
 
-def martingale_mean_mc(spec: DiffusionSpec, weight: WeightFunction,
-                       u: float, n: int = 100_000, seed=None,
-                       threads=None) -> mc.McEstimate:
-    """Monte Carlo ``E_0[M_u]`` (should be exactly 1).
-
-    This is :func:`penalized_expectation` with ``F = 1``: the Brownian
-    last-zero construction, with no time grid.  For grid paths of any
-    preset use :func:`martingale_property_mc`.
-    """
-    if u < 0:
-        raise DomainError("u must be nonnegative")
-    if u == 0.0:
-        return mc.McEstimate(mean=1.0, std_error=0.0, n_paths=n, seed=seed)
-    return penalized_expectation(spec, weight, u, lambda x, ell: 1.0,
-                                 n=n, seed=seed, threads=threads)
-
-
 def martingale_property_mc(spec: DiffusionSpec,
                            weights: Sequence[WeightFunction],
                            u_values: Sequence[float],
@@ -322,8 +305,7 @@ def penalization_horizon(spec: DiffusionSpec, weight: WeightFunction,
     y = weight.sample(n, rng)
     tau1 = mc.sample_tau(spec, 1.0, n, rng=rng, threads=threads).values
     tau_y = y ** (1.0 / alpha) * tau1
-    u = 1.0
-    while u < 1e12:
+    for u in _HORIZONS:
         leftover = int(np.count_nonzero(tau_y > u)) / n
         if leftover < tol:
             if not full:
@@ -331,7 +313,6 @@ def penalization_horizon(spec: DiffusionSpec, weight: WeightFunction,
             return {"u": u, "leftover": leftover,
                     "leftover_se": mc._bernoulli_se(leftover, n),
                     "n_paths": n, "seed": seed}
-        u *= 2.0
     raise ToleranceError(f"no horizon below 1e+12 reaches tol={tol:g}")
 
 
@@ -363,12 +344,10 @@ def _certified_horizon(spec: DiffusionSpec, weight: WeightFunction,
     """The first of ``1, 2, 4, ...`` below ``1e12`` whose leftover mass
     plus its error is under ``tol``: the grid of
     :func:`penalization_horizon`, with no draws."""
-    u = 1.0
-    while u < 1e12:
+    for u in _HORIZONS:
         val, err = penalization_leftover(spec, weight, u, with_error=True)
         if val + err < tol:
             return u
-        u *= 2.0
     raise ToleranceError(f"no horizon below 1e+12 certifies tol={tol:g}")
 
 
@@ -554,27 +533,3 @@ def uparrow_mass(spec: DiffusionSpec, t: float) -> float:
     v1, _ = integrate(integrand, 0.0, math.sqrt(2.0 * t))
     v2, _ = integrate(integrand, math.sqrt(2.0 * t), hi)
     return v1 + v2
-
-
-def numerator_asymptotics_check(spec: DiffusionSpec,
-                                weight: WeightFunction, a: float,
-                                t: float, n: int = 200_000,
-                                seed=None) -> dict:
-    """Large-``t`` weighted-local-time numerator against its limit.
-
-    ``E_a[h(L_t)] / nu((t, inf)) -> S(a) h(0) + 1``: the boundary atom of
-    ``L_t`` contributes ``S(a) h(0)`` and the bulk contributes the unit
-    mass of ``h``.  Sampled with the exact marginal local-time draw; the
-    excursion tail comes from the spectral route.  The stable transform
-    of the draws runs on the default thread count (``LEVYKIT_THREADS``,
-    else every CPU); the draws are the same at any count.
-    """
-    rng = np.random.default_rng(seed)
-    lt = mc.sample_local_time(spec, a, t, n, rng=rng)
-    vals = np.asarray(weight.h(lt), dtype=float)
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n))
-    nu_bar = spectral.levy_tail(spec, t)
-    target = float(spec.scale(a)) * float(weight.h(0.0)) + 1.0
-    return {"ratio": mean / nu_bar, "target": target,
-            "std_error": se / nu_bar, "t": t, "n_paths": n, "seed": seed}

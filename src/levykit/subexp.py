@@ -33,7 +33,6 @@ __all__ = [
     "TailDistribution",
     "pareto_tail",
     "exponential_tail",
-    "tail_from_table",
     "scaled_tail",
     "hitting_tail_distribution",
     "conv_tail",
@@ -94,13 +93,6 @@ class TailDistribution:
         return out[()] if out.ndim == 0 else out
 
 
-def _with_grid(grid) -> np.ndarray:
-    if grid is None:
-        return DEFAULT_GRID
-    g = np.asarray(grid, dtype=float)
-    return g
-
-
 def pareto_tail(alpha: float, scale: float = 1.0,
                 grid=None) -> TailDistribution:
     """Pareto survival ``(scale/x)^alpha`` for ``x >= scale`` (1 below).
@@ -109,7 +101,7 @@ def pareto_tail(alpha: float, scale: float = 1.0,
     """
     if alpha <= 0 or scale <= 0:
         raise DomainError("alpha and scale must be positive")
-    g = _with_grid(grid)
+    g = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
 
     def sf(x):
         x = np.asarray(x, dtype=float)
@@ -124,19 +116,13 @@ def exponential_tail(rate: float = 1.0, grid=None) -> TailDistribution:
     """Exponential survival ``e^{-rate x}``; the light-tail negative control."""
     if rate <= 0:
         raise DomainError("rate must be positive")
-    g = _with_grid(grid)
+    g = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
 
     def sf(x):
         return np.exp(-rate * np.asarray(x, dtype=float))
 
     return TailDistribution(grid=g, tail=sf(g), analytic_tail=sf,
                             name=f"exp({rate:g})")
-
-
-def tail_from_table(xs, tails, name: str = "table") -> TailDistribution:
-    """Tail from explicit (x, survival) pairs; no analytic extension."""
-    return TailDistribution(grid=np.asarray(xs, dtype=float),
-                            tail=np.asarray(tails, dtype=float), name=name)
 
 
 def scaled_tail(F: TailDistribution, c: float,
@@ -170,7 +156,7 @@ def hitting_tail_distribution(spec, x: float, grid=None,
 
     if not 0 <= x < math.inf:
         raise DomainError("x must be nonnegative and finite")
-    g = _with_grid(grid)
+    g = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
     if spec.is_preset:
         a = spec.alpha
 

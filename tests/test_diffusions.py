@@ -123,6 +123,18 @@ def test_band_occupancy_matches_erf_for_brownian():
     assert abs(float(got) - erf(eps / math.sqrt(2.0 * s))) < 1e-12
 
 
+def test_band_occupancy_keeps_the_input_shape():
+    bm = brownian_spec()
+    s = np.array([[0.0, 0.37], [1.2, 4.0]])
+    got = band_occupancy_probability(bm, s, 0.05)
+    assert got.shape == (2, 2)
+    assert got.tolist() == [[band_occupancy_probability(bm, v, 0.05)
+                             for v in row] for row in s.tolist()]
+    one = band_occupancy_probability(bm, np.array([0.37]), 0.05)
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+    assert isinstance(band_occupancy_probability(bm, 0.37, 0.05), float)
+
+
 def test_band_occupancy_custom_unsupported():
     spec = spec_from_expressions("x", "2")
     with pytest.raises(UnsupportedSpecError):

@@ -279,6 +279,21 @@ def test_localtime_tail_estimator_against_exact_split():
     assert abs(est.mean - exact) < 4 * est.std_error
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 30), x=st.floats(0.05, 5.0),
+       t=st.floats(0.05, 50.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_frequency_error_is_positive_inside_the_unit_interval(n, x, t, seed):
+    # P_x(H_0 > t) and P_x(L_t <= 1) lie strictly inside (0, 1); a count
+    # of 0 or n takes the Wilson half-width 1/(2(n+1)), never 0 +- 0
+    for est in (mc.estimate_hitting_tail(BM, x, t, n, seed=seed),
+                mc.estimate_localtime_tail(BM, x, t, 1.0, n, seed=seed)):
+        assert est.std_error > 0
+        if est.mean in (0.0, 1.0):
+            assert est.std_error == 0.5 / (n + 1)
+        else:
+            assert est.std_error == math.sqrt(est.mean * (1 - est.mean) / n)
+
+
 def test_levy_exponent_estimator():
     est = mc.levy_exponent_mc(BM, 2.0, ell=1.5, n=200_000, seed=6)
     assert abs(est.mean - 2.0) < 3 * est.std_error

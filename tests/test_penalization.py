@@ -113,11 +113,9 @@ def test_martingale_value_broadcasts():
 
 
 def test_unit_mean_exact_route():
-    est = pz.martingale_mean_mc(BM, pz.indicator_weight(1.0), 1.0,
-                                n=200_000, seed=0)
+    est = pz.penalized_expectation(BM, pz.indicator_weight(1.0), 1.0,
+                                   lambda x, ell: 1.0, n=200_000, seed=0)
     assert abs(est.mean - 1.0) < 3 * est.std_error
-    est0 = pz.martingale_mean_mc(BM, pz.indicator_weight(1.0), 0.0, n=10)
-    assert est0.mean == 1.0 and est0.std_error == 0.0
 
 
 def test_unit_mean_pathwise_route_brownian():
@@ -128,7 +126,8 @@ def test_unit_mean_pathwise_route_brownian():
 
 def test_exact_route_is_brownian_only():
     with pytest.raises(UnsupportedSpecError):
-        pz.martingale_mean_mc(B15, pz.indicator_weight(1.0), 1.0, n=100)
+        pz.penalized_expectation(B15, pz.indicator_weight(1.0), 1.0,
+                                 lambda x, ell: 1.0, n=100)
 
 
 def test_penalized_expectation_vs_stopped_form():
@@ -328,11 +327,13 @@ def test_uparrow_mass_custom_spec_is_unsupported(monkeypatch):
 
 
 def test_numerator_asymptotics_near_limit():
-    for spec, a in ((BM, 1.0), (B15, 1.0)):
-        res = pz.numerator_asymptotics_check(
-            spec, pz.indicator_weight(1.0), a, 1e4, seed=7)
-        assert abs(res["ratio"] / res["target"] - 1.0) < 0.1
-        assert res["target"] == pytest.approx(float(spec.scale(a)) + 1.0)
+    # with h = indicator(1), E_a[h(L_t)] = P_a(L_t < 1) and its large-t
+    # limit over nu((t, inf)) is S(a) h(0) + 1 = S(1) + 1
+    for spec in (BM, B15):
+        est = mc.estimate_localtime_tail(spec, 1.0, 1e4, 1.0, 200_000,
+                                         seed=7)
+        target = (float(spec.scale(1.0)) + 1.0) * sp.levy_tail(spec, 1e4)
+        assert abs(est.mean / target - 1.0) < 0.1
 
 
 def test_martingale_property_thread_invariance():

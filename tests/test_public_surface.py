@@ -41,6 +41,34 @@ def test_package_imports_only_exported_names():
                 is getattr(module, alias.name)
 
 
+def _referenced_names(path: Path) -> set:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def test_every_exported_name_has_a_caller_outside_tests():
+    # an export that only the tests call is API that nothing needs; the
+    # package's __init__ only re-exports, so it does not count as a caller
+    repo = Path(__file__).resolve().parents[1]
+    files = [f for f in (repo / "src" / "levykit").glob("*.py")
+             if f.name != "__init__.py"]
+    for folder in ("bench", "demos", "tools"):
+        files += (repo / folder).rglob("*.py")
+    used = set().union(*map(_referenced_names, files))
+    unused = [(name, n) for name in MODULES
+              for n in getattr(importlib.import_module(f"levykit.{name}"),
+                               "__all__", ())
+              if n not in used]
+    assert unused == []
+
+
 def test_import_leaves_heavy_scipy_modules_out():
     # scipy.interpolate would bring in optimize, sparse and spatial: about
     # a third of the import time and resident memory of the package; the

@@ -37,8 +37,8 @@ ESTIMATORS = {
         B15, 2.0, ell=1.5, n=N, seed=5, threads=th),
     "doob_meyer": lambda th: mc.doob_meyer_check(
         B15, [0.1, 0.2], n_paths=N, dt=0.01, seed=6, threads=th),
-    "martingale_mean_exact": lambda th: pz.martingale_mean_mc(
-        BM, TRI, 1.0, n=N, seed=7, threads=th),
+    "martingale_mean_exact": lambda th: pz.penalized_expectation(
+        BM, TRI, 1.0, lambda x, ell: 1.0, n=N, seed=7, threads=th),
     "martingale_property": lambda th: pz.martingale_property_mc(
         BM, [IND, TRI], [0.1, 0.2], n_paths=N, dt=0.01, seed=8,
         threads=th),
@@ -135,8 +135,8 @@ EXACT = {
         B15, 1.0, 10.0, 0.5, n, seed=s, threads=th),
     "exponent": lambda n, s, th: mc.levy_exponent_mc(
         B15, 2.0, n=n, seed=s, threads=th),
-    "martingale": lambda n, s, th: pz.martingale_mean_mc(
-        BM, TRI, 1.0, n=n, seed=s, threads=th),
+    "martingale": lambda n, s, th: pz.penalized_expectation(
+        BM, TRI, 1.0, lambda x, ell: 1.0, n=n, seed=s, threads=th),
     "penalized": lambda n, s, th: pz.penalized_expectation(
         BM, IND, 2.0, lambda x, ell: x + ell, n=n, seed=s, threads=th),
     "law": lambda n, s, th: pz.linfty_law_check(

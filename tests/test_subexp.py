@@ -31,17 +31,17 @@ def test_exponential_tail_values():
 
 def test_table_tail_validation():
     with pytest.raises(DomainError):
-        sx.tail_from_table([1, 2, 3], [0.5, 0.6, 0.1])  # not monotone
+        sx.TailDistribution([1, 2, 3], [0.5, 0.6, 0.1])  # not monotone
     with pytest.raises(DomainError):
-        sx.tail_from_table([1, 2], [0.5, 0.4])  # too short
+        sx.TailDistribution([1, 2], [0.5, 0.4])  # too short
     grid = np.linspace(1, 10, 40)
     with pytest.raises(DomainError):
-        sx.tail_from_table(grid, np.linspace(1.2, 0.1, 40))  # > 1
+        sx.TailDistribution(grid, np.linspace(1.2, 0.1, 40))  # > 1
 
 
 def test_table_tail_range_guard():
     grid = np.linspace(0.5, 20, 64)
-    F = sx.tail_from_table(grid, np.exp(-grid))
+    F = sx.TailDistribution(grid, np.exp(-grid))
     assert math.isclose(float(F.value(3.0)), math.exp(-3.0), rel_tol=1e-3)
     with pytest.raises(RangeError):
         F.value(25.0)
@@ -115,8 +115,8 @@ def test_conv_tail_structural_bounds():
 def test_conv_tail_error_counts_the_clip():
     # on a coarse table the Richardson step overshoots 1 at x = 2.2; the
     # value is clipped to 1 and the error covers the unclipped sum too
-    F = sx.tail_from_table([1.6, 2.0, 2.2, 6.0, 7.0, 8.0, 9.5, 9.75],
-                           [0.99, 0.9, 0.56, 0.56, 0.49, 0.25, 0.25, 0.19])
+    F = sx.TailDistribution([1.6, 2.0, 2.2, 6.0, 7.0, 8.0, 9.5, 9.75],
+                            [0.99, 0.9, 0.56, 0.56, 0.49, 0.25, 0.25, 0.19])
     x = 2.2
     half, half_err = sx._half_stieltjes(F, F, x)
     raw = float(F.value(x / 2)) ** 2 + half + half

@@ -197,12 +197,10 @@ _THREADS = _arg("--threads", type=int, default=None,
 _MONTE_CARLO = (_SEED, _N, _THREADS)
 _GRID = (_SEED, _N,
          _arg("--dt", type=float, default=1e-3,
-              help="grid step for pathwise methods (default 1e-3)"),
+              help="time step of the simulated paths (default 1e-3)"),
          _THREADS)
 _T = _arg("--t", required=True, help="time points, comma list")
 _ELL = _arg("--ell", type=float, default=1.0)
-_HOW = _arg("--how", choices=("exact", "pathwise"), default="exact",
-            help="sampling route (default exact)")
 _WEIGHT = _arg("--weight", action="append", default=None)
 
 
@@ -296,33 +294,32 @@ def _subexp(args, spec, meta):
 
 @_command("mc hitting-tail", "P_x(H_0 > t) vs the closed form",
           "x,t,method,n,seed,estimate,std_error,exact,z",
-          _arg("--x", type=float, required=True), _T, _HOW,
-          after=_GRID)
+          _arg("--x", type=float, required=True), _T,
+          after=_MONTE_CARLO)
 def _mc_hitting_tail(args, spec, meta):
     ts = _floats(args.t)
     estimates = mc.estimate_hitting_tail(spec, args.x, ts, args.n,
-                                         seed=args.seed, method=args.how,
-                                         dt=args.dt, threads=args.threads)
+                                         seed=args.seed, threads=args.threads)
     for t, est in zip(ts, estimates):
         exact = float(spectral.hitting_tail(spec, args.x, t))
-        yield (args.x, t, args.how, est.n_paths, args.seed, est.mean,
+        yield (args.x, t, "exact", est.n_paths, args.seed, est.mean,
                est.std_error, exact, _z(est.mean - exact, est.std_error))
 
 
 @_command("mc localtime-tail", "P_x(L_t <= ell) vs its tail asymptote",
           "x,ell,t,method,n,seed,estimate,std_error,asymptote,ratio",
-          _arg("--x", type=float, default=0.0), _ELL, _T, _HOW,
+          _arg("--x", type=float, default=0.0), _ELL, _T,
           note="asymptote = (S(x)+ell) nu((t,inf)); ratio -> 1 as t grows",
-          after=_GRID)
+          after=_MONTE_CARLO)
 def _mc_localtime_tail(args, spec, meta):
     ts = _floats(args.t)
     estimates = mc.estimate_localtime_tail(
-        spec, args.x, ts, args.ell, args.n, seed=args.seed, method=args.how,
-        dt=args.dt, threads=args.threads)
+        spec, args.x, ts, args.ell, args.n, seed=args.seed,
+        threads=args.threads)
     for t, est in zip(ts, estimates):
         asym = (float(spec.scale(args.x)) + args.ell) \
             * float(spectral.levy_tail(spec, t))
-        yield (args.x, args.ell, t, args.how, est.n_paths, args.seed,
+        yield (args.x, args.ell, t, "exact", est.n_paths, args.seed,
                est.mean, est.std_error, asym, est.mean / asym)
 
 
@@ -349,6 +346,8 @@ def _mc_exponent(args, spec, meta):
                "intervals",
           after=_MONTE_CARLO)
 def _mc_tau(args, spec, meta):
+    if args.n < 1:
+        raise DomainError("need at least one path")
     values = np.sort(mc.sample_tau(spec, args.ell, args.n, seed=args.seed,
                                    threads=args.threads).values)
     n = values.size

@@ -9,10 +9,12 @@ rejects: a meander of length ``r`` ends at a Rayleigh(sqrt(r)) point
 ``z``, and given that end it is a three-dimensional Bessel bridge from 0
 to ``z`` (Imhof 1984, *Density factorizations for Brownian motion,
 meander and the three-dimensional Bessel process*), so its position at
-any time is the norm of a Gaussian vector.  The grid layer streams
-reflected-Brownian or squared-Bessel paths step by step, carrying only
-the current state and a handful of accumulators, so ``1e5`` paths with
-``2e4`` steps never materialize as a matrix.
+any time is the norm of a Gaussian vector.  The grid layer serves the
+two checks that need whole paths, :func:`doob_meyer_check` and
+:func:`~levykit.penalization.martingale_property_mc`: it streams
+reflected-Brownian or squared-Bessel paths from 0 step by step, carrying
+only the current state and a handful of accumulators, so ``1e5`` paths
+with ``2e4`` steps never materialize as a matrix.
 
 Local time on the grid is measured the blunt way: time spent in the band
 ``[0, eps)`` divided by the speed measure of the band.  That estimator
@@ -223,6 +225,11 @@ def _as_list(values) -> tuple:
 # exact samplers
 # ---------------------------------------------------------------------------
 
+def _check_count(n) -> None:
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise DomainError(f"n must be an integer >= 0, got {n!r}")
+
+
 def _require_preset(spec: DiffusionSpec, what: str) -> float:
     if not spec.is_preset:
         raise UnsupportedSpecError(
@@ -244,6 +251,7 @@ def sample_hitting_time(spec: DiffusionSpec, x: float, n: int,
     alpha = _require_preset(spec, "exact hitting-time sampling")
     if not 0 <= x < math.inf:
         raise DomainError("x must be nonnegative and finite")
+    _check_count(n)
     if rng is None:
         rng = np.random.default_rng(seed)
     if x == 0.0:
@@ -292,6 +300,7 @@ def sample_tau(spec: DiffusionSpec, ell: float, n: int,
     alpha = _require_preset(spec, "exact inverse-local-time sampling")
     if not 0 <= ell < math.inf:
         raise DomainError("ell must be nonnegative and finite")
+    _check_count(n)
     if rng is None:
         rng = np.random.default_rng(seed)
     if ell == 0.0:
@@ -333,6 +342,7 @@ def sample_brownian_state(u: float, n: int, rng=None, seed=None) -> dict:
     """
     if not 0 < u < math.inf:
         raise DomainError("u must be positive and finite")
+    _check_count(n)
     if rng is None:
         rng = np.random.default_rng(seed)
     g = u * rng.beta(0.5, 0.5, size=n)
@@ -455,17 +465,15 @@ def _make_stepper(spec: DiffusionSpec, dt: float, m: int):
     return step
 
 
-def _stream_ensemble(spec: DiffusionSpec, x0: float, dt: float,
-                     n_steps: int, record_idx: Sequence[int],
-                     rng, n_paths: int, eps: float,
-                     positions: bool = False):
-    """March ``n_paths`` states forward, returning snapshots at the
+def _stream_ensemble(spec: DiffusionSpec, dt: float, n_steps: int,
+                     record_idx: Sequence[int], rng, n_paths: int,
+                     eps: float):
+    """March ``n_paths`` states forward from 0, returning snapshots at the
     requested step indices, in step order: (positions,
-    band_occupation_steps), where the positions are ``None`` unless
-    ``positions`` asks for them."""
+    band_occupation_steps)."""
     step = _make_stepper(spec, dt, n_paths)
     record = set(int(i) for i in record_idx)
-    x = np.full(n_paths, float(x0))
+    x = np.zeros(n_paths)
     occ = np.zeros(n_paths)
     in_band = np.empty(n_paths, dtype=bool)
     out = []
@@ -475,7 +483,7 @@ def _stream_ensemble(spec: DiffusionSpec, x0: float, dt: float,
         occ += in_band
         step(x, rng)
         if k in record:     # x and occ are updated in place: copy them
-            out.append((x.copy() if positions else None, occ.copy()))
+            out.append((x.copy(), occ.copy()))
     return out
 
 
@@ -505,123 +513,80 @@ def occupation_bias(spec: DiffusionSpec, eps: float, dt: float,
 # estimators
 # ---------------------------------------------------------------------------
 
-def _occupations(spec: DiffusionSpec, x: float, steps: Sequence[int],
-                 dt: float):
-    """Sampler of the band-occupation step counts of grid paths from ``x``
-    (band ``[0, sqrt(dt))``) after each of ``steps``, in the order given
-    and repeats allowed, with that band's speed measure.  One ensemble
-    streams to the largest count and is read at each distinct one: its
-    first ``k`` steps are the draws a stream of ``k`` steps makes."""
-    eps = math.sqrt(dt)
-    record = sorted(set(steps))
-
-    def occupations(rng, m):
-        snaps = _stream_ensemble(spec, x, dt, record[-1], record, rng, m,
-                                 eps)
-        at = {k: occ for k, (_, occ) in zip(record, snaps)}
-        return [at[k] for k in steps]
-
-    return occupations, cumulative_speed(spec, eps)
-
-
-def _tail_estimates(spec: DiffusionSpec, x: float, t, check: Callable,
-                    method: str, dt: float, exact: Callable,
-                    band_event: Callable, n: int, seed,
+def _tail_estimates(t, check: Callable, draw: Callable, n: int, seed,
                     threads) -> McEstimate | list:
     """Estimates of ``P(T > t)`` for a number ``t``, or a list of them for
     each entry of a sequence, from one set of draws per chunk.
 
     Each ``t`` is checked in order as a call with it alone would check it
-    (``check(t)``, the method, then the grid), before anything is drawn.
-    ``exact(rng, size)`` draws ``T``; the pathwise route instead streams
-    grid paths from ``x`` and applies ``band_event(occupation_steps,
-    band_speed_measure)`` at each ``t``.
+    (``check(t)``), before anything is drawn; ``draw(rng, size)`` draws
+    ``T``.
     """
     ts, one = _as_list(t)
-    steps = []
     for u in ts:
         check(u)
-        if method == "pathwise":
-            steps.append(_check_grid(u, dt, None)[0])
-        elif method != "exact":
-            raise DomainError(f"unknown method {method!r}")
     if not ts:
         return []
-    if method == "exact":
-        def events(rng, m):
-            s = exact(rng, m)
-            return (s > u for u in ts)
-    else:
-        occupations, m_eps = _occupations(spec, x, steps, dt)
 
-        def events(rng, m):
-            return (band_event(occ, m_eps) for occ in occupations(rng, m))
+    def events(rng, m):
+        s = draw(rng, m)
+        return (s > u for u in ts)
+
     estimates = _indicator_estimates(n, seed, events, threads)
     return estimates[0] if one else estimates
 
 
 def estimate_hitting_tail(spec: DiffusionSpec, x: float,
                           t: float | Sequence[float], n: int, seed=None,
-                          method: str = "exact", dt: float = 1e-3,
                           threads=None) -> McEstimate | list:
-    """Monte Carlo ``P_x(H_0 > t)``.
-
-    ``method="exact"`` draws the hitting time from its gamma
-    representation; ``"pathwise"`` streams grid paths and counts those
-    that avoid the band ``[0, sqrt(dt))`` — biased low by band-vs-point
-    hitting, shrinking as ``dt`` does.
+    """Monte Carlo ``P_x(H_0 > t)``, from exact draws of the hitting time
+    (its gamma representation).
 
     ``t`` is a number, or a 1-d sequence for a list of estimates in its
-    order.  Every ``t`` reads the same draws (one ensemble streamed to the
-    largest ``t`` on the pathwise route), so each entry equals the call
-    with that ``t`` alone and the same seed, bit for bit, just as separate
-    calls with one seed always shared their draws.
+    order.  Every ``t`` reads the same draws, so each entry equals the
+    call with that ``t`` alone and the same seed, bit for bit, just as
+    separate calls with one seed always shared their draws.
     """
+    if not 0 < x < math.inf:
+        raise DomainError("x must be positive and finite (from 0 the tail "
+                          "is 0)")
+
     def check(t):
-        if not (0 < x < math.inf and math.isfinite(t)):
-            raise DomainError("x must be positive and finite (from 0 the "
-                              "tail is 0), and t finite")
+        if not math.isfinite(t):
+            raise DomainError("t must be finite")
 
     return _tail_estimates(
-        spec, x, t, check, method, dt,
-        lambda rng, m: sample_hitting_time(spec, x, m, rng=rng),
-        lambda occ, m_eps: occ == 0, n, seed, threads)
+        t, check, lambda rng, m: sample_hitting_time(spec, x, m, rng=rng),
+        n, seed, threads)
 
 
 def estimate_localtime_tail(spec: DiffusionSpec, x: float,
                             t: float | Sequence[float], ell: float, n: int,
-                            seed=None, method: str = "exact",
-                            dt: float = 1e-3,
-                            threads=None) -> McEstimate | list:
+                            seed=None, threads=None) -> McEstimate | list:
     """Monte Carlo ``P_x(L_t <= ell)``.
 
-    The exact route uses the renewal split at the first boundary visit:
-    the event equals ``{H_0 + tau_ell > t}`` with the two pieces
-    independent, both drawn from their exact laws.  The pathwise route
-    compares raw band local time against ``ell`` on grid paths.
+    Uses the renewal split at the first boundary visit: the event equals
+    ``{H_0 + tau_ell > t}`` with the two pieces independent, both drawn
+    from their exact laws.
 
     ``t`` is a number, or a 1-d sequence for a list of estimates in its
-    order.  Every ``t`` reads the same draws of ``H_0 + tau_ell`` (one
-    ensemble streamed to the largest ``t`` on the pathwise route), so each
+    order.  Every ``t`` reads the same draws of ``H_0 + tau_ell``, so each
     entry equals the call with that ``t`` alone and the same seed, bit for
     bit, just as separate calls with one seed always shared their draws.
     """
+    if not (0 <= x < math.inf and 0 <= ell < math.inf):
+        raise DomainError("x and ell must be nonnegative and finite")
+
     def check(t):
-        if not (0 <= x < math.inf and 0 <= ell < math.inf
-                and math.isfinite(t)):
-            raise DomainError("x and ell must be nonnegative and finite, "
-                              "and t finite")
-        if t <= 0:
+        if not 0 < t < math.inf:
             raise DomainError("t must be positive and finite")
 
-    def exact(rng, m):
+    def draw(rng, m):
         s = sample_hitting_time(spec, x, m, rng=rng)
         s += sample_tau(spec, ell, m, rng=rng).values
         return s
 
-    return _tail_estimates(
-        spec, x, t, check, method, dt, exact,
-        lambda occ, m_eps: occ * dt / m_eps <= ell, n, seed, threads)
+    return _tail_estimates(t, check, draw, n, seed, threads)
 
 
 def levy_exponent_mc(spec: DiffusionSpec, lam: float | Sequence[float],
@@ -635,12 +600,12 @@ def levy_exponent_mc(spec: DiffusionSpec, lam: float | Sequence[float],
     each entry equals the call with that ``lam`` alone and the same seed,
     bit for bit; ``lam = 0`` is exactly 0 and draws nothing.
     """
+    if not 0 < ell < math.inf:
+        raise DomainError("ell must be positive and finite")
     lams, one = _as_list(lam)
     for v in lams:
         if not 0 <= v < math.inf:
             raise DomainError("lam must be nonnegative and finite")
-        if not 0 < ell < math.inf:
-            raise DomainError("ell must be positive and finite")
     live = [v for v in lams if v != 0.0]
 
     def sample(rng, m):
@@ -681,8 +646,7 @@ def doob_meyer_check(spec: DiffusionSpec, times: Sequence[float],
 
     def sample(rng, m):
         stats = []
-        for x, occ in _stream_ensemble(spec, 0.0, dt, n_steps, idx, rng, m,
-                                       eps, positions=True):
+        for x, occ in _stream_ensemble(spec, dt, n_steps, idx, rng, m, eps):
             s_of_x = np.asarray(spec.scale(x), dtype=float)
             loc = occ * (dt / m_eps)
             stats += [s_of_x - loc, s_of_x, loc]

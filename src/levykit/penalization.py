@@ -244,8 +244,8 @@ def martingale_property_mc(spec: DiffusionSpec,
     def sample(rng, m):
         stats = []
         for (x, occ), shift in zip(
-                mc._stream_ensemble(spec, 0.0, dt, n_steps, idx, rng, m,
-                                    eps, positions=True), shifts):
+                mc._stream_ensemble(spec, dt, n_steps, idx, rng, m, eps),
+                shifts):
             ell = occ * (dt / m_eps) + shift
             stats += [martingale_value(spec, w, x, ell) for w in weights]
         return stats

@@ -29,6 +29,18 @@ def write_runs(directory, workload, rows, failed=0, passes=4):
     (directory / f"result-{workload}-seed1-trace1.json").write_text("{}")
 
 
+def git_checkout(directory):
+    """Make ``directory`` a git checkout with one commit; its ``HEAD``."""
+    directory.mkdir(exist_ok=True)
+    git = ["git", "-C", str(directory), "-c", "user.name=bench",
+           "-c", "user.email=bench@example.org"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "runs"],
+                   check=True)
+    return subprocess.run(git + ["rev-parse", "HEAD"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
 def table(capsys):
     return {tuple(cell.strip() for cell in line.strip("|").split("|")[:2]):
             [cell.strip() for cell in line.strip("|").split("|")]
@@ -163,6 +175,7 @@ def test_traced_runs_compare_per_layer_metrics(tmp_path, capsys):
 
 
 def test_json_keeps_every_compared_row(tmp_path, capsys):
+    git_checkout(tmp_path)     # --json records each side's commit
     parent, change = tmp_path / "parent", tmp_path / "change"
     write_runs(parent, "custom",
                [(s, 150.0 + s, 4.0 + 0.01 * s) for s in range(10)])
@@ -198,18 +211,8 @@ def test_json_keeps_every_compared_row(tmp_path, capsys):
     assert layer["pairs"] == 1 and layer["change"]["median"] == 10.0
 
 
-def test_json_records_commits_and_pair_seeds(tmp_path, capsys, monkeypatch):
-    # git looks for no checkout above tmp_path
-    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
-    parent, change = tmp_path / "parent" / "out", tmp_path / "change"
-    parent.parent.mkdir()
-    git = ["git", "-C", str(parent.parent), "-c", "user.name=bench",
-           "-c", "user.email=bench@example.org"]
-    subprocess.run(git + ["init", "-q"], check=True)
-    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "runs"],
-                   check=True)
-    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True,
-                          capture_output=True, text=True).stdout.strip()
+def write_pairs(parent, change, tmp_path):
+    """Runs on both sides and a benchmark file; the benchmark's path."""
     write_runs(parent, "exact", [(s, 10.0, 1.0) for s in (3, 1, 7)])
     write_runs(change, "exact", [(s, 12.0, 1.0) for s in (1, 3, 8)])
     for side in (parent, change):
@@ -220,14 +223,49 @@ def test_json_records_commits_and_pair_seeds(tmp_path, capsys, monkeypatch):
     bench = tmp_path / "BENCHMARK.json"
     bench.write_text(json.dumps({"end_to_end": METRICS, "per_layer": [
         {"name": "cli.tails.ms", "better": "lower"}]}))
+    return bench
+
+
+def test_json_records_commits_and_pair_seeds(tmp_path, capsys, monkeypatch):
+    # git looks for no checkout above tmp_path
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    parent, change = tmp_path / "parent" / "out", tmp_path / "change" / "out"
+    heads = {"parent": git_checkout(parent.parent),
+             "change": git_checkout(change.parent)}
+    bench = write_pairs(parent, change, tmp_path)
     out = tmp_path / "pairs.json"
     bench_compare.main([str(parent), str(change), "--benchmark", str(bench),
                         "--json", str(out)])
     capsys.readouterr()
     doc = json.loads(out.read_text())
-    # the change side sits in no git checkout
-    assert doc["commit"] == {"parent": head, "change": None}
+    assert doc["commit"] == heads
     rows = {(r["table"], r["metric"]): r for r in doc["rows"]}
     assert rows[("end_to_end", "work_per_s")]["seeds"] == [1, 3]
     assert rows[("per_layer", "cli.tails.ms")]["seeds"] \
         == [["exact", 2], ["paths", 2]]
+
+
+@pytest.mark.parametrize("in_git, missing", [
+    (("parent",), "change"), (("change",), "parent"),
+    ((), "parent and change")], ids=["change", "parent", "both"])
+def test_json_refuses_a_side_without_a_commit(tmp_path, capsys, monkeypatch,
+                                              in_git, missing):
+    # a results directory outside a git checkout wrote "commit": null
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    sides = {side: tmp_path / side / "out" for side in ("parent", "change")}
+    for side, directory in sides.items():
+        if side in in_git:
+            git_checkout(directory.parent)
+        else:
+            directory.parent.mkdir()
+    bench = write_pairs(sides["parent"], sides["change"], tmp_path)
+    out = tmp_path / "pairs.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_compare.main([str(sides["parent"]), str(sides["change"]),
+                            "--benchmark", str(bench), "--json", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"no git commit for the {missing} results directory" \
+        in captured.err
+    assert not out.exists()

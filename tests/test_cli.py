@@ -164,6 +164,15 @@ def test_horizon_without_paths_exits_2(capsys):
     assert "at least one path" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_tau_without_paths_exits_2(capsys, n):
+    # --n 0 ended in an IndexError traceback with exit 1, and --n -5 in
+    # numpy's bare "negative dimensions are not allowed"
+    code, out, err = run_cli(capsys, "mc", "tau", "--n", n)
+    assert code == 2 and out == ""
+    assert "at least one path" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("tails", "--t", "nan"),
     ("density", "--t", "1", "--x", "inf"),
@@ -250,10 +259,6 @@ LIST_STDOUT_SHA256 = {
         "ce50fee41d97ee197e60bc1ef0a5752ac5bf1c8397bb1f5d81f03883e7c01b71",
     "mc exponent --spec bessel:1.5 --lam 0,0.5,2 --n 60000":
         "b62b80ab04d26690a1fec5e370c00a3d69553236acb50fb233ddad4595bc19d5",
-    # unsorted, with a repeat: one ensemble snapshots each distinct t
-    "mc localtime-tail --how pathwise --x 0.2 --ell 0.1 --t 0.2,0.1,0.2 "
-    "--dt 0.01 --n 3000":
-        "ba1c6cbe93f19bdecd11a49d339230b07c85c964f0d150b57a5b1c3a9a16acb2",
 }
 
 # sha256 of stdout, recorded before the command table replaced the
@@ -418,8 +423,8 @@ def test_monte_carlo_commands_take_no_tol(capsys, command):
 # every seeded command, with the argv it needs; --dt only where a row
 # function reads it
 SEEDED_COMMANDS = {
-    "mc hitting-tail": ("--x 1 --t 0.5", True),
-    "mc localtime-tail": ("--t 0.5", True),
+    "mc hitting-tail": ("--x 1 --t 0.5", False),
+    "mc localtime-tail": ("--t 0.5", False),
     "mc doob-meyer": ("--t 0.1", True),
     "penalize martingale": ("--u 0.1", True),
     "mc exponent": ("--lam 1", False),
@@ -450,6 +455,16 @@ def test_dt_is_refused_where_nothing_reads_it(capsys, command):
         main(argv.split())
     assert exc.value.code == 2
     assert "unrecognized arguments: --dt 0.01" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mc hitting-tail", "mc localtime-tail"])
+def test_how_is_refused(capsys, command):
+    # both tail commands have one route, the exact one
+    argv = f"{command} {SEEDED_COMMANDS[command][0]} --how exact"
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --how exact" in capsys.readouterr().err
 
 
 def test_horizon_tol_is_the_leftover_threshold(capsys):

@@ -198,10 +198,10 @@ def test_grid_validation_at_retained_entry_points():
         mc.occupation_bias(BM, 0.6, 0.3, 1.0)
     with pytest.raises(ResolutionError):
         mc.occupation_bias(BM, 0.05, 1e-2, 1.0)
-    # the grid stepper is preset-only
+    # the grid layer is preset-only
     with pytest.raises(UnsupportedSpecError):
-        mc.estimate_hitting_tail(spec_from_expressions("x", "2"), 1.0, 1.0,
-                                 100, seed=1, method="pathwise", dt=1e-3)
+        mc.doob_meyer_check(spec_from_expressions("x", "2"), [0.1],
+                            n_paths=100, dt=1e-2, seed=1)
 
 
 @pytest.mark.parametrize("dt", [1e-3, 1e-2])
@@ -258,12 +258,6 @@ def test_hitting_tail_estimator_exact_route():
     exact = 0.682689492137087
     assert est.n_paths == 100_000
     assert abs(est.mean - exact) < 3 * est.std_error
-
-
-def test_hitting_tail_estimator_pathwise_route():
-    est = mc.estimate_hitting_tail(BM, 1.0, 1.0, 5_000, seed=1,
-                                   method="pathwise", dt=1e-4)
-    assert abs(est.mean - 0.682689492137087) < 0.02
 
 
 def test_localtime_tail_estimator_against_exact_split():
@@ -418,13 +412,45 @@ def test_non_finite_sampler_inputs_are_domain_errors(call, bad):
         call(bad)
 
 
-@pytest.mark.parametrize("method", ["exact", "pathwise"])
 @pytest.mark.parametrize("t", [0.0, -0.5, [0.5, 0.0]])
-def test_nonpositive_localtime_horizon_is_a_domain_error(method, t):
-    # P(L_0 <= 0) = 1, but the exact route read 0 +- 0 at t = 0
+def test_nonpositive_localtime_horizon_is_a_domain_error(t):
+    # P(L_0 <= 0) = 1, but the estimate read 0 +- 0 at t = 0
     with pytest.raises(DomainError, match="t must be positive and finite"):
-        mc.estimate_localtime_tail(BM, 0.0, t, 0.0, 10, seed=0,
-                                   method=method, dt=0.1)
+        mc.estimate_localtime_tail(BM, 0.0, t, 0.0, 10, seed=0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: mc.estimate_localtime_tail(BM, -1.0, [], 1.0, 10), "x and ell"),
+    (lambda: mc.estimate_localtime_tail(BM, 0.0, [], -1.0, 10), "x and ell"),
+    (lambda: mc.estimate_hitting_tail(BM, -1.0, [], 10), "x must be"),
+    (lambda: mc.levy_exponent_mc(BM, [], ell=-1.0, n=10), "ell must be"),
+], ids=["localtime-x", "localtime-ell", "hitting-x", "exponent-ell"])
+def test_an_empty_list_still_checks_the_other_arguments(call, match):
+    # [] skipped every check, so a bad x or ell returned [] where the
+    # scalar call raised
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("n", [-5, 2.0, "10", None])
+@pytest.mark.parametrize("draw", [
+    lambda n: mc.sample_hitting_time(BM, 1.0, n, seed=0),
+    lambda n: mc.sample_tau(BM, 1.0, n, seed=0),
+    lambda n: mc.sample_local_time(BM, 1.0, 1.0, n, seed=0),
+    lambda n: mc.sample_brownian_state(1.0, n, seed=0),
+], ids=["hitting", "tau", "local_time", "brownian_state"])
+def test_samplers_refuse_a_count_that_is_not_a_nonnegative_integer(draw, n):
+    # n = -5 gave numpy's bare "negative dimensions are not allowed"
+    with pytest.raises(DomainError, match="n must be an integer >= 0"):
+        draw(n)
+
+
+def test_samplers_draw_nothing_at_n_zero():
+    assert mc.sample_hitting_time(BM, 1.0, 0, seed=0).shape == (0,)
+    assert mc.sample_tau(BM, 1.0, np.int64(0), seed=0).values.shape == (0,)
+    assert mc.sample_local_time(BM, 1.0, 1.0, 0, seed=0).shape == (0,)
+    assert all(v.shape == (0,)
+               for v in mc.sample_brownian_state(1.0, 0, seed=0).values())
 
 
 def test_a_list_is_checked_in_order_before_any_draw(monkeypatch):
@@ -434,14 +460,11 @@ def test_a_list_is_checked_in_order_before_any_draw(monkeypatch):
     monkeypatch.setattr(mc, "sample_hitting_time", no_draws)
     monkeypatch.setattr(mc, "sample_tau", no_draws)
     # each entry raises what the call with it alone raises, first fault
-    # first: the off-grid 0.15 before the later nonpositive one
-    with pytest.raises(ResolutionError, match="integer multiple"):
-        mc.estimate_localtime_tail(BM, 0.0, [0.2, 0.15, 0.0], 1.0, 10,
-                                   method="pathwise", dt=0.1)
+    # first
+    with pytest.raises(DomainError, match="t must be positive"):
+        mc.estimate_localtime_tail(BM, 0.0, [0.2, 0.5, 0.0], 1.0, 10)
     with pytest.raises(DomainError, match="finite"):
         mc.estimate_hitting_tail(BM, 1.0, [1.0, math.nan], 10)
-    with pytest.raises(DomainError, match="unknown method"):
-        mc.estimate_hitting_tail(BM, 1.0, [1.0, math.nan], 10, method="x")
     with pytest.raises(DomainError, match="ell must be positive"):
         mc.levy_exponent_mc(BM, [1.0, -1.0], ell=0.0, n=10)
     with pytest.raises(DomainError, match="lam must be nonnegative"):
@@ -473,24 +496,6 @@ def test_exact_list_entries_equal_the_scalar_calls(ts, spec, seed, threads):
     for call in calls:
         assert call(ts) == [call(t) for t in ts]
         assert call(np.array(ts)) == call(ts)
-
-
-@settings(max_examples=15, deadline=None)
-@given(steps=st.lists(st.integers(1, 12), min_size=1, max_size=4),
-       seed=st.integers(0, 2**32 - 1), threads=st.sampled_from([1, 2]))
-def test_pathwise_list_entries_equal_the_scalar_calls(steps, seed, threads):
-    # unsorted and repeated times: one ensemble, read at each distinct one
-    ts = [k * 0.02 for k in steps]
-    calls = [
-        lambda t: mc.estimate_hitting_tail(
-            BM, 0.2, t, _TWO_CHUNKS, seed=seed, method="pathwise", dt=0.02,
-            threads=threads),
-        lambda t: mc.estimate_localtime_tail(
-            B15, 0.1, t, 0.05, _TWO_CHUNKS, seed=seed, method="pathwise",
-            dt=0.02, threads=threads),
-    ]
-    for call in calls:
-        assert call(ts) == [call(t) for t in ts]
 
 
 @settings(max_examples=15, deadline=None)
@@ -538,21 +543,6 @@ def test_a_list_holds_one_boolean_array_at_a_time():
 
     many = [float(t) for t in range(1, 129)]
     assert peak(many) < peak(1.0) + 2 * mc.DEFAULT_CHUNK
-
-
-def test_pathwise_list_snapshots_no_positions():
-    # one occupation array per t; the positions are never read
-    def peak(t):
-        tracemalloc.start()
-        try:
-            mc.estimate_hitting_tail(BM, 0.2, t, mc.DEFAULT_CHUNK, seed=1,
-                                     method="pathwise", dt=0.02, threads=1)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    many = [0.02 * i for i in range(1, 13)]
-    assert peak(many) < peak(0.02) + len(many) * 8 * mc.DEFAULT_CHUNK
 
 
 def test_doob_meyer_check_starts_at_the_boundary():

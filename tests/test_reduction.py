@@ -26,13 +26,8 @@ N = 55_000  # two full chunks and a partial one
 ESTIMATORS = {
     "hitting_exact": lambda th: mc.estimate_hitting_tail(
         B15, 1.0, 2.0, N, seed=1, threads=th),
-    "hitting_pathwise": lambda th: mc.estimate_hitting_tail(
-        BM, 0.3, 0.2, N, seed=2, method="pathwise", dt=0.01, threads=th),
     "localtime_exact": lambda th: mc.estimate_localtime_tail(
         B15, 1.0, 10.0, 0.5, N, seed=3, threads=th),
-    "localtime_pathwise": lambda th: mc.estimate_localtime_tail(
-        BM, 0.2, 0.2, 0.1, N, seed=4, method="pathwise", dt=0.01,
-        threads=th),
     "levy_exponent_mc": lambda th: mc.levy_exponent_mc(
         B15, 2.0, ell=1.5, n=N, seed=5, threads=th),
     "doob_meyer": lambda th: mc.doob_meyer_check(
@@ -54,9 +49,7 @@ _MP = ("u", "mean", "std_error", "z")
 
 EXPECTED = {
     "hitting_exact": ("0x1.7e25c1f6d700bp-1", "0x1.e653f9565c223p-10"),
-    "hitting_pathwise": ("0x1.cc049e07f7f50p-2", "0x1.1600a23482bf4p-9"),
     "localtime_exact": ("0x1.2a3ea1ae278b8p-1", "0x1.139d8978f324ap-9"),
-    "localtime_pathwise": ("0x1.d80215d20ce24p-2", "0x1.1697ba158925fp-9"),
     "levy_exponent_mc": ("0x1.59f285a91031cp-1", "0x1.a4788a0110942p-9"),
     "doob_meyer": [
         dict(zip(_DM, ("0x1.999999999999ap-4", "0x1.17b8b0d264f18p+0",

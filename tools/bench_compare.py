@@ -35,9 +35,11 @@ calls per pass, else 0.  With ``--json PATH`` every compared row of both
 tables is also written to ``PATH``, with the seeds of its pairs (``[workload,
 seed]`` pairs in the per-layer table, which pools workloads), with
 ``os.cpu_count()`` and with each side's commit: ``git rev-parse HEAD`` of
-the checkout that holds its results directory, or null outside a git
-checkout.  So a change can keep its pairs, and where they came from, next
-to the code (``BENCH_<n>.json``).  Standard library only.
+the checkout that holds its results directory.  A results directory outside
+a git checkout has no commit to record, so ``--json`` then exits 2 before
+comparing anything and names that side.  So a change can keep its pairs,
+and where they came from, next to the code (``BENCH_<n>.json``).  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -218,6 +220,14 @@ def main(argv=None) -> int:
     parser.add_argument("--json", type=Path, metavar="PATH",
                         help="also write every compared row to PATH")
     args = parser.parse_args(argv)
+    if args.json is not None:
+        commits = {side: checkout_commit(getattr(args, side))
+                   for side in ("parent", "change")}
+        missing = " and ".join(side for side, commit in commits.items()
+                               if commit is None)
+        if missing:
+            parser.error(f"--json: no git commit for the {missing} results "
+                         "directory: it is outside a git checkout")
     metrics = json.loads(args.benchmark.read_text(encoding="utf-8"))
     rows = []
     ok = report(load_runs(args.parent), load_runs(args.change),
@@ -227,9 +237,7 @@ def main(argv=None) -> int:
                   metrics.get("per_layer", []), rows)
     if args.json is not None:
         doc = {"cpu_count": os.cpu_count(),
-               "commit": {"parent": checkout_commit(args.parent),
-                          "change": checkout_commit(args.change)},
-               "rows": rows}
+               "commit": commits, "rows": rows}
         args.json.write_text(json.dumps(doc, indent=1) + "\n",
                              encoding="utf-8")
     return 0 if ok else 1

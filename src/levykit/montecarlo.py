@@ -114,9 +114,15 @@ class SubordinatorSample:
 # seeding / chunked execution
 # ---------------------------------------------------------------------------
 
+def _check_paths(n) -> None:
+    """A path count must be an integer >= 1.  The chunk layout checks it,
+    and an estimator that can return without drawing checks it first."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"need at least one path, got n={n!r}")
+
+
 def _chunk_sizes(n: int) -> list:
-    if n <= 0:
-        raise DomainError("need at least one path")
+    _check_paths(n)
     sizes = [DEFAULT_CHUNK] * (n // DEFAULT_CHUNK)
     if n % DEFAULT_CHUNK:
         sizes.append(n % DEFAULT_CHUNK)
@@ -522,6 +528,7 @@ def _tail_estimates(t, check: Callable, draw: Callable, n: int, seed,
     (``check(t)``), before anything is drawn; ``draw(rng, size)`` draws
     ``T``.
     """
+    _check_paths(n)
     ts, one = _as_list(t)
     for u in ts:
         check(u)
@@ -602,6 +609,7 @@ def levy_exponent_mc(spec: DiffusionSpec, lam: float | Sequence[float],
     """
     if not 0 < ell < math.inf:
         raise DomainError("ell must be positive and finite")
+    _check_paths(n)
     lams, one = _as_list(lam)
     for v in lams:
         if not 0 <= v < math.inf:

@@ -351,6 +351,23 @@ def _certified_horizon(spec: DiffusionSpec, weight: WeightFunction,
     raise ToleranceError(f"no horizon below 1e+12 certifies tol={tol:g}")
 
 
+def _weights_below(grid: np.ndarray, values: np.ndarray,
+                   *weights: np.ndarray) -> tuple:
+    """For each weight array ``v``, ``[v[values <= g].sum() for g in
+    grid]`` of an increasing ``grid``, in O(len(values)) memory.
+
+    Cell ``k`` holds the values in ``(grid[k-1], grid[k]]``: the left side
+    of ``searchsorted`` puts a value equal to a grid point there, as
+    ``<=`` does.  The running sum of the per-cell totals then adds each
+    ``v`` in one fixed order, sequential and without BLAS, so the bits
+    depend only on the inputs.
+    """
+    k = np.searchsorted(grid, values)
+    return tuple(np.cumsum(np.bincount(k, weights=v,
+                                       minlength=grid.size + 1))[:-1]
+                 for v in weights)
+
+
 def linfty_law_check(spec: DiffusionSpec, weight: WeightFunction,
                      n: int = 100_000, u: Optional[float] = None,
                      seed=None, grid_points: int = 201,
@@ -364,6 +381,11 @@ def linfty_law_check(spec: DiffusionSpec, weight: WeightFunction,
     :func:`penalization_leftover` is under 1%, which draws nothing.
     Brownian only (exact last-zero sampler).  Returns the grid of
     ``grid_points >= 2`` points, both CDFs, and their maximum gap.
+
+    Each chunk bins its draws of ``L_u`` on the grid and takes running
+    sums of the binned weights and squared weights: O(n) memory, no
+    grid-by-draw matrix and no BLAS call, and an order of addition fixed
+    by the seed alone, so the bits are the same on every machine.
     """
     if spec.delta != 1.0:
         raise UnsupportedSpecError("the exact state sampler is "
@@ -378,8 +400,8 @@ def linfty_law_check(spec: DiffusionSpec, weight: WeightFunction,
         st = mc.sample_brownian_state(u, m, rng=rng)
         w = martingale_value(spec, weight, st["position"],
                              st["local_time"])
-        below = st["local_time"][None, :] <= grid[:, None]
-        return (below @ w), (below @ (w * w)), float(np.sum(w))
+        return (*_weights_below(grid, st["local_time"], w, w * w),
+                float(np.sum(w)))
 
     num, num2, den = mc._chunk_totals(n, seed, worker, threads)
     if den <= 0:

@@ -280,10 +280,12 @@ SEEDED_STDOUT_SHA256 = {
         "134ca180828a2a18ca974b2dbeae551525298047ae0124aa8d7e600acb615459",
     "penalize horizon --n 60000":
         "92f8f24f60cac9eb5670b9d1e0ef322b0fd0ebcc745310adaf06a64633ed00ed",
+    # re-pinned when the weighted CDF left BLAS for a fixed-order running
+    # sum: the last digits of its cells and of max_gap moved
     "penalize lawcheck --u 16 --n 2000":
-        "bdc3af8ba0bf1bf81c1746419ff017bedfb0fc9641c18cabf55d9e2800f51922",
+        "918325558d76cf7df15a97ddea883a3377f5d534b8e9bc10ba65649946a43a2f",
     "penalize lawcheck --u 16 --n 2000 --format json":
-        "a35890d54f057764df769398688cfc7f59995ebd7e9cad22a7a49fbe23bb6363",
+        "c154db73a7e088f51e6aaec110e0fe983a2d5d6a5dee591560f2d0ae6c6c9301",
     **LIST_STDOUT_SHA256,
 }
 

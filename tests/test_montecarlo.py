@@ -432,6 +432,33 @@ def test_an_empty_list_still_checks_the_other_arguments(call, match):
         call()
 
 
+@pytest.mark.parametrize("n", [0, -3, 2.5, None])
+@pytest.mark.parametrize("call", [
+    lambda n: mc.levy_exponent_mc(BM, 0.0, n=n),
+    lambda n: mc.levy_exponent_mc(BM, [], n=n),
+    lambda n: mc.estimate_hitting_tail(BM, 1.0, [], n),
+    lambda n: mc.estimate_localtime_tail(BM, 1.0, [], 1.0, n),
+], ids=["exponent-lam0", "exponent-empty", "hitting-empty",
+        "localtime-empty"])
+def test_a_call_that_draws_nothing_still_checks_n(call, n):
+    # these returned McEstimate(n_paths=-3) or [] without reading n
+    with pytest.raises(DomainError, match="need at least one path"):
+        call(n)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mc.doob_meyer_check(BM, [0.1], n_paths=2.5, dt=0.01, seed=0),
+    lambda: pz.penalized_expectation(BM, pz.indicator_weight(1.0), 1.0,
+                                     lambda x, ell: 1.0, n=2.5, seed=0),
+    lambda: pz.linfty_law_check(BM, pz.indicator_weight(1.0), n=2.5,
+                                u=4.0, seed=0),
+], ids=["doob_meyer", "penalized_expectation", "linfty_law_check"])
+def test_chunked_estimators_refuse_a_fractional_path_count(call):
+    # the chunk layout multiplied a list by n: an untyped TypeError
+    with pytest.raises(DomainError, match="need at least one path"):
+        call()
+
+
 @pytest.mark.parametrize("n", [-5, 2.0, "10", None])
 @pytest.mark.parametrize("draw", [
     lambda n: mc.sample_hitting_time(BM, 1.0, n, seed=0),
@@ -475,6 +502,8 @@ def test_a_list_is_checked_in_order_before_any_draw(monkeypatch):
     assert mc.estimate_localtime_tail(BM, 0.0, [], 1.0, 10) == []
     assert mc.levy_exponent_mc(BM, [0.0, 0.0], n=10) \
         == [mc.McEstimate(0.0, 0.0, 10)] * 2
+    assert mc.levy_exponent_mc(BM, 0.0, n=np.int64(1)) \
+        == mc.McEstimate(0.0, 0.0, 1)
 
 
 # two chunks, the second a sliver: the pool runs them at two threads

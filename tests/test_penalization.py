@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -247,6 +248,45 @@ def test_linfty_law_check_converges():
 def test_linfty_law_check_brownian_only():
     with pytest.raises(UnsupportedSpecError):
         pz.linfty_law_check(B15, pz.indicator_weight(1.0), n=100)
+
+
+@st.composite
+def _binned_draws(draw):
+    grid = np.linspace(0.0, draw(st.floats(0.1, 10.0)),
+                       draw(st.integers(2, 12)))
+    # exactly on a grid point, between points, or beyond the support end
+    on = st.sampled_from(grid.tolist())
+    off = st.floats(0.0, 2.0 * grid[-1])
+    values = draw(st.lists(on | off, max_size=50))
+    w = draw(st.lists(st.floats(0.0, 10.0), min_size=len(values),
+                      max_size=len(values)))
+    return grid, np.array(values, dtype=float), np.array(w, dtype=float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_binned_draws())
+@example((np.linspace(0.0, 1.0, 2), np.array([0.0, 1.0, 1.5, 0.5]),
+          np.array([1.0, 2.0, 4.0, 8.0])))
+def test_weights_below_match_the_direct_sums(case):
+    grid, values, w = case
+    num, num2 = pz._weights_below(grid, values, w, w * w)
+    for got, v in ((num, w), (num2, w * w)):
+        want = np.array([v[values <= g].sum() for g in grid])
+        tol = 4 * np.finfo(float).eps * np.sum(np.abs(v))
+        assert np.all(np.abs(got - want) <= tol), (got, want)
+
+
+def test_linfty_law_check_memory_is_linear_in_n():
+    # the grid-by-draw boolean matrix and its float copy for BLAS peaked
+    # at 46 MB here; the binned running sums hold O(n) at a time
+    tracemalloc.start()
+    try:
+        pz.linfty_law_check(BM, pz.indicator_weight(1.0), n=25_000,
+                            u=2048.0, seed=1, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_post_lastzero_marginal_and_independence():

@@ -79,18 +79,21 @@ EXPECTED = {
     ],
     "penalized_expectation": ("0x1.32e391697a5e9p+2",
                               "0x1.984af2f9529ebp-5"),
+    # re-pinned when the weighted CDF moved from a BLAS matrix-vector
+    # product, whose summation order is the CPU's kernel's, to a running
+    # sum of per-cell weights, whose order is fixed
     "linfty_law_check": {
-        "max_gap": "0x1.3f20abd31e0d8p-5",
+        "max_gap": "0x1.3f20abd31e0c8p-5",
         "u": "0x1.9000000000000p+5",
         "n_paths": N,
-        "weighted_cdf": ["0x0.0p+0", "0x1.e7e4157a63c1bp-2",
-                         "0x1.8e92598c13370p-1", "0x1.e66a06e93dd6dp-1",
-                         "0x1.0000000000001p+0"],
+        "weighted_cdf": ["0x0.0p+0", "0x1.e7e4157a63c19p-2",
+                         "0x1.8e92598c1336ep-1", "0x1.e66a06e93dd6cp-1",
+                         "0x1.0000000000000p+0"],
         "target_cdf": ["0x0.0p+0", "0x1.c000000000000p-2",
                        "0x1.8000000000000p-1", "0x1.e000000000000p-1",
                        "0x1.0000000000000p+0"],
         "cdf_se": ["0x0.0p+0", "0x1.8b5c1a2ae5522p-8",
-                   "0x1.fcb69e59f2c7fp-9", "0x1.5bea920174124p-10",
+                   "0x1.fcb69e59f2c7ap-9", "0x1.5bea9201740e4p-10",
                    "0x0.0p+0"],
     },
 }

@@ -83,7 +83,10 @@ def _parse_tail(text, spec):
                       "exp:<rate> or hitting:<x>")
 
 
-def _first_weight(args):
+def _one_weight(args):
+    if len(args.weight or ()) > 1:
+        raise DomainError(f"{args.name} takes one --weight, got "
+                          f"{len(args.weight)}")
     return _parse_weight((args.weight or ["indicator:1.0"])[0])
 
 
@@ -191,9 +194,8 @@ _SEED = _arg("--seed", type=int, default=DEFAULT_SEED,
 _N = _arg("--n", type=int, default=100_000,
           help="number of Monte Carlo paths (default 100000)")
 _THREADS = _arg("--threads", type=int, default=None,
-                help="worker threads (default LEVYKIT_THREADS, else every "
-                     "CPU this process may run on; results do not depend "
-                     "on the thread count)")
+                help="worker threads (default every CPU this process may "
+                     "run on; results do not depend on the thread count)")
 _MONTE_CARLO = (_SEED, _N, _THREADS)
 _GRID = (_SEED, _N,
          _arg("--dt", type=float, default=1e-3,
@@ -399,7 +401,7 @@ def _penalize_martingale(args, spec, meta):
                help="leftover-mass threshold (default 0.01)"),
           after=_MONTE_CARLO)
 def _penalize_horizon(args, spec, meta):
-    weight = _first_weight(args)
+    weight = _one_weight(args)
     res = pz.penalization_horizon(spec, weight, tol=args.tol, n=args.n,
                                   seed=args.seed, full=True,
                                   threads=args.threads)
@@ -417,7 +419,7 @@ def _penalize_horizon(args, spec, meta):
                "CSV comments / JSON fields",
           after=_MONTE_CARLO)
 def _penalize_lawcheck(args, spec, meta):
-    weight = _first_weight(args)
+    weight = _one_weight(args)
     u = float(args.u) if args.u else None
     res = pz.linfty_law_check(spec, weight, n=args.n, u=u, seed=args.seed,
                               threads=args.threads)

@@ -319,8 +319,8 @@ def series_bound_base(spec: DiffusionSpec, x: float) -> float:
     ``B(x) = M(x) S(x) - int_0^x S dm``.  For presets this is
     ``x^2 / (2 (1 - alpha))``.
     """
-    if x < 0:
-        raise DomainError("x must be nonnegative")
+    if not 0 <= x < np.inf:
+        raise DomainError("x must be nonnegative and finite")
     if x == 0:
         return 0.0
     if spec.is_preset:

@@ -67,24 +67,10 @@ DEFAULT_CHUNK = 25_000
 
 
 def resolve_threads(threads: Optional[int] = None) -> int:
-    """Thread count: the argument, else ``LEVYKIT_THREADS``, else the
-    number of CPUs this process may run on.
-
-    A ``LEVYKIT_THREADS`` that is not a nonnegative integer raises
-    :class:`DomainError`.
-    """
-    if threads is None:
-        env = os.environ.get("LEVYKIT_THREADS", "").strip()
-        if not env:
-            return _available_cpus()
-        if not env.isdecimal():
-            raise DomainError("LEVYKIT_THREADS must be a nonnegative "
-                              f"integer, got {env!r}")
-        threads = int(env)
-    return max(1, int(threads))
-
-
-def _available_cpus() -> int:
+    """Thread count: the argument, else the number of CPUs this process
+    may run on."""
+    if threads is not None:
+        return max(1, int(threads))
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -102,12 +88,13 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class SubordinatorSample:
-    """Draws of the inverse local time tau_ell."""
+    """Draws of the inverse local time tau_ell; ``seed`` is the ``seed``
+    argument as given, a ``Generator`` included."""
 
     values: np.ndarray
     ell: float
     alpha: float
-    seed: Optional[int] = None
+    seed: object = None
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +232,7 @@ def _require_preset(spec: DiffusionSpec, what: str) -> float:
 
 
 def sample_hitting_time(spec: DiffusionSpec, x: float, n: int,
-                        rng=None, seed=None) -> np.ndarray:
+                        seed=None) -> np.ndarray:
     """Exact draws of the first time the boundary is reached from ``x``.
 
     Uses ``H_0 = x^2 / (2 G)`` with ``G ~ Gamma(alpha, 1)``.  For small
@@ -253,13 +240,14 @@ def sample_hitting_time(spec: DiffusionSpec, x: float, n: int,
     without a warning: such a ``G`` is below the smallest subnormal, so the
     true ``H_0`` exceeds ``x^2 1e323`` and the event ``H_0 > t`` is right
     for every smaller ``t``.  A quotient that overflows is also ``inf``.
+    ``seed`` is anything :func:`numpy.random.default_rng` takes, a
+    ``Generator`` included.
     """
     alpha = _require_preset(spec, "exact hitting-time sampling")
     if not 0 <= x < math.inf:
         raise DomainError("x must be nonnegative and finite")
     _check_count(n)
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     if x == 0.0:
         return np.zeros(n)
     with np.errstate(divide="ignore", over="ignore"):
@@ -295,20 +283,21 @@ def _standard_positive_stable(alpha: float, n: int, rng,
 
 
 def sample_tau(spec: DiffusionSpec, ell: float, n: int,
-               rng=None, seed=None, threads=None) -> SubordinatorSample:
+               seed=None, threads=None) -> SubordinatorSample:
     """Exact draws of the inverse local time ``tau_ell``.
 
     ``tau_ell`` is positive stable with Laplace exponent
     ``ell * kappa * lam^alpha``, so ``tau_ell = (ell kappa)^{1/alpha} S``
     for a standard positive stable ``S``.  ``threads`` runs the transform
     of the draws, never the draws themselves, so it does not change them.
+    ``seed`` is anything :func:`numpy.random.default_rng` takes, a
+    ``Generator`` included.
     """
     alpha = _require_preset(spec, "exact inverse-local-time sampling")
     if not 0 <= ell < math.inf:
         raise DomainError("ell must be nonnegative and finite")
     _check_count(n)
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     if ell == 0.0:
         vals = np.zeros(n)
     else:
@@ -320,37 +309,39 @@ def sample_tau(spec: DiffusionSpec, ell: float, n: int,
 
 
 def sample_local_time(spec: DiffusionSpec, x: float, t: float, n: int,
-                      rng=None, seed=None) -> np.ndarray:
+                      seed=None) -> np.ndarray:
     """Exact draws of the marginal law of ``L_t`` from ``x``.
 
     Uses the first-passage inversion ``L_t = ((t - H_0)^+ / tau_1)^alpha``
     with independent exact draws of the hitting time and of ``tau_1`` —
     valid for the one-time marginal via the self-similarity of the
     inverse-local-time subordinator.
+    ``seed`` is anything :func:`numpy.random.default_rng` takes, a
+    ``Generator`` included.
     """
     alpha = _require_preset(spec, "exact local-time sampling")
     if not 0 < t < math.inf:
         raise DomainError("t must be positive and finite")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    h = sample_hitting_time(spec, x, n, rng=rng)
-    tau1 = sample_tau(spec, 1.0, n, rng=rng).values
+    rng = np.random.default_rng(seed)
+    h = sample_hitting_time(spec, x, n, seed=rng)
+    tau1 = sample_tau(spec, 1.0, n, seed=rng).values
     return (np.maximum(t - h, 0.0) / tau1) ** alpha
 
 
-def sample_brownian_state(u: float, n: int, rng=None, seed=None) -> dict:
+def sample_brownian_state(u: float, n: int, seed=None) -> dict:
     """Exact joint draw of (last zero, local time, position) at time ``u``
     for reflected Brownian motion from 0.
 
     The last zero is ``u * Beta(1/2, 1/2)``; the local time accrued by
     then is Rayleigh(sqrt(g)); the position is an independent meander
     endpoint, Rayleigh(sqrt(u - g)).
+    ``seed`` is anything :func:`numpy.random.default_rng` takes, a
+    ``Generator`` included.
     """
     if not 0 < u < math.inf:
         raise DomainError("u must be positive and finite")
     _check_count(n)
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     g = u * rng.beta(0.5, 0.5, size=n)
     loc = rng.rayleigh(scale=np.sqrt(g))
     pos = rng.rayleigh(scale=np.sqrt(np.maximum(u - g, 0.0)))
@@ -563,7 +554,7 @@ def estimate_hitting_tail(spec: DiffusionSpec, x: float,
             raise DomainError("t must be finite")
 
     return _tail_estimates(
-        t, check, lambda rng, m: sample_hitting_time(spec, x, m, rng=rng),
+        t, check, lambda rng, m: sample_hitting_time(spec, x, m, seed=rng),
         n, seed, threads)
 
 
@@ -589,8 +580,8 @@ def estimate_localtime_tail(spec: DiffusionSpec, x: float,
             raise DomainError("t must be positive and finite")
 
     def draw(rng, m):
-        s = sample_hitting_time(spec, x, m, rng=rng)
-        s += sample_tau(spec, ell, m, rng=rng).values
+        s = sample_hitting_time(spec, x, m, seed=rng)
+        s += sample_tau(spec, ell, m, seed=rng).values
         return s
 
     return _tail_estimates(t, check, draw, n, seed, threads)
@@ -617,7 +608,7 @@ def levy_exponent_mc(spec: DiffusionSpec, lam: float | Sequence[float],
     live = [v for v in lams if v != 0.0]
 
     def sample(rng, m):
-        tau = sample_tau(spec, ell, m, rng=rng).values
+        tau = sample_tau(spec, ell, m, seed=rng).values
         return (np.exp(-v * tau) for v in live)
 
     moments = iter(_sample_means(n, seed, sample, threads) if live else ())

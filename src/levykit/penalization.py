@@ -271,7 +271,7 @@ def penalized_expectation(spec: DiffusionSpec, weight: WeightFunction,
         raise DomainError("u must be positive")
 
     def sample(rng, m):
-        st = mc.sample_brownian_state(u, m, rng=rng)
+        st = mc.sample_brownian_state(u, m, seed=rng)
         w = martingale_value(spec, weight, st["position"],
                              st["local_time"])
         f = np.asarray(functional(st["position"], st["local_time"]),
@@ -299,11 +299,10 @@ def penalization_horizon(spec: DiffusionSpec, weight: WeightFunction,
     alpha = mc._require_preset(spec, "horizon estimation")
     if not 0 < tol < 1:
         raise DomainError("tol must be in (0, 1)")
-    if n < 1:
-        raise DomainError("need at least one path")
+    mc._check_paths(n)
     rng = np.random.default_rng(seed)
     y = weight.sample(n, rng)
-    tau1 = mc.sample_tau(spec, 1.0, n, rng=rng, threads=threads).values
+    tau1 = mc.sample_tau(spec, 1.0, n, seed=rng, threads=threads).values
     tau_y = y ** (1.0 / alpha) * tau1
     for u in _HORIZONS:
         leftover = int(np.count_nonzero(tau_y > u)) / n
@@ -397,7 +396,7 @@ def linfty_law_check(spec: DiffusionSpec, weight: WeightFunction,
     grid = np.linspace(0.0, weight.support_end, grid_points)
 
     def worker(rng, m):
-        st = mc.sample_brownian_state(u, m, rng=rng)
+        st = mc.sample_brownian_state(u, m, seed=rng)
         w = martingale_value(spec, weight, st["position"],
                              st["local_time"])
         return (*_weights_below(grid, st["local_time"], w, w * w),
@@ -453,6 +452,7 @@ def post_lastzero_marginal_check(weight: WeightFunction, v: float = 1.0,
         raise DomainError("v must be positive")
     if n < batches:
         raise DomainError(f"need n >= {batches}, one path per batch")
+    mc._check_paths(n)
     if u is None:
         u = _certified_horizon(spec, weight, 0.01)
     if u <= v:
@@ -508,7 +508,7 @@ def post_lastzero_marginal_check(weight: WeightFunction, v: float = 1.0,
 # ---------------------------------------------------------------------------
 
 def uparrow_density(spec: DiffusionSpec, x: float, y: float, t: float,
-                    measure=None, tol: float = 1e-9) -> float:
+                    measure=None) -> float:
     """Transition density of the upward-conditioned diffusion wrt its
     own speed measure ``S^2 m``: ``phat(t; x, y) / (S(x) S(y))``, with
     the ``x = 0`` limit ``(hitting density from y) / S(y)``."""
@@ -519,14 +519,13 @@ def uparrow_density(spec: DiffusionSpec, x: float, y: float, t: float,
         if spec.is_preset and measure is None:
             f = spec.oracles.hitting_density(y, t)
         else:
-            f = spectral.hitting_density(spec, y, t, measure=measure,
-                                         tol=tol)
+            f = spectral.hitting_density(spec, y, t, measure=measure)
         return f / sy
     if spec.is_preset and measure is None:
         ph = spec.oracles.killed_density(t, x, y)
     else:
         ph = spectral.transition_density(spec, x, y, t, killed=True,
-                                         measure=measure, tol=tol)
+                                         measure=measure)
     return ph / (float(spec.scale(x)) * sy)
 
 

@@ -60,7 +60,7 @@ class TailDistribution:
             raise DomainError("grid and tail must match, length >= 8")
         if g[0] <= 0 or not np.all(np.diff(g) > 0):
             raise DomainError("grid must be positive and increasing")
-        if np.any(tl < 0) or np.any(tl > 1.0 + 1e-12):
+        if not np.all((tl >= 0) & (tl <= 1.0 + 1e-12)):
             raise DomainError("tail values must lie in [0, 1]")
         if np.any(np.diff(tl) > 1e-12):
             raise DomainError("tail values must be non-increasing")
@@ -93,44 +93,40 @@ class TailDistribution:
         return out[()] if out.ndim == 0 else out
 
 
-def pareto_tail(alpha: float, scale: float = 1.0,
-                grid=None) -> TailDistribution:
+def pareto_tail(alpha: float, scale: float = 1.0) -> TailDistribution:
     """Pareto survival ``(scale/x)^alpha`` for ``x >= scale`` (1 below).
 
     Subexponential for every ``alpha > 0``; the workhorse positive control.
     """
-    if alpha <= 0 or scale <= 0:
-        raise DomainError("alpha and scale must be positive")
-    g = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
+    if not (0 < alpha < math.inf and 0 < scale < math.inf):
+        raise DomainError("alpha and scale must be positive and finite")
 
     def sf(x):
         x = np.asarray(x, dtype=float)
         return np.where(x <= scale, 1.0,
                         (scale / np.maximum(x, scale)) ** alpha)
 
-    return TailDistribution(grid=g, tail=sf(g), analytic_tail=sf,
-                            name=f"pareto({alpha:g})")
+    return TailDistribution(grid=DEFAULT_GRID, tail=sf(DEFAULT_GRID),
+                            analytic_tail=sf, name=f"pareto({alpha:g})")
 
 
-def exponential_tail(rate: float = 1.0, grid=None) -> TailDistribution:
+def exponential_tail(rate: float = 1.0) -> TailDistribution:
     """Exponential survival ``e^{-rate x}``; the light-tail negative control."""
-    if rate <= 0:
-        raise DomainError("rate must be positive")
-    g = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
+    if not 0 < rate < math.inf:
+        raise DomainError("rate must be positive and finite")
 
     def sf(x):
         return np.exp(-rate * np.asarray(x, dtype=float))
 
-    return TailDistribution(grid=g, tail=sf(g), analytic_tail=sf,
-                            name=f"exp({rate:g})")
+    return TailDistribution(grid=DEFAULT_GRID, tail=sf(DEFAULT_GRID),
+                            analytic_tail=sf, name=f"exp({rate:g})")
 
 
-def scaled_tail(F: TailDistribution, c: float,
-                name: Optional[str] = None) -> TailDistribution:
+def scaled_tail(F: TailDistribution, c: float) -> TailDistribution:
     """Survival ``min(1, c * Fbar)`` — a tail-equivalent companion with
     ``Gbar/Fbar -> c``, handy for two-distribution ratio experiments."""
-    if c <= 0:
-        raise DomainError("c must be positive")
+    if not 0 < c < math.inf:
+        raise DomainError("c must be positive and finite")
     sf = None
     if F.analytic_tail is not None:
         def sf(x):
@@ -139,7 +135,7 @@ def scaled_tail(F: TailDistribution, c: float,
     return TailDistribution(grid=F.grid,
                             tail=np.minimum(1.0, c * F.tail),
                             analytic_tail=sf,
-                            name=name or f"{c:g}*{F.name}")
+                            name=f"{c:g}*{F.name}")
 
 
 def hitting_tail_distribution(spec, x: float, grid=None,
@@ -273,8 +269,8 @@ def tauberian_ratio(mu_density: Callable, g1: Callable, g2: Callable,
     1 as ``lam`` grows — the mechanism that converts spectral-measure
     behaviour at 0 into large-time tail asymptotics.
     """
-    if lam <= 0:
-        raise DomainError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise DomainError("lambda must be positive and finite")
 
     def laplace(gfun):
         def integrand(g):

@@ -14,15 +14,18 @@ METRICS = [{"name": "work_per_s", "better": "higher", "bound": 0.25},
            {"name": "op_p50_ms", "better": "lower", "bound": 0.25}]
 
 
-def write_runs(directory, workload, rows, failed=0, passes=4):
+def write_runs(directory, workload, rows, failed=0, passes=4,
+               calls=("cli.tails",)):
     """One result file per ``(seed, work_per_s, op_p50_ms)`` row, each run
-    of ``passes`` passes of 25 calls."""
+    of ``passes`` passes of 25 calls, in which each of ``calls`` takes
+    ``op_p50_ms`` a pass."""
     directory.mkdir(exist_ok=True)
     for seed, rate, p50 in rows:
         doc = {"correct": failed == 0, "attempted": 25 * passes,
                "failed": failed, "counters": {"passes": passes},
                "metrics": {"work_per_s": {"value": rate, "unit": "1/s"},
-                           "op_p50_ms": {"value": p50, "unit": "ms"}}}
+                           "op_p50_ms": {"value": p50, "unit": "ms"}},
+               "seconds_by_call": {c: p50 * passes / 1e3 for c in calls}}
         name = f"result-{workload}-seed{seed}-trace0.json"
         (directory / name).write_text(json.dumps(doc))
     # a traced run is not an end-to-end result and is never paired
@@ -127,6 +130,31 @@ def test_workload_without_pairs_gets_one_row(tmp_path, capsys):
     assert rows[("custom", "work_per_s")][6] == "1/1"
 
 
+def test_calls_compare_in_ms_per_pass(tmp_path, capsys):
+    # the change fits twice the passes into a run: its seconds per call
+    # grow, but each call's time per pass falls by 1 ms; a call that
+    # the change no longer makes has no row
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_runs(parent, "exact", [(s, 10.0, 5.0 + s) for s in (1, 2, 3)],
+               passes=4, calls=("sample_tau", "gone"))
+    write_runs(change, "exact", [(s, 20.0, 4.0 + s) for s in (1, 2, 3)],
+               passes=8, calls=("sample_tau",))
+    rows = []
+    code = bench_compare.main([str(parent), str(change), "--benchmark",
+                               str(write_benchmark(tmp_path))])
+    bench_compare.report_calls(bench_compare.load_runs(parent),
+                               bench_compare.load_runs(change), rows)
+    printed = table(capsys)
+    assert code == 0
+    assert printed[("exact", "work_per_s")][9] == "4/8"
+    call = printed[("exact", "sample_tau")]
+    assert call[2:7] == ["3", "7 [6.5, 7.5]", "6 [5.5, 6.5]", "0.857", "3/3"]
+    assert not any(key[1:] == ("gone",) for key in printed)
+    assert [(r["table"], r["metric"], r["seeds"]) for r in rows] \
+        == [("per_call", "sample_tau", [1, 2, 3])]
+    assert rows[0]["change"] == {"q1": 5.5, "median": 6.0, "q3": 6.5}
+
+
 def write_benchmark(tmp_path):
     path = tmp_path / "BENCHMARK.json"
     path.write_text(json.dumps({"end_to_end": METRICS}))
@@ -199,11 +227,13 @@ def test_json_keeps_every_compared_row(tmp_path, capsys):
     assert set(rows) == {("end_to_end", "custom", "work_per_s"),
                          ("end_to_end", "custom", "op_p50_ms"),
                          ("end_to_end", "paths", None),
+                         ("per_call", "custom", "cli.tails"),
                          ("per_layer", None, "cli.tails.ms")}
     rate = rows[("end_to_end", "custom", "work_per_s")]
     assert (rate["pairs"], rate["won"], rate["flag"]) == (10, 10, "gain")
     assert rate["parent"] == {"q1": 152.25, "median": 154.5, "q3": 156.75}
     assert rate["failures_per_pass"] == {"parent": 0.0, "change": 0.25}
+    assert rate["passes_per_run"] == {"parent": 4, "change": 4}
     assert "154.5 [152.2, 156.8]" in printed
     assert rows[("end_to_end", "custom", "op_p50_ms")]["flag"] == "WORSE"
     assert rows[("end_to_end", "paths", None)]["flag"] == "no pairs"

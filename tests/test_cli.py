@@ -127,6 +127,16 @@ def test_penalize_lawcheck_meta(capsys):
                               "target_cdf", "gap"]
 
 
+@pytest.mark.parametrize("command", ["horizon", "lawcheck"])
+def test_one_weight_commands_refuse_a_second_weight(capsys, command):
+    # the second --weight was silently dropped
+    code, out, err = run_cli(capsys, "penalize", command, "--weight",
+                             "indicator:1", "--weight", "triangular:2",
+                             "--n", "2000")
+    assert code == 2 and out == ""
+    assert f"penalize {command} takes one --weight" in err
+
+
 def test_penalize_martingale_weights(capsys):
     code, out, _ = run_cli(capsys, "penalize", "martingale", "--spec",
                            "brownian", "--weight", "indicator:1",
@@ -178,6 +188,8 @@ def test_tau_without_paths_exits_2(capsys, n):
     ("density", "--t", "1", "--x", "inf"),
     ("eigen", "--x", "1", "--gamma", "nan"),
     ("mc", "hitting-tail", "--x", "1", "--t", "nan", "--n", "10"),
+    ("subexp-check", "--tail", "pareto:nan", "--x", "10"),
+    ("subexp-check", "--tail", "exp:inf", "--x", "10"),
 ])
 def test_non_finite_input_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -418,8 +430,9 @@ def help_text(capsys, command):
 def test_monte_carlo_commands_take_no_tol(capsys, command):
     text = help_text(capsys, command)
     assert "--tol" not in text
-    assert ("--threads THREADS worker threads (default LEVYKIT_THREADS, "
-            "else every CPU this process may run on;") in text
+    assert ("--threads THREADS worker threads (default every CPU this "
+            "process may run on; results do not depend on the thread "
+            "count)") in text
 
 
 # every seeded command, with the argv it needs; --dt only where a row

@@ -29,13 +29,13 @@ B15 = bessel_spec(1.5)
 
 def test_hitting_time_sampler_matches_tail():
     rng = np.random.default_rng(12)
-    h = mc.sample_hitting_time(B15, 1.0, 200_000, rng=rng)
+    h = mc.sample_hitting_time(B15, 1.0, 200_000, seed=rng)
     emp = float((h > 2.0).mean())
     exact = float(gammainc(0.25, 1.0 / 4.0))
     se = math.sqrt(exact * (1 - exact) / 200_000)
     assert abs(emp - exact) < 4 * se
     assert np.all(mc.sample_hitting_time(BM, 0.0, 5,
-                                         rng=np.random.default_rng(0))
+                                         seed=np.random.default_rng(0))
                   == 0.0)
 
 
@@ -110,7 +110,7 @@ def test_local_time_boundary_atom():
 
 def test_brownian_state_second_moments():
     st = mc.sample_brownian_state(2.0, 200_000,
-                                  rng=np.random.default_rng(11))
+                                  seed=np.random.default_rng(11))
     # E L_u^2 = u and E X_u^2 = u
     for key in ("local_time", "position"):
         vals = st[key] ** 2
@@ -315,39 +315,39 @@ def test_estimator_determinism_and_thread_invariance():
     assert d.mean != a.mean
 
 
-def test_resolve_threads_env(monkeypatch):
-    monkeypatch.delenv("LEVYKIT_THREADS", raising=False)
+def test_resolve_threads_env():
     assert mc.resolve_threads(None) == len(os.sched_getaffinity(0))
-    monkeypatch.setenv("LEVYKIT_THREADS", "3")
-    assert mc.resolve_threads(None) == 3
     assert mc.resolve_threads(2) == 2
 
 
-@pytest.mark.parametrize("value", ["two", "1.5", "-1", "2x", "-"])
-def test_bad_threads_env_is_a_domain_error(monkeypatch, value):
-    monkeypatch.setenv("LEVYKIT_THREADS", value)
-    with pytest.raises(DomainError, match="LEVYKIT_THREADS"):
-        mc.resolve_threads(None)
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a pool was started")
 
 
-def test_one_slice_does_not_read_the_threads_env(monkeypatch):
-    # a draw of one slice runs serially, so a malformed LEVYKIT_THREADS
-    # only matters where a pool could start
-    monkeypatch.setenv("LEVYKIT_THREADS", "two")
-    assert mc.sample_tau(BM, 1.0, mc.DEFAULT_CHUNK, seed=1).values.size \
-        == mc.DEFAULT_CHUNK
-    with pytest.raises(DomainError, match="LEVYKIT_THREADS"):
-        mc.sample_tau(BM, 1.0, mc.DEFAULT_CHUNK + 1, seed=1)
+def test_one_slice_starts_no_pool(monkeypatch):
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", _no_pool)
+    assert mc.sample_tau(BM, 1.0, mc.DEFAULT_CHUNK, seed=1,
+                         threads=2).values.size == mc.DEFAULT_CHUNK
 
 
 def test_threads_env_one_runs_serially(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started at LEVYKIT_THREADS=1")
-
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setenv("LEVYKIT_THREADS", "1")
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", _no_pool)
     n = 3 * mc.DEFAULT_CHUNK
-    assert mc.estimate_hitting_tail(B15, 1.0, 2.0, n, seed=1).n_paths == n
+    assert mc.estimate_hitting_tail(B15, 1.0, 2.0, n, seed=1,
+                                    threads=1).n_paths == n
+
+
+@pytest.mark.parametrize("draw", [
+    lambda seed: mc.sample_hitting_time(B15, 1.0, 50, seed=seed),
+    lambda seed: mc.sample_tau(B15, 1.5, 50, seed=seed).values,
+    lambda seed: mc.sample_local_time(B15, 1.0, 2.0, 50, seed=seed),
+    lambda seed: np.concatenate(list(
+        mc.sample_brownian_state(2.0, 50, seed=seed).values())),
+], ids=["hitting", "tau", "local_time", "brownian_state"])
+def test_a_generator_seed_draws_what_its_integer_draws(draw):
+    a = draw(7)
+    b = draw(np.random.default_rng(7))
+    assert a.tobytes() == b.tobytes()
 
 
 def test_pool_is_no_larger_than_the_chunk_count(monkeypatch):

@@ -166,6 +166,19 @@ def test_horizon_without_paths_is_a_domain_error(n):
         pz.penalization_horizon(BM, pz.indicator_weight(1.0), n=n, seed=4)
 
 
+@pytest.mark.parametrize("n", [2.5, 20.5])
+@pytest.mark.parametrize("check", [
+    lambda n: pz.penalization_horizon(BM, pz.indicator_weight(1.0), 0.01,
+                                      n=n, seed=0),
+    lambda n: pz.post_lastzero_marginal_check(pz.indicator_weight(1.0),
+                                              u=5.0, n=n, seed=0),
+], ids=["horizon", "post_lastzero"])
+def test_a_fractional_path_count_is_a_domain_error(check, n):
+    # these draw one stream, not chunks, and raised numpy's TypeError
+    with pytest.raises(DomainError):
+        check(n)
+
+
 @settings(max_examples=200, deadline=None)
 @given(ell0=st.floats(0.1, 10.0), log_u=st.floats(-2.0, 8.0))
 def test_leftover_error_brackets_the_indicator_closed_form(ell0, log_u):

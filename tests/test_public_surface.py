@@ -3,6 +3,8 @@ deletion cannot leave a stale entry behind."""
 
 import ast
 import importlib
+import inspect
+import math
 import os
 import pkgutil
 import subprocess
@@ -93,6 +95,7 @@ def test_import_leaves_heavy_scipy_modules_out():
 
 
 def _nan_calls():
+    from levykit import diffusions
     from levykit import penalization as pz
     from levykit import spectral as sp
     from levykit import subexp as sx
@@ -112,6 +115,7 @@ def _nan_calls():
         "levy_exponent_from_measure":
             lambda v: sp.levy_exponent_from_measure(killed, v),
         "uparrow_mass": lambda v: pz.uparrow_mass(bm, v),
+        "series_bound_base": lambda v: diffusions.series_bound_base(bm, v),
     }
 
 
@@ -122,3 +126,48 @@ def test_nan_inputs_are_domain_errors(name):
     from levykit.errors import DomainError
     with pytest.raises(DomainError):
         _nan_calls()[name](float("nan"))
+
+
+def _record_calls(path: Path, passed: dict) -> None:
+    """Add to ``passed[name]`` the most positional arguments and every
+    keyword that a call of ``name`` in ``path`` passes; a call with
+    ``*args`` or ``**kwargs`` passes everything."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            name = func.id
+        elif isinstance(func, ast.Attribute):
+            name = func.attr
+        else:
+            continue
+        npos, keywords = passed.setdefault(name, (0, set()))
+        if any(isinstance(a, ast.Starred) for a in node.args) or \
+                any(k.arg is None for k in node.keywords):
+            npos = math.inf
+        keywords.update(k.arg for k in node.keywords)
+        passed[name] = (max(npos, len(node.args)), keywords)
+
+
+def test_every_option_is_passed_somewhere():
+    # a parameter with a default that no call passes, tests included, is
+    # an option nothing needs
+    repo = Path(__file__).resolve().parents[1]
+    passed = {}
+    for folder in ("src/levykit", "bench", "demos", "tools", "tests"):
+        for f in (repo / folder).rglob("*.py"):
+            _record_calls(f, passed)
+    unused = []
+    for name in MODULES:
+        module = importlib.import_module(f"levykit.{name}")
+        for fname in getattr(module, "__all__", ()):
+            func = getattr(module, fname)
+            if not inspect.isfunction(func):
+                continue
+            npos, keywords = passed.get(fname, (0, set()))
+            params = inspect.signature(func).parameters.values()
+            unused += [f"{fname}.{p.name}" for i, p in enumerate(params)
+                       if p.default is not p.empty and p.name not in keywords
+                       and (p.kind is p.KEYWORD_ONLY or i >= npos)]
+    assert unused == []

@@ -118,9 +118,7 @@ def _bits(result):
 
 @pytest.mark.parametrize("threads", [1, 2, None])
 @pytest.mark.parametrize("name", sorted(ESTIMATORS))
-def test_seeded_bits_pinned(name, threads, monkeypatch):
-    # threads=None with LEVYKIT_THREADS unset: every CPU the process may use
-    monkeypatch.delenv("LEVYKIT_THREADS", raising=False)
+def test_seeded_bits_pinned(name, threads):
     assert _bits(ESTIMATORS[name](threads)) == EXPECTED[name]
 
 

@@ -37,6 +37,8 @@ def test_table_tail_validation():
     grid = np.linspace(1, 10, 40)
     with pytest.raises(DomainError):
         sx.TailDistribution(grid, np.linspace(1.2, 0.1, 40))  # > 1
+    with pytest.raises(DomainError):
+        sx.TailDistribution(grid, np.full(40, math.nan))  # not finite
 
 
 def test_table_tail_range_guard():
@@ -45,6 +47,22 @@ def test_table_tail_range_guard():
     assert math.isclose(float(F.value(3.0)), math.exp(-3.0), rel_tol=1e-3)
     with pytest.raises(RangeError):
         F.value(25.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda v: sx.pareto_tail(v),
+    lambda v: sx.pareto_tail(1.0, scale=v),
+    lambda v: sx.exponential_tail(v),
+    lambda v: sx.scaled_tail(sx.pareto_tail(1.0), v),
+    lambda v: sx.tauberian_ratio(lambda g: 1.0, lambda g: 1.0,
+                                 lambda g: 1.0, v),
+], ids=["pareto", "pareto_scale", "exponential", "scaled", "tauberian"])
+def test_non_finite_parameters_are_domain_errors(call, value):
+    # a NaN passed every sign check and built a table of NaNs; an infinite
+    # rate gave a zero tail, an infinite scale a divide warning
+    with pytest.raises(DomainError, match="finite"):
+        call(value)
 
 
 def test_scaled_tail_clips_at_one():

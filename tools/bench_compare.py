@@ -21,17 +21,24 @@ pairs the change won (ties count for neither side).  The flag column reads
   never read as a gain: three pairs all won happen one time in eight by
   chance alone.
 
-A last column gives the failed calls per pass on each side: a run's
-``failed`` over its ``counters.passes``, averaged over the pairs.
+Two last columns give the failed calls per pass on each side (a run's
+``failed`` over its ``counters.passes``, averaged over the pairs) and each
+side's median ``counters.passes``: a faster run fits more passes into the
+same time, and keeps more records.
 
-When both sides have traced (``trace1``) runs, a second table does the
+A second table, from the same untraced pairs, gives each call's
+``seconds_by_call`` entry over its run's passes, in milliseconds per pass:
+each side's median and quartiles, the ratio, the pairs the change won, and
+``WORSE`` at 10% of the parent's median.  A call missing from any run of a
+workload is skipped.  It locates the call behind a moved ``op_p50_ms``.
+
+When both sides have traced (``trace1``) runs, a third table does the
 same for every per-layer metric of ``BENCHMARK.json``, over all traced
 pairs at once (each traced run measures every layer, whatever its
-workload), with ``WORSE`` at 10% of the parent's median.  It locates where
-a change saves or costs time; a per-layer value comes from one traced pass
-and has no bound in ``BENCHMARK.json``, so it does not gate.  The exit code
-is 1 when an end-to-end row reads ``WORSE`` or the change fails more
-calls per pass, else 0.  With ``--json PATH`` every compared row of both
+workload).  A per-call or per-layer value has no bound in
+``BENCHMARK.json``, so neither table gates.  The exit code is 1 when an
+end-to-end row reads ``WORSE`` or the change fails more calls per pass,
+else 0.  With ``--json PATH`` every compared row of the three
 tables is also written to ``PATH``, with the seeds of its pairs (``[workload,
 seed]`` pairs in the per-layer table, which pools workloads), with
 ``os.cpu_count()`` and with each side's commit: ``git rev-parse HEAD`` of
@@ -115,6 +122,10 @@ def failures_per_pass(doc: dict) -> float:
     return doc["failed"] / doc["counters"]["passes"]
 
 
+def ms_per_pass(doc: dict, call: str) -> float:
+    return 1e3 * doc["seconds_by_call"][call] / doc["counters"]["passes"]
+
+
 def _cell(q: tuple) -> str:
     q1, med, q3 = q
     return f"{med:.4g} [{q1:.4g}, {q3:.4g}]"
@@ -145,15 +156,16 @@ def report(parent_runs: dict, change_runs: dict, metrics: list,
     ok = True
     print("| workload | metric | pairs | parent median [q1, q3] "
           "| change median [q1, q3] | change/parent | change won | flag "
-          "| failures per pass parent/change |")
-    print("|---|---|---|---|---|---|---|---|---|")
+          "| failures per pass parent/change | passes per run parent/change "
+          "|")
+    print("|---|---|---|---|---|---|---|---|---|---|")
     workloads = sorted({w for w, _ in parent_runs}
                        | {w for w, _ in change_runs})
     for workload in workloads:
         seeds = sorted(s for w, s in parent_runs
                        if w == workload and (w, s) in change_runs)
         if not seeds:
-            print(f"| {workload} | - | 0 | | | | | no pairs | |")
+            print(f"| {workload} | - | 0 | | | | | no pairs | | |")
             rows.append({"table": "end_to_end", "workload": workload,
                          "metric": None, "pairs": 0, "flag": "no pairs"})
             continue
@@ -161,6 +173,8 @@ def report(parent_runs: dict, change_runs: dict, metrics: list,
                 for s in seeds]
         fails = [sum(map(failures_per_pass, side)) / len(docs)
                  for side in zip(*docs)]
+        passes = [statistics.median(d["counters"]["passes"] for d in side)
+                  for side in zip(*docs)]
         if fails[1] > fails[0]:
             ok = False
         for metric in metrics:
@@ -170,13 +184,46 @@ def report(parent_runs: dict, change_runs: dict, metrics: list,
             row = compare_metric(pairs, metric["better"], metric["bound"])
             ok = ok and row["flag"] != "WORSE"
             print(f"| {workload} | {name} | {row['pairs']} | {_summary(row)} "
-                  f"| {fails[0]:.3g}/{fails[1]:.3g} |")
+                  f"| {fails[0]:.3g}/{fails[1]:.3g} "
+                  f"| {passes[0]:.4g}/{passes[1]:.4g} |")
             rows.append(_record(
                 row, table="end_to_end", workload=workload, metric=name,
                 seeds=seeds,
                 failures_per_pass={"parent": fails[0],
-                                   "change": fails[1]}))
+                                   "change": fails[1]},
+                passes_per_run={"parent": passes[0], "change": passes[1]}))
     return ok
+
+
+def report_calls(parent_runs: dict, change_runs: dict,
+                 rows: Optional[list] = None) -> None:
+    """Print the per-call table over the untraced pairs, if there is one:
+    milliseconds per pass of each ``seconds_by_call`` entry that every run
+    of the workload has.  Each row is also appended to ``rows``, if
+    given."""
+    rows = [] if rows is None else rows
+    keys = sorted(set(parent_runs) & set(change_runs))
+    if not keys:
+        return
+    print()
+    print("| workload | call | pairs | parent ms/pass [q1, q3] "
+          "| change ms/pass [q1, q3] | change/parent | change won "
+          f"| flag (worse at {LAYER_BOUND:.0%}) |")
+    print("|---|---|---|---|---|---|---|---|")
+    for workload in sorted({w for w, _ in keys}):
+        seeds = [s for w, s in keys if w == workload]
+        docs = [(parent_runs[(workload, s)], change_runs[(workload, s)])
+                for s in seeds]
+        calls = set.intersection(*(set(d["seconds_by_call"])
+                                   for pair in docs for d in pair))
+        for call in sorted(calls):
+            pairs = [(ms_per_pass(p, call), ms_per_pass(c, call))
+                     for p, c in docs]
+            row = compare_metric(pairs, "lower", LAYER_BOUND)
+            print(f"| {workload} | {call} | {row['pairs']} "
+                  f"| {_summary(row)} |")
+            rows.append(_record(row, table="per_call", workload=workload,
+                                metric=call, seeds=seeds))
 
 
 def report_layers(parent_runs: dict, change_runs: dict, metrics: list,
@@ -230,8 +277,9 @@ def main(argv=None) -> int:
                          "directory: it is outside a git checkout")
     metrics = json.loads(args.benchmark.read_text(encoding="utf-8"))
     rows = []
-    ok = report(load_runs(args.parent), load_runs(args.change),
-                metrics["end_to_end"], rows)
+    parent_runs, change_runs = load_runs(args.parent), load_runs(args.change)
+    ok = report(parent_runs, change_runs, metrics["end_to_end"], rows)
+    report_calls(parent_runs, change_runs, rows)
     report_layers(load_runs(args.parent, trace=1),
                   load_runs(args.change, trace=1),
                   metrics.get("per_layer", []), rows)

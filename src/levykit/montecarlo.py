@@ -30,13 +30,23 @@ order — so results are bit-identical for a given seed regardless of the
 thread count.  A single-stream ``sample_tau`` draws from its one stream
 in order and runs only Kanter's elementwise transform in chunk-sized
 slices on the pool, so it too is bit-identical at any thread count.
+A chunked entry point's ``seed`` is what ``SeedSequence`` takes (None, an
+integer >= 0 or a sequence of them), a sampler's what ``default_rng``
+takes; any other seed is a :class:`~levykit.errors.DomainError`.
+
+The pool lives for the process: each worker count gets one
+``ThreadPoolExecutor`` on first use, and later calls reuse it.  A call
+made from inside a pool worker (a functional that itself samples, say)
+runs its jobs serially, so it never waits on a pool whose workers wait on
+it; the results are the same bits.  A forked child starts its own pool.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -78,12 +88,14 @@ def resolve_threads(threads: Optional[int] = None) -> int:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """A Monte Carlo point estimate with its standard error."""
+    """A Monte Carlo point estimate with its standard error; ``seed`` is
+    the ``seed`` argument as given: None, an integer or a sequence of
+    integers."""
 
     mean: float
     std_error: float
     n_paths: int
-    seed: Optional[int] = None
+    seed: object = None
 
 
 @dataclass(frozen=True)
@@ -108,6 +120,31 @@ def _check_paths(n) -> None:
         raise DomainError(f"need at least one path, got n={n!r}")
 
 
+_CHUNK_SEEDS = "None, an integer >= 0 or a sequence of them"
+_STREAM_SEEDS = (_CHUNK_SEEDS
+                 + ", a SeedSequence, a BitGenerator or a Generator")
+
+
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """The root of a chunked entry point's streams; a seed that
+    :class:`numpy.random.SeedSequence` refuses is a :class:`DomainError`."""
+    try:
+        return np.random.SeedSequence(seed)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"seed must be {_CHUNK_SEEDS}, got {seed!r}") \
+            from exc
+
+
+def _default_rng(seed) -> np.random.Generator:
+    """The one stream of a sampler; a seed that
+    :func:`numpy.random.default_rng` refuses is a :class:`DomainError`."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"seed must be {_STREAM_SEEDS}, got {seed!r}") \
+            from exc
+
+
 def _chunk_sizes(n: int) -> list:
     _check_paths(n)
     sizes = [DEFAULT_CHUNK] * (n // DEFAULT_CHUNK)
@@ -116,17 +153,51 @@ def _chunk_sizes(n: int) -> list:
     return sizes
 
 
+_POOLS: dict = {}          # worker count -> this process's kept pool
+_IN_WORKER = threading.local()
+
+
+def _mark_worker() -> None:
+    _IN_WORKER.active = True
+
+
+def _forget_pools() -> None:
+    """In a forked child: the parent's workers did not come along, so drop
+    their pools, and the forking thread is no pool worker here."""
+    _POOLS.clear()
+    _IN_WORKER.active = False
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pools)
+
+
 def _pool_map(fn: Callable, jobs: Sequence, threads: Optional[int]) -> list:
     """``[fn(*job) for job in jobs]``, in order, on a pool of at most
     ``min(threads, len(jobs))`` threads; serial when that is 1.  One job
-    or none runs serially without reading ``threads``."""
+    or none runs serially without reading ``threads``.
+
+    Each worker count has one pool, kept for the life of the process.  A
+    call from inside a pool worker runs serially, so a nested call never
+    waits on workers that are all waiting on it; chunk order fixes the
+    results, so they are the same bits.
+    """
     nthreads = min(resolve_threads(threads), len(jobs)) if len(jobs) > 1 \
         else 1
-    if nthreads == 1:
+    if nthreads == 1 or getattr(_IN_WORKER, "active", False):
         return [fn(*job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=nthreads) as pool:
-        futures = [pool.submit(fn, *job) for job in jobs]
+    pool = _POOLS.get(nthreads)
+    if pool is None:
+        pool = _POOLS.setdefault(nthreads, ThreadPoolExecutor(
+            nthreads, thread_name_prefix="levykit",
+            initializer=_mark_worker))
+    futures = [pool.submit(fn, *job) for job in jobs]
+    try:
         return [f.result() for f in futures]
+    finally:    # after a job raised, no other one outlives the call
+        for f in futures:
+            f.cancel()
+        wait(futures)
 
 
 def _run_chunked(n: int, seed, worker: Callable,
@@ -138,7 +209,7 @@ def _run_chunked(n: int, seed, worker: Callable,
     deterministic for a given seed.
     """
     sizes = _chunk_sizes(n)
-    streams = np.random.SeedSequence(seed).spawn(len(sizes))
+    streams = _seed_sequence(seed).spawn(len(sizes))
     return _pool_map(worker, [(np.random.default_rng(s), m)
                               for s, m in zip(streams, sizes)], threads)
 
@@ -247,11 +318,13 @@ def sample_hitting_time(spec: DiffusionSpec, x: float, n: int,
     if not 0 <= x < math.inf:
         raise DomainError("x must be nonnegative and finite")
     _check_count(n)
-    rng = np.random.default_rng(seed)
+    rng = _default_rng(seed)
     if x == 0.0:
         return np.zeros(n)
+    g = rng.gamma(alpha, 1.0, size=n)
+    g *= 2.0
     with np.errstate(divide="ignore", over="ignore"):
-        return x * x / (2.0 * rng.gamma(alpha, 1.0, size=n))
+        return np.divide(x * x, g, out=g)
 
 
 def _standard_positive_stable(alpha: float, n: int, rng,
@@ -259,23 +332,43 @@ def _standard_positive_stable(alpha: float, n: int, rng,
     """``n`` draws of ``S`` with ``E exp(-lam S) = exp(-lam^alpha)``, by
     Kanter's representation (Kanter 1975).
 
-    ``theta`` and ``w`` are drawn whole from ``rng``; the transform, which
-    is elementwise, runs on slices of ``DEFAULT_CHUNK`` (on the thread
-    pool when there are several), so the bits do not depend on the
-    slicing or the thread count.  At ``alpha = 1/2`` the two sines are of
-    the same double and are computed once.
+    ``theta`` (drawn into the result, ``pi U``, which is
+    ``uniform(0, pi)`` bit for bit) and ``w`` are drawn whole from
+    ``rng``; the transform, which is elementwise, runs in place on slices
+    of ``DEFAULT_CHUNK`` (on the thread pool when there are several), each
+    with two scratch buffers, and writes each draw over its ``theta``.  So
+    the bits do not depend on the slicing or the thread count.  At
+    ``alpha = 1/2`` the two sines are of the same double and are computed
+    once.
     """
-    theta = rng.uniform(0.0, math.pi, size=n)
+    out = rng.random(n)
+    out *= math.pi
     w = rng.standard_exponential(size=n)
-    out = np.empty(n)
     beta = 1.0 - alpha
 
     def kanter(lo, hi):
-        th = theta[lo:hi]
-        log_sa = np.log(np.sin(alpha * th))
-        log_sb = log_sa if beta == alpha else np.log(np.sin(beta * th))
-        log_a = (alpha * log_sa + beta * log_sb - np.log(np.sin(th))) / beta
-        np.exp(beta / alpha * (log_a - np.log(w[lo:hi])), out=out[lo:hi])
+        th = out[lo:hi]
+        a, b = np.empty(th.size), np.empty(th.size)
+        np.multiply(th, alpha, out=a)
+        np.sin(a, out=a)
+        np.log(a, out=a)                    # log sin(alpha theta)
+        if beta == alpha:
+            np.multiply(a, beta, out=b)
+        else:
+            np.multiply(th, beta, out=b)
+            np.sin(b, out=b)
+            np.log(b, out=b)
+            b *= beta                       # beta log sin(beta theta)
+        a *= alpha
+        a += b
+        np.sin(th, out=b)
+        np.log(b, out=b)
+        a -= b
+        a /= beta                           # log A(theta)
+        np.log(w[lo:hi], out=b)
+        a -= b
+        a *= beta / alpha
+        np.exp(a, out=th)
 
     _pool_map(kanter, [(lo, lo + DEFAULT_CHUNK)
                        for lo in range(0, n, DEFAULT_CHUNK)], threads)
@@ -297,13 +390,14 @@ def sample_tau(spec: DiffusionSpec, ell: float, n: int,
     if not 0 <= ell < math.inf:
         raise DomainError("ell must be nonnegative and finite")
     _check_count(n)
-    rng = np.random.default_rng(seed)
+    rng = _default_rng(seed)
     if ell == 0.0:
         vals = np.zeros(n)
     else:
         kappa = bessel_exponent_constant(alpha)
         scale = (ell * kappa) ** (1.0 / alpha)
-        vals = scale * _standard_positive_stable(alpha, n, rng, threads)
+        vals = _standard_positive_stable(alpha, n, rng, threads)
+        vals *= scale
     return SubordinatorSample(values=vals, ell=float(ell), alpha=alpha,
                               seed=seed)
 
@@ -322,7 +416,7 @@ def sample_local_time(spec: DiffusionSpec, x: float, t: float, n: int,
     alpha = _require_preset(spec, "exact local-time sampling")
     if not 0 < t < math.inf:
         raise DomainError("t must be positive and finite")
-    rng = np.random.default_rng(seed)
+    rng = _default_rng(seed)
     h = sample_hitting_time(spec, x, n, seed=rng)
     tau1 = sample_tau(spec, 1.0, n, seed=rng).values
     return (np.maximum(t - h, 0.0) / tau1) ** alpha
@@ -341,7 +435,7 @@ def sample_brownian_state(u: float, n: int, seed=None) -> dict:
     if not 0 < u < math.inf:
         raise DomainError("u must be positive and finite")
     _check_count(n)
-    rng = np.random.default_rng(seed)
+    rng = _default_rng(seed)
     g = u * rng.beta(0.5, 0.5, size=n)
     loc = rng.rayleigh(scale=np.sqrt(g))
     pos = rng.rayleigh(scale=np.sqrt(np.maximum(u - g, 0.0)))
@@ -520,6 +614,7 @@ def _tail_estimates(t, check: Callable, draw: Callable, n: int, seed,
     ``T``.
     """
     _check_paths(n)
+    _seed_sequence(seed)
     ts, one = _as_list(t)
     for u in ts:
         check(u)
@@ -601,6 +696,7 @@ def levy_exponent_mc(spec: DiffusionSpec, lam: float | Sequence[float],
     if not 0 < ell < math.inf:
         raise DomainError("ell must be positive and finite")
     _check_paths(n)
+    _seed_sequence(seed)
     lams, one = _as_list(lam)
     for v in lams:
         if not 0 <= v < math.inf:

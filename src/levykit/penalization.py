@@ -300,12 +300,13 @@ def penalization_horizon(spec: DiffusionSpec, weight: WeightFunction,
     if not 0 < tol < 1:
         raise DomainError("tol must be in (0, 1)")
     mc._check_paths(n)
-    rng = np.random.default_rng(seed)
+    rng = mc._default_rng(seed)
     y = weight.sample(n, rng)
     tau1 = mc.sample_tau(spec, 1.0, n, seed=rng, threads=threads).values
-    tau_y = y ** (1.0 / alpha) * tau1
+    y **= 1.0 / alpha
+    y *= tau1                   # tau_y
     for u in _HORIZONS:
-        leftover = int(np.count_nonzero(tau_y > u)) / n
+        leftover = int(np.count_nonzero(y > u)) / n
         if leftover < tol:
             if not full:
                 return u
@@ -459,7 +460,7 @@ def post_lastzero_marginal_check(weight: WeightFunction, v: float = 1.0,
         raise DomainError("u must exceed v")
     if not (math.isfinite(u) and math.isfinite(v)):
         raise DomainError("u and v must be finite")
-    rng = np.random.default_rng(seed)
+    rng = mc._default_rng(seed)
     # Maxwell(sqrt(v)) quantiles as scipy.stats.maxwell.ppf forms them
     edges = np.sqrt(2.0 * gammaincinv(1.5, np.linspace(0.0, 1.0, bins + 1))) \
         * math.sqrt(v)

@@ -60,6 +60,8 @@ class TailDistribution:
             raise DomainError("grid and tail must match, length >= 8")
         if g[0] <= 0 or not np.all(np.diff(g) > 0):
             raise DomainError("grid must be positive and increasing")
+        if not math.isfinite(g[-1]):
+            raise DomainError("grid points must be finite")
         if not np.all((tl >= 0) & (tl <= 1.0 + 1e-12)):
             raise DomainError("tail values must lie in [0, 1]")
         if np.any(np.diff(tl) > 1e-12):

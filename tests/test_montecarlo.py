@@ -1,7 +1,10 @@
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,35 +353,174 @@ def test_a_generator_seed_draws_what_its_integer_draws(draw):
     assert a.tobytes() == b.tobytes()
 
 
-def test_pool_is_no_larger_than_the_chunk_count(monkeypatch):
-    workers = []
+_ONE_STREAM = {
+    "sample_hitting_time": lambda s: mc.sample_hitting_time(B15, 1.0, 10,
+                                                            seed=s),
+    "sample_tau": lambda s: mc.sample_tau(B15, 1.5, 10, seed=s),
+    "sample_local_time": lambda s: mc.sample_local_time(B15, 1.0, 2.0, 10,
+                                                        seed=s),
+    "sample_brownian_state": lambda s: mc.sample_brownian_state(2.0, 10,
+                                                                seed=s),
+    "penalization_horizon": lambda s: pz.penalization_horizon(
+        BM, pz.indicator_weight(1.0), 0.5, n=10, seed=s),
+    "post_lastzero_marginal_check": lambda s: pz.post_lastzero_marginal_check(
+        pz.indicator_weight(1.0), u=5.0, n=20, seed=s),
+}
+_CHUNKED = {
+    "estimate_hitting_tail": lambda s: mc.estimate_hitting_tail(
+        B15, 1.0, 2.0, 100, seed=s),
+    "estimate_hitting_tail_no_t": lambda s: mc.estimate_hitting_tail(
+        B15, 1.0, [], 100, seed=s),
+    "estimate_localtime_tail": lambda s: mc.estimate_localtime_tail(
+        B15, 1.0, 2.0, 1.0, 100, seed=s),
+    "levy_exponent_mc": lambda s: mc.levy_exponent_mc(B15, 1.0, n=100,
+                                                      seed=s),
+    "levy_exponent_mc_lam_0": lambda s: mc.levy_exponent_mc(B15, 0.0, n=100,
+                                                            seed=s),
+    "doob_meyer_check": lambda s: mc.doob_meyer_check(
+        BM, [0.1], n_paths=100, dt=0.01, seed=s),
+    "penalized_expectation": lambda s: pz.penalized_expectation(
+        BM, pz.indicator_weight(1.0), 4.0, lambda x, ell: x, n=100, seed=s),
+    "linfty_law_check": lambda s: pz.linfty_law_check(
+        BM, pz.indicator_weight(1.0), n=100, u=4.0, seed=s),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7"], ids=["negative", "float",
+                                                     "str"])
+@pytest.mark.parametrize("call", _ONE_STREAM.values(), ids=_ONE_STREAM)
+def test_a_bad_sampler_seed_is_a_domain_error(call, seed):
+    # numpy's default_rng raised its own ValueError or TypeError
+    with pytest.raises(DomainError, match="a Generator, got"):
+        call(seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, np.random.default_rng(1)],
+                         ids=["negative", "float", "generator"])
+@pytest.mark.parametrize("call", _CHUNKED.values(), ids=_CHUNKED)
+def test_a_bad_chunked_seed_is_a_domain_error(call, seed):
+    # chunks spawn their streams from SeedSequence(seed), which takes no
+    # generator; even a call that draws nothing checks its seed
+    with pytest.raises(DomainError,
+                       match="an integer >= 0 or a sequence of them, got"):
+        call(seed)
+
+
+@pytest.fixture
+def new_pools(monkeypatch):
+    """Start from an empty pool cache, so a pool kept from an earlier call
+    hides nothing; yields the worker count of each pool started."""
+    workers, pools = [], {}
 
     class Recording(ThreadPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             workers.append(max_workers)
-            super().__init__(max_workers=max_workers)
+            super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(mc, "ThreadPoolExecutor", Recording)
-    mc.estimate_hitting_tail(B15, 1.0, 2.0, 2 * mc.DEFAULT_CHUNK, seed=1,
-                             threads=8)
-    assert workers == [2]
+    monkeypatch.setattr(mc, "_POOLS", pools)
+    yield workers
+    for pool in pools.values():
+        pool.shutdown()
 
 
-def test_chunk_workers_start_no_pool_of_their_own(monkeypatch):
+def test_pool_is_no_larger_than_the_chunk_count(new_pools):
+    for _ in range(2):      # the second call reuses the kept pool
+        mc.estimate_hitting_tail(B15, 1.0, 2.0, 2 * mc.DEFAULT_CHUNK,
+                                 seed=1, threads=8)
+    assert new_pools == [2]
+
+
+def test_chunk_workers_start_no_pool_of_their_own(new_pools):
     # a chunk is one slice of the stable transform, so only the chunk
     # pool starts; one stream of three slices starts one pool of three
-    workers = []
-
-    class Recording(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", Recording)
     mc.estimate_localtime_tail(B15, 1.0, 100.0, 1.0, 2 * mc.DEFAULT_CHUNK,
                                seed=1, threads=8)
     mc.sample_tau(BM, 1.0, 2 * mc.DEFAULT_CHUNK + 1, seed=1, threads=8)
-    assert workers == [2, 3]
+    assert new_pools == [2, 3]
+
+
+def _run_isolated(code: str) -> str:
+    """Run ``code`` in a fresh interpreter under a hard timeout, so a hang
+    fails the test instead of stalling the suite; returns its stdout."""
+    src = str(Path(mc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("the call hung")
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+_NESTED = """
+import numpy as np
+from levykit import montecarlo as mc, penalization as pz
+from levykit.diffusions import brownian_spec
+bm = brownian_spec()
+
+def functional(x, ell):
+    tau = mc.sample_tau(bm, 1.0, 60_000, seed=2, threads={threads}).values
+    return x < np.median(tau)
+
+est = pz.penalized_expectation(bm, pz.indicator_weight(1.0), 4.0,
+                               functional, n=50_000, seed=1,
+                               threads={threads})
+print(est.mean.hex(), est.std_error.hex())
+"""
+
+
+def test_a_sampler_called_from_a_chunk_worker_does_not_deadlock():
+    # each chunk's functional samples on the pool the chunk runs on; the
+    # nested call runs serially, with the bits of a serial run
+    one, two = (_run_isolated(_NESTED.format(threads=k)) for k in (1, 2))
+    assert one == two
+
+
+_FORK = """
+import os
+from levykit import montecarlo as mc
+from levykit.diffusions import brownian_spec
+draw = lambda: mc.sample_tau(brownian_spec(), 1.0, 60_000, seed=3,
+                             threads=2).values.tobytes()
+before = draw()
+parent_pool = mc._POOLS[2]
+pid = os.fork()
+if pid == 0:
+    fresh = not mc._POOLS
+    same = draw() == before
+    os._exit(0 if fresh and same and mc._POOLS[2] is not parent_pool
+             else 1)
+print(os.waitpid(pid, 0)[1], mc._POOLS[2] is parent_pool)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_pool():
+    assert _run_isolated(_FORK).split() == ["0", "True"]
+
+
+@pytest.mark.parametrize("call, bound", [
+    (lambda n: mc.sample_tau(BM, 1.0, n, seed=1, threads=1), 2.5),
+    (lambda n: mc.sample_hitting_time(B15, 1.0, n, seed=1), 1.25),
+    (lambda n: pz.penalization_horizon(BM, pz.indicator_weight(1.0), 0.05,
+                                       n=n, seed=1, threads=1), 3.5),
+], ids=["sample_tau", "sample_hitting_time", "penalization_horizon"])
+def test_exact_sampler_peak_memory(call, bound):
+    # in units of one array of n doubles: the stable transform runs in
+    # place over its theta with two slice-sized scratch buffers, and the
+    # hitting time and horizon scale their draws in place
+    n = 200_000
+    call(n)
+    tracemalloc.start()
+    try:
+        call(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * n
 
 
 def test_estimator_input_validation():

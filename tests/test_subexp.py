@@ -39,6 +39,9 @@ def test_table_tail_validation():
         sx.TailDistribution(grid, np.linspace(1.2, 0.1, 40))  # > 1
     with pytest.raises(DomainError):
         sx.TailDistribution(grid, np.full(40, math.nan))  # not finite
+    with pytest.raises(DomainError, match="grid points must be finite"):
+        sx.TailDistribution(np.r_[np.linspace(1, 10, 8), np.inf],
+                            np.r_[np.linspace(1, 0.1, 8), 0.0])
 
 
 def test_table_tail_range_guard():

@@ -276,8 +276,10 @@ LIST_STDOUT_SHA256 = {
 # sha256 of stdout, recorded before the command table replaced the
 # per-command row building; seeded Monte Carlo bytes must not move
 SEEDED_STDOUT_SHA256 = {
+    # the two mc tau pins were re-pinned when Brownian draws took the
+    # closed form 1 / (4 W cos^2(theta/2)): last digits of quantiles moved
     "mc tau --n 2000":
-        "bad8ea7d4e111c13745c0f744bd44b62957f919d875511071b7ea2310f2d3163",
+        "d57ec30b50ed9fccc84d723cf7ad1210d2bf3549519832448e2c856c4f970966",
     "mc exponent --spec bessel:1.5 --lam 0.5,2 --n 2000":
         "c2625ee7684d63d2185c7127a900a4946595f6c961ffe7b4fce23207c71a4ae3",
     "mc doob-meyer --t 0.1,0.2 --n 500 --dt 0.01":
@@ -289,7 +291,7 @@ SEEDED_STDOUT_SHA256 = {
         "995a4d6fee2255300a7238c65492bc3ddff3c48bbbea2937464c9f8825c24563",
     # three slices of the stable transform, so the pool runs them
     "mc tau --n 60000":
-        "134ca180828a2a18ca974b2dbeae551525298047ae0124aa8d7e600acb615459",
+        "cfd8158fa77c7262ce2b24a520e7a542ae6270f9dbb803a061c835c63ca6e593",
     "penalize horizon --n 60000":
         "92f8f24f60cac9eb5670b9d1e0ef322b0fd0ebcc745310adaf06a64633ed00ed",
     # re-pinned when the weighted CDF left BLAS for a fixed-order running

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -65,9 +66,12 @@ def test_tau_brownian_is_squared_reciprocal_gaussian():
 
 def _kanter_whole_array(alpha, n, rng):
     """The transform on the whole array at once, as it was before it ran
-    in slices: the reference the sliced one must equal bit for bit."""
+    in slices: the reference the sliced one must equal bit for bit.  At
+    alpha = 1/2 it is the closed form ``1 / (4 W cos^2(theta/2))``."""
     theta = rng.uniform(0.0, math.pi, size=n)
     w = rng.standard_exponential(size=n)
+    if alpha == 0.5:
+        return 1.0 / (np.cos(theta / 2) ** 2 * w * 4.0)
     log_a = (alpha * np.log(np.sin(alpha * theta))
              + (1.0 - alpha) * np.log(np.sin((1.0 - alpha) * theta))
              - np.log(np.sin(theta))) / (1.0 - alpha)
@@ -87,6 +91,68 @@ def test_sliced_stable_draws_equal_the_whole_array_formula(alpha, n, seed):
         assert got.tobytes() == want.tobytes(), threads
 
 
+def test_brownian_stable_draws_are_within_4_ulp():
+    # S = (sin(theta/2) / sin theta)^2 / W at alpha = 1/2, evaluated in
+    # long double at the same (theta, W): the closed form rounds a cosine,
+    # its square and two more operations, so it stays within a few ulp
+    if not np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
+        pytest.skip("long double is no wider than double here")
+    n = 50_000
+    got = mc._standard_positive_stable(0.5, n, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    theta = (rng.random(n) * math.pi).astype(np.longdouble)
+    w = rng.standard_exponential(size=n).astype(np.longdouble)
+    want = (np.sin(theta / 2) / np.sin(theta)) ** 2 / w
+    ulps = np.abs(got - want) / np.spacing(got)
+    assert float(ulps.max()) <= 4.0
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_stable_draws_leave_the_stream_after_their_uniforms_and_exponentials(
+        alpha):
+    n = 60_001
+    rng = np.random.default_rng(9)
+    mc._standard_positive_stable(alpha, n, rng, 2)
+    ref = np.random.default_rng(9)
+    ref.random(n)
+    ref.standard_exponential(size=n)
+    assert rng.random() == ref.random()
+
+
+class _ZeroUniforms:
+    """A generator whose uniforms are exactly 0 at every third draw."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def random(self, n):
+        u = self._rng.random(n)
+        u[::3] = 0.0
+        return u
+
+    def standard_exponential(self, size):
+        return self._rng.standard_exponential(size=size)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_a_zero_theta_draw_takes_the_limit_of_kanters_formula(alpha):
+    # the log route would give -inf - -inf = NaN there, with numpy
+    # warnings; the limit is A(0) = alpha^{alpha/beta} beta, and no other
+    # draw moves
+    n, beta = 30_000, 1.0 - alpha
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = mc._standard_positive_stable(alpha, n, _ZeroUniforms(4), 1)
+    rng = _ZeroUniforms(4)
+    theta = rng.random(n) * math.pi
+    w = rng.standard_exponential(size=n)
+    zero = theta == 0.0
+    want = (alpha ** (alpha / beta) * beta / w[zero]) ** (beta / alpha)
+    np.testing.assert_allclose(got[zero], want, rtol=1e-14)
+    rest = _kanter_whole_array(alpha, n, np.random.default_rng(4))
+    assert got[~zero].tobytes() == rest[~zero].tobytes()
+
+
 def test_no_stable_draws_is_an_empty_array():
     for threads in (1, 2):
         out = mc._standard_positive_stable(0.5, 0, np.random.default_rng(0),
@@ -101,6 +167,18 @@ def test_local_time_marginal_mean():
     exact = math.sqrt(4.0 / math.pi)
     se = float(np.std(lt, ddof=1) / math.sqrt(lt.size))
     assert abs(float(lt.mean()) - exact) < 4 * se
+
+
+@pytest.mark.parametrize("spec", [BM, B15], ids=["brownian", "bessel"])
+def test_local_time_draws_are_the_first_passage_inversion(spec):
+    # computed in place, the same operations in the same order
+    n = 60_001
+    rng = np.random.default_rng(13)
+    h = mc.sample_hitting_time(spec, 1.0, n, seed=rng)
+    tau1 = mc.sample_tau(spec, 1.0, n, seed=rng).values
+    want = (np.maximum(2.0 - h, 0.0) / tau1) ** spec.alpha
+    got = mc.sample_local_time(spec, 1.0, 2.0, n, seed=13)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_local_time_boundary_atom():
@@ -503,15 +581,19 @@ def test_a_forked_child_starts_its_own_pool():
 
 
 @pytest.mark.parametrize("call, bound", [
-    (lambda n: mc.sample_tau(BM, 1.0, n, seed=1, threads=1), 2.5),
+    (lambda n: mc.sample_tau(BM, 1.0, n, seed=1, threads=1), 2.25),
+    (lambda n: mc.sample_tau(B15, 1.0, n, seed=1, threads=1), 2.5),
     (lambda n: mc.sample_hitting_time(B15, 1.0, n, seed=1), 1.25),
+    (lambda n: mc.sample_local_time(BM, 1.0, 1.0, n, seed=1), 3.5),
     (lambda n: pz.penalization_horizon(BM, pz.indicator_weight(1.0), 0.05,
-                                       n=n, seed=1, threads=1), 3.5),
-], ids=["sample_tau", "sample_hitting_time", "penalization_horizon"])
+                                       n=n, seed=1, threads=1), 3.25),
+], ids=["sample_tau", "sample_tau_bessel", "sample_hitting_time",
+        "sample_local_time", "penalization_horizon"])
 def test_exact_sampler_peak_memory(call, bound):
     # in units of one array of n doubles: the stable transform runs in
-    # place over its theta with two slice-sized scratch buffers, and the
-    # hitting time and horizon scale their draws in place
+    # place over its theta (at alpha = 1/2 with no scratch, else with two
+    # slice-sized scratch buffers), and the hitting time, local time and
+    # horizon transform their draws in place
     n = 200_000
     call(n)
     tracemalloc.start()

@@ -4,13 +4,21 @@ Two layers live here.  The exact layer draws hitting times, inverse
 local times (via Kanter's representation of the positive stable law), and
 the Brownian last-zero/meander decomposition directly from their known
 laws — no time discretization at all, so tail probabilities at horizons
-like ``t = 1e4`` cost the same as ``t = 1``.  None of these draws
-rejects: a meander of length ``r`` ends at a Rayleigh(sqrt(r)) point
-``z``, and given that end it is a three-dimensional Bessel bridge from 0
-to ``z`` (Imhof 1984, *Density factorizations for Brownian motion,
-meander and the three-dimensional Bessel process*), so its position at
-any time is the norm of a Gaussian vector.  The grid layer serves the
-two checks that need whole paths, :func:`doob_meyer_check` and
+like ``t = 1e4`` cost the same as ``t = 1``.  levykit adds no rejection
+step: every draw is a closed-form transform of numpy variates.  Two of
+those are rejection samplers inside numpy, ``gamma`` at shape below one
+(the hitting time of a Bessel preset) and ``beta(1/2, 1/2)`` (the last
+zero).  The Brownian hitting time ``x^2 / Z^2`` and the stable draws at
+``alpha`` in {1/4, 1/2} read only uniforms, normals and exponentials, and
+so use none beyond the rare wedge and tail cases of numpy's ziggurat.  A
+meander of length ``r`` ends at a Rayleigh(sqrt(r)) point ``z``, and
+given that end it is a three-dimensional Bessel bridge from 0 to ``z``
+(Imhof 1984, *Density factorizations for Brownian motion, meander and the
+three-dimensional Bessel process*), so its position at any time is the
+norm of a Gaussian vector.
+
+The grid layer serves the two checks that need whole paths,
+:func:`doob_meyer_check` and
 :func:`~levykit.penalization.martingale_property_mc`: it streams
 reflected-Brownian or squared-Bessel paths from 0 step by step, carrying
 only the current state and a handful of accumulators, so ``1e5`` paths
@@ -306,11 +314,16 @@ def sample_hitting_time(spec: DiffusionSpec, x: float, n: int,
                         seed=None) -> np.ndarray:
     """Exact draws of the first time the boundary is reached from ``x``.
 
-    Uses ``H_0 = x^2 / (2 G)`` with ``G ~ Gamma(alpha, 1)``.  For small
+    Uses ``H_0 = x^2 / (2 G)`` with ``G ~ Gamma(alpha, 1)``.  At ``alpha =
+    1/2`` (Brownian motion) ``2 G`` has the law of ``Z^2`` for a standard
+    normal ``Z`` (Levy; Devroye 1986, *Non-Uniform Random Variate
+    Generation*), so ``H_0 = x^2 / Z^2`` costs ``n`` normals, squared and
+    divided in place, where numpy's ``gamma(1/2)`` rejects.  For small
     ``alpha`` a draw of ``G`` can underflow to 0, which gives ``H_0 = inf``
     without a warning: such a ``G`` is below the smallest subnormal, so the
     true ``H_0`` exceeds ``x^2 1e323`` and the event ``H_0 > t`` is right
-    for every smaller ``t``.  A quotient that overflows is also ``inf``.
+    for every smaller ``t``.  A normal draw ``Z = 0`` and a quotient that
+    overflows are also ``inf``.
     ``seed`` is anything :func:`numpy.random.default_rng` takes, a
     ``Generator`` included.
     """
@@ -321,8 +334,12 @@ def sample_hitting_time(spec: DiffusionSpec, x: float, n: int,
     rng = _default_rng(seed)
     if x == 0.0:
         return np.zeros(n)
-    g = rng.gamma(alpha, 1.0, size=n)
-    g *= 2.0
+    if alpha == 0.5:
+        g = rng.standard_normal(n)
+        g *= g
+    else:
+        g = rng.gamma(alpha, 1.0, size=n)
+        g *= 2.0
     with np.errstate(divide="ignore", over="ignore"):
         return np.divide(x * x, g, out=g)
 
@@ -347,10 +364,27 @@ def _standard_positive_stable(alpha: float, n: int, rng,
     (4 W cos^2(theta/2))``: one cosine and no scratch buffer.  On 2e5
     draws it is within 3.5 ulp of a long-double ``(sin(theta/2) /
     sin theta)^2 / W`` at the same ``(theta, W)`` (median 0.5), where the
-    log route below is off by up to 29 (median 0.9).  Another ``alpha``
-    takes that route, with two slice-sized scratch buffers; a draw
-    ``theta = 0`` (probability ``2^-53``) gets the limit ``A(0) =
-    alpha^{alpha/beta} beta``, where the logs would give ``-inf - -inf``.
+    log route below is off by up to 29 (median 0.9).
+
+    At ``alpha = 1/4``, ``(A(theta) / W)^3 = sin(phi) sin^3(3 phi) /
+    (sin^4(4 phi) W^3)`` with ``phi = theta/4``.  With ``C = cos(theta/2) =
+    cos 2 phi``, ``sin 3 phi = sin phi (1 + 2C)``, ``sin 4 phi = 4 sin phi
+    cos phi C`` and ``cos^2 phi = (1 + C)/2`` turn it into ``S = (1 +
+    2C)^3 / (64 (1 + C)^2 C^4 W^3)``: one cosine, and no cancellation,
+    since ``1 + C`` and ``1 + 2C`` are at least 1.  It runs with one
+    slice-sized scratch buffer, and at ``theta = 0`` gives ``27 / (256
+    W^3) = (A(0) / W)^3`` with no special case.  On 2e5 draws its relative
+    error against a long-double ``sin(phi) sin^3(3 phi) / (sin^4(4 phi)
+    W^3)`` at the same ``(theta, W)`` is at most 5.0 units of ``2^-52``
+    (median 0.72), or 9.0 ulp of the draw itself (median 1.0); the log
+    route reads 40 units (median 1.4), or 63 ulp (median 2.0).  About 2
+    of those units are the rounding of ``C``, which ``S`` carries about
+    fourfold.
+
+    Another ``alpha`` takes that route, with two slice-sized scratch
+    buffers; a draw ``theta = 0`` (probability ``2^-53``) gets the limit
+    ``A(0) = alpha^{alpha/beta} beta``, where the logs would give ``-inf -
+    -inf``.
     """
     out = rng.random(n)
     out *= math.pi
@@ -359,13 +393,27 @@ def _standard_positive_stable(alpha: float, n: int, rng,
 
     def kanter(lo, hi):
         th = out[lo:hi]
-        if beta == alpha:
+        if alpha == 0.5:
             th *= 0.5
             np.cos(th, out=th)
             th *= th
             th *= w[lo:hi]
             th *= 4.0
             np.reciprocal(th, out=th)
+            return
+        if alpha == 0.25:
+            th *= 0.5
+            np.cos(th, out=th)              # C = cos(theta/2)
+            b = np.add(th, 1.0)
+            b *= b
+            for factor in (th, th, th, th, w[lo:hi], w[lo:hi], w[lo:hi]):
+                b *= factor
+            b *= 64.0                       # 64 (1+C)^2 C^4 W^3
+            th *= 2.0
+            th += 1.0                       # 1 + 2C
+            np.divide(th, b, out=b)
+            b *= th
+            np.multiply(b, th, out=th)
             return
         zero = th == 0.0 if th.min() == 0.0 else None
         if zero is not None:
@@ -405,6 +453,9 @@ def sample_tau(spec: DiffusionSpec, ell: float, n: int,
     ``ell * kappa * lam^alpha``, so ``tau_ell = (ell kappa)^{1/alpha} S``
     for a standard positive stable ``S``.  ``threads`` runs the transform
     of the draws, never the draws themselves, so it does not change them.
+    A scale or a draw beyond the double range is ``inf`` without a
+    warning: the true ``tau_ell`` then exceeds ``1.8e308``, so the event
+    ``tau_ell > t`` is right for every finite ``t``.
     ``seed`` is anything :func:`numpy.random.default_rng` takes, a
     ``Generator`` included.
     """
@@ -417,9 +468,9 @@ def sample_tau(spec: DiffusionSpec, ell: float, n: int,
         vals = np.zeros(n)
     else:
         kappa = bessel_exponent_constant(alpha)
-        scale = (ell * kappa) ** (1.0 / alpha)
         vals = _standard_positive_stable(alpha, n, rng, threads)
-        vals *= scale
+        with np.errstate(over="ignore"):
+            vals *= (ell * kappa) ** (1.0 / alpha)
     return SubordinatorSample(values=vals, ell=float(ell), alpha=alpha,
                               seed=seed)
 
@@ -742,7 +793,8 @@ def levy_exponent_mc(spec: DiffusionSpec, lam: float | Sequence[float],
             continue
         mean, se = next(moments)
         if mean <= 0:
-            raise RangeError("all mass beyond machine range; lam too large")
+            raise RangeError("all mass beyond machine range; lam or ell "
+                             "too large")
         estimates.append(McEstimate(mean=-math.log(mean) / ell,
                                     std_error=se / (mean * ell), n_paths=n,
                                     seed=seed))

@@ -280,8 +280,10 @@ SEEDED_STDOUT_SHA256 = {
     # closed form 1 / (4 W cos^2(theta/2)): last digits of quantiles moved
     "mc tau --n 2000":
         "d57ec30b50ed9fccc84d723cf7ad1210d2bf3549519832448e2c856c4f970966",
+    # re-pinned when alpha = 1/4 draws took the closed form (1 + 2C)^3 /
+    # (64 (1 + C)^2 C^4 W^3): the last digits of std_error and z moved
     "mc exponent --spec bessel:1.5 --lam 0.5,2 --n 2000":
-        "c2625ee7684d63d2185c7127a900a4946595f6c961ffe7b4fce23207c71a4ae3",
+        "44dc79a7f6b69631693e506a1fc4133eee3af9f4be8bcf73a45a8ec2f74b9172",
     "mc doob-meyer --t 0.1,0.2 --n 500 --dt 0.01":
         "fa5c3c4d4b6aeea3c3cc69966b7f27d385e0c14cb86d7b1962fe6ba46b848ea8",
     "penalize martingale --weight indicator:1 --weight triangular:2 "

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammainc, ndtr
+from scipy.special import erf, gammainc, ndtr
 from scipy.stats import kstest, ncx2
 
 from levykit import montecarlo as mc
@@ -19,12 +19,13 @@ from levykit import penalization as pz
 from levykit import spectral as sp
 from levykit.diffusions import (bessel_spec, brownian_spec, levy_exponent,
                                 spec_from_expressions)
-from levykit.errors import (DomainError, ResolutionError,
+from levykit.errors import (DomainError, RangeError, ResolutionError,
                             UnsupportedSpecError)
 from levykit.quadrature import integrate
 
 BM = brownian_spec()
 B15 = bessel_spec(1.5)
+NARROW_LONG_DOUBLE = not np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +42,57 @@ def test_hitting_time_sampler_matches_tail():
     assert np.all(mc.sample_hitting_time(BM, 0.0, 5,
                                          seed=np.random.default_rng(0))
                   == 0.0)
+
+
+def test_brownian_hitting_time_sampler_matches_tail():
+    # P_x(H_0 > t) = P(|Z| < x / sqrt(t)) = erf(x / sqrt(2 t))
+    n, x = 200_000, 1.0
+    h = mc.sample_hitting_time(BM, x, n, seed=np.random.default_rng(13))
+    for t in (0.1, 1.0, 10.0):
+        exact = float(erf(x / math.sqrt(2.0 * t)))
+        se = math.sqrt(exact * (1 - exact) / n)
+        assert abs(float((h > t).mean()) - exact) < 4 * se, t
+
+
+def test_brownian_hitting_times_read_one_normal_each():
+    n = 60_001
+    rng = np.random.default_rng(9)
+    mc.sample_hitting_time(BM, 1.5, n, seed=rng)
+    ref = np.random.default_rng(9)
+    ref.standard_normal(n)
+    assert rng.random() == ref.random()
+    mc.sample_hitting_time(BM, 0.0, n, seed=rng)
+    assert rng.random() == ref.random()
+
+
+class _ZeroNormal:
+    """A generator whose first normal draw is exactly 0."""
+
+    def standard_normal(self, n):
+        z = np.random.default_rng(5).standard_normal(n)
+        z[0] = 0.0
+        return z
+
+
+def test_a_zero_normal_is_an_infinite_hitting_time(monkeypatch):
+    monkeypatch.setattr(mc, "_default_rng", lambda seed: seed)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        h = mc.sample_hitting_time(BM, 2.0, 4, seed=_ZeroNormal())
+    assert h[0] == math.inf and np.all(np.isfinite(h[1:]))
+
+
+def test_an_overflowing_tau_is_inf_without_a_warning():
+    # (ell kappa)^{1/alpha} overflowed as a numpy scalar power, with a
+    # RuntimeWarning; the true tau_ell is beyond the double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tau = mc.sample_tau(B15, 1e300, 5, seed=1).values
+        est = mc.estimate_localtime_tail(B15, 1.0, 10.0, 1e200, 100, seed=2)
+    assert np.all(tau == math.inf)
+    assert est.mean == 1.0
+    with pytest.raises(RangeError, match="lam or ell too large"):
+        mc.levy_exponent_mc(B15, 1.0, ell=1e100, n=100, seed=3)
 
 
 def test_tau_sampler_laplace_transform():
@@ -67,11 +119,18 @@ def test_tau_brownian_is_squared_reciprocal_gaussian():
 def _kanter_whole_array(alpha, n, rng):
     """The transform on the whole array at once, as it was before it ran
     in slices: the reference the sliced one must equal bit for bit.  At
-    alpha = 1/2 it is the closed form ``1 / (4 W cos^2(theta/2))``."""
+    alpha = 1/2 it is the closed form ``1 / (4 W cos^2(theta/2))``, at
+    alpha = 1/4 ``(1 + 2C)^3 / (64 (1 + C)^2 C^4 W^3)`` with ``C =
+    cos(theta/2)``, each operation for operation as the library runs it."""
     theta = rng.uniform(0.0, math.pi, size=n)
     w = rng.standard_exponential(size=n)
     if alpha == 0.5:
         return 1.0 / (np.cos(theta / 2) ** 2 * w * 4.0)
+    if alpha == 0.25:
+        c = np.cos(theta * 0.5)
+        d = (c + 1.0) * (c + 1.0) * c * c * c * c * w * w * w * 64.0
+        u = c * 2.0 + 1.0
+        return u / d * u * u
     log_a = (alpha * np.log(np.sin(alpha * theta))
              + (1.0 - alpha) * np.log(np.sin((1.0 - alpha) * theta))
              - np.log(np.sin(theta))) / (1.0 - alpha)
@@ -79,7 +138,7 @@ def _kanter_whole_array(alpha, n, rng):
 
 
 @settings(max_examples=20, deadline=None)
-@given(alpha=st.one_of(st.just(0.5), st.floats(0.02, 0.98)),
+@given(alpha=st.one_of(st.just(0.5), st.just(0.25), st.floats(0.02, 0.98)),
        n=st.sampled_from([1, 24_999, 25_000, 25_001, 60_001]),
        seed=st.integers(0, 2**32 - 1))
 def test_sliced_stable_draws_equal_the_whole_array_formula(alpha, n, seed):
@@ -105,6 +164,59 @@ def test_brownian_stable_draws_are_within_4_ulp():
     want = (np.sin(theta / 2) / np.sin(theta)) ** 2 / w
     ulps = np.abs(got - want) / np.spacing(got)
     assert float(ulps.max()) <= 4.0
+
+
+@pytest.mark.skipif(NARROW_LONG_DOUBLE,
+                    reason="long double is no wider than double here")
+def test_quarter_stable_draws_are_within_8_ulp():
+    # S = sin(phi) sin^3(3 phi) / (sin^4(4 phi) W^3), phi = theta/4, at
+    # alpha = 1/4, evaluated in long double at the same (theta, W), in
+    # units of 2^-52 relative error: the closed form rounds a cosine, which
+    # S carries about fourfold, and a dozen products and sums
+    n = 50_000
+    got = mc._standard_positive_stable(0.25, n, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    phi = (rng.random(n) * math.pi).astype(np.longdouble) / 4
+    w = rng.standard_exponential(size=n).astype(np.longdouble)
+    want = np.sin(phi) * np.sin(3 * phi) ** 3 / (np.sin(4 * phi) ** 4
+                                                 * w ** 3)
+    units = np.abs(got - want) / (want * np.finfo(np.float64).eps)
+    assert float(units.max()) <= 8.0
+
+
+class _GivenDraws:
+    """A generator whose uniforms and exponentials are the given ones."""
+
+    def __init__(self, u, w):
+        self._u, self._w = u, w
+
+    def random(self, n):
+        return np.array(self._u[:n], dtype=float)
+
+    def standard_exponential(self, size):
+        return np.array(self._w[:size], dtype=float)
+
+
+@pytest.mark.skipif(NARROW_LONG_DOUBLE,
+                    reason="long double is no wider than double here")
+@settings(max_examples=100, deadline=None)
+@given(alpha=st.sampled_from([0.25, 0.5]),
+       draws=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                                st.floats(1e-10, 50.0)),
+                      min_size=1, max_size=16))
+def test_closed_forms_agree_with_kanters_formula(alpha, draws):
+    # Kanter's (A(theta) / W)^{beta/alpha} in long double, with the limit
+    # A(0) = alpha^{alpha/beta} beta, over theta in [0, pi) and W > 0
+    u, w = zip(*draws)
+    got = mc._standard_positive_stable(alpha, len(u), _GivenDraws(u, w), 1)
+    beta = 1.0 - alpha
+    theta = (np.array(u) * math.pi).astype(np.longdouble)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (np.sin(alpha * theta) ** alpha * np.sin(beta * theta) ** beta
+             / np.sin(theta)) ** (1.0 / beta)
+    a[theta == 0] = alpha ** (alpha / beta) * beta
+    want = (a / np.array(w, dtype=np.longdouble)) ** (beta / alpha)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
@@ -582,18 +694,20 @@ def test_a_forked_child_starts_its_own_pool():
 
 @pytest.mark.parametrize("call, bound", [
     (lambda n: mc.sample_tau(BM, 1.0, n, seed=1, threads=1), 2.25),
-    (lambda n: mc.sample_tau(B15, 1.0, n, seed=1, threads=1), 2.5),
+    (lambda n: mc.sample_tau(B15, 1.0, n, seed=1, threads=1), 2.25),
     (lambda n: mc.sample_hitting_time(B15, 1.0, n, seed=1), 1.25),
+    (lambda n: mc.sample_hitting_time(BM, 1.0, n, seed=1), 1.25),
     (lambda n: mc.sample_local_time(BM, 1.0, 1.0, n, seed=1), 3.5),
     (lambda n: pz.penalization_horizon(BM, pz.indicator_weight(1.0), 0.05,
                                        n=n, seed=1, threads=1), 3.25),
 ], ids=["sample_tau", "sample_tau_bessel", "sample_hitting_time",
-        "sample_local_time", "penalization_horizon"])
+        "sample_hitting_time_brownian", "sample_local_time",
+        "penalization_horizon"])
 def test_exact_sampler_peak_memory(call, bound):
     # in units of one array of n doubles: the stable transform runs in
-    # place over its theta (at alpha = 1/2 with no scratch, else with two
-    # slice-sized scratch buffers), and the hitting time, local time and
-    # horizon transform their draws in place
+    # place over its theta (at alpha = 1/2 with no scratch, at 1/4 with
+    # one slice-sized scratch buffer), and the hitting time, local time
+    # and horizon transform their draws in place
     n = 200_000
     call(n)
     tracemalloc.start()

@@ -50,7 +50,9 @@ _MP = ("u", "mean", "std_error", "z")
 EXPECTED = {
     "hitting_exact": ("0x1.7e25c1f6d700bp-1", "0x1.e653f9565c223p-10"),
     "localtime_exact": ("0x1.2a3ea1ae278b8p-1", "0x1.139d8978f324ap-9"),
-    "levy_exponent_mc": ("0x1.59f285a91031cp-1", "0x1.a4788a0110942p-9"),
+    # the error's last bit moved when alpha = 1/4 draws took their closed
+    # form (was 0x1.a4788a0110942p-9)
+    "levy_exponent_mc": ("0x1.59f285a91031cp-1", "0x1.a4788a0110941p-9"),
     "doob_meyer": [
         dict(zip(_DM, ("0x1.999999999999ap-4", "0x1.17b8b0d264f18p+0",
                        "0x1.17ddd8eafc83ep+0", "-0x1.2940c4bc93600p-11",

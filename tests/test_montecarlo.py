@@ -231,34 +231,20 @@ def test_stable_draws_leave_the_stream_after_their_uniforms_and_exponentials(
     assert rng.random() == ref.random()
 
 
-class _ZeroUniforms:
-    """A generator whose uniforms are exactly 0 at every third draw."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-
-    def random(self, n):
-        u = self._rng.random(n)
-        u[::3] = 0.0
-        return u
-
-    def standard_exponential(self, size):
-        return self._rng.standard_exponential(size=size)
-
-
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_a_zero_theta_draw_takes_the_limit_of_kanters_formula(alpha):
     # the log route would give -inf - -inf = NaN there, with numpy
     # warnings; the limit is A(0) = alpha^{alpha/beta} beta, and no other
     # draw moves
     n, beta = 30_000, 1.0 - alpha
+    rng = np.random.default_rng(4)
+    u = rng.random(n)
+    u[::3] = 0.0
+    w = rng.standard_exponential(size=n)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        got = mc._standard_positive_stable(alpha, n, _ZeroUniforms(4), 1)
-    rng = _ZeroUniforms(4)
-    theta = rng.random(n) * math.pi
-    w = rng.standard_exponential(size=n)
-    zero = theta == 0.0
+        got = mc._standard_positive_stable(alpha, n, _GivenDraws(u, w), 1)
+    zero = u == 0.0
     want = (alpha ** (alpha / beta) * beta / w[zero]) ** (beta / alpha)
     np.testing.assert_allclose(got[zero], want, rtol=1e-14)
     rest = _kanter_whole_array(alpha, n, np.random.default_rng(4))
